@@ -1,0 +1,95 @@
+"""Golden state bytes: the exact bit format every state-carrying algorithm
+writes.
+
+Each case streams a fixed seeded sample list through one algorithm, steps the
+state the way the runner does (only the payload bytes cross a step), and pins
+the budget, the peak used_bits and the sha256 of the final payload.  The
+ProjectionSeparator cases run longer than the reservoir so that replacement
+runs, and cover byte-aligned 8/16/32-bit slots, unaligned packed slots, and
+aligned and unaligned raw float64 slots.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from nullstream.algorithms import (
+    OfflineKernelSolver,
+    OfflineLstsqSolver,
+    OfflineSeparatorSolver,
+    ProjectionSeparator,
+    ZeroPredictor,
+    kernel_budget_bits,
+    lstsq_budget_bits,
+    proj_state_bits,
+    separator_budget_bits,
+)
+from nullstream.streaming import BitState, SharedRandomness
+
+
+def _final_state(alg, samples, budget, seed):
+    shared = SharedRandomness(seed)
+    state = BitState.zero(budget)
+    peak = 0
+    for i, sample in enumerate(samples, start=1):
+        new = alg.update(i, sample, state, shared)
+        peak = max(peak, new.used_bits)
+        state = BitState(budget, new.payload)
+    return hashlib.sha256(state.payload).hexdigest(), peak
+
+
+def _vectors(seed, n, d):
+    return list(np.random.default_rng(seed).standard_normal((n, d)))
+
+
+def _labeled(seed, n, d):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, d))
+    ys = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return [(x, float(y)) for x, y in zip(xs, ys)]
+
+
+def _equations(seed, n, d):
+    rng = np.random.default_rng(seed)
+    return [(row, float(t)) for row, t in zip(rng.standard_normal((n, d)), rng.standard_normal(n))]
+
+
+BASELINE_CASES = {
+    "zero": (ZeroPredictor, lambda: _vectors(1, 5, 8), 40, 32,
+             "6a8814853bd214d9f0faf8d19724d53383fd0084a9471f67b989d47e225aa1a8"),
+    "offline-kernel": (OfflineKernelSolver, lambda: _vectors(2, 7, 8), kernel_budget_bits(8), 3648,
+                       "622d28cbc764e09f5f049a6dd6fd7872caed8ec79f1be87f871f994f9ad2514c"),
+    "offline-lstsq": (OfflineLstsqSolver, lambda: _equations(3, 20, 6), lstsq_budget_bits(6) + 5, 1792,
+                      "0faad4c6989d40de8984f6f857751b0d25848a9b5e057da4d91ba17a8796acec"),
+    "offline-separator": (OfflineSeparatorSolver, lambda: _labeled(4, 12, 5), separator_budget_bits(5, 12),
+                          4672, "19a5c96de418e1eec44ad92c786504b08db7ecfb71dbc14fc7c4f245050f777f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_CASES))
+def test_solver_state_bytes_pinned(name):
+    cls, samples, budget, peak, digest = BASELINE_CASES[name]
+    assert _final_state(cls(), samples(), budget, seed=5) == (digest, peak)
+
+
+# (d', slots, quant_bits): aligned 16/8/32-bit, unaligned packed, aligned
+# and unaligned raw float64
+PROJ_CASES = {
+    (16, 8, 16): (64 + 8 + 8 * 16 * 16, "40933499163b4241364f4864ea58f9f9045fc3b52533c95a4e3c1464511f0004"),
+    (16, 8, 8): (64 + 8 + 8 * 16 * 8, "11b8e3329a78da3d1a1d889e7b128d918bad49172bbbe174dcf17a4f62b8c857"),
+    (5, 8, 32): (64 + 8 + 8 * 5 * 32, "afd6990364b9a47520ae44b83395bc07c6e30c0d2cc1819a472a4601b4c4de6c"),
+    (11, 7, 5): (64 + 7 + 7 * 11 * 5, "f24e30a7e80fa97b26cc4fcb5e5b9d7e5375d9e2af4d6b82eeb1e793d4accdda"),
+    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "9ba1d7fbb226f9671963cbc5d2eb85dc5ec00ec1111f033d9d143c80b075d615"),
+    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "33f244fd01e3637b1eb26a52edb0dcd88c12226fdd65b028c49a0757f4b355b7"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(PROJ_CASES))
+def test_projection_separator_state_bytes_pinned(config):
+    dprime, slots, quant_bits = config
+    budget, digest = PROJ_CASES[config]
+    assert proj_state_bits(dprime, slots, quant_bits) == budget
+    alg = ProjectionSeparator(dprime=dprime, subsample_size=slots, quant_bits=quant_bits, seed=3)
+    samples = _labeled(100 + dprime + slots + quant_bits, 3 * slots + 5, 24)
+    assert _final_state(alg, samples, budget, seed=17) == (digest, budget)
