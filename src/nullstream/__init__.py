@@ -8,7 +8,6 @@ spectral facts the hard instances rely on.
 
 from .algorithms import (
     ProjectionSeparator,
-    ProjectionSketch,
     REGISTRY,
     build_algorithm,
     kernel_budget_bits,

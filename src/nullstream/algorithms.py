@@ -5,20 +5,18 @@ random-projection separator that realizes the low-memory upper bound: keep a
 uniform reservoir of projected, quantized points and separate them at the end
 with a perceptron, lifting the result back through the projection transpose.
 
-State layouts are explicit bit formats so the budget arithmetic is exact; see
-each class docstring.  All layouts are big-endian bit-first except float
-blocks, which use little-endian float64 throughout the package.
+Each state-carrying algorithm declares its state format once, as the Layout
+its code reads and writes (see the class docstrings); its budget function is
+that layout's nbits, so the accounting and the format cannot disagree.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, RunConfig
+from .config import DEFAULTS
 from .errors import (
     BudgetViolation,
     DegenerateOutput,
@@ -27,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Subspace, kernel_vector, orthonormalize
-from .streaming import BitReader, BitState, BitWriter, OnePassAlgorithm, SharedRandomness
+from .streaming import Layout, OnePassAlgorithm, SharedRandomness, f64, uint
 
 
 def _sample_vector(sample) -> np.ndarray:
@@ -37,19 +35,31 @@ def _sample_vector(sample) -> np.ndarray:
     return np.asarray(sample, dtype=float)
 
 
+# every solver state opens with [u32 count][u32 d]
+HEADER = uint(32, 2)
+_HEADER_ONLY = Layout(header=HEADER)
+
+
+def _header(payload) -> tuple[int, int]:
+    count, d = _HEADER_ONLY.read(payload, "header")
+    return int(count), int(d)
+
+
 class ZeroPredictor(OnePassAlgorithm):
-    """Remembers only the ambient dimension; outputs the zero vector."""
+    """Remembers only the ambient dimension; outputs the zero vector.
+
+    State: Layout(d=uint(32)).
+    """
+
+    LAYOUT = Layout(d=uint(32))
 
     def update(self, i, sample, state, shared):
-        d = _sample_vector(sample).shape[0]
-        w = BitWriter()
-        w.append_uint(d, 32)
-        content, nbits = w.getvalue()
-        return BitState.pack(state.capacity_bits, content, nbits)
+        buf = bytearray(state.payload)
+        self.LAYOUT.write(buf, "d", _sample_vector(sample).shape[0])
+        return self.LAYOUT.pack(state.capacity_bits, buf)
 
     def finalize(self, state, shared):
-        d = BitReader(state.payload).read_uint(32)
-        return np.zeros(d)
+        return np.zeros(int(self.LAYOUT.read(state.payload, "d")[0]))
 
 
 class RandomUnitPredictor(OnePassAlgorithm):
@@ -76,53 +86,50 @@ class RandomUnitPredictor(OnePassAlgorithm):
 class OfflineKernelSolver(OnePassAlgorithm):
     """Stores every vector verbatim and finalizes with the exact kernel.
 
-    State: [u32 count][u32 d][count * d little-endian float64].
+    State: layout(count, d) = Layout(header=uint(32, 2), vectors=f64(count * d)).
     """
+
+    @staticmethod
+    def layout(count: int, d: int) -> Layout:
+        return Layout(header=HEADER, vectors=f64(count * d))
 
     def update(self, i, sample, state, shared):
         vec = _sample_vector(sample)
         d = vec.shape[0]
-        r = BitReader(state.payload)
-        count = r.read_uint(32)
-        if count:
-            if r.read_uint(32) != d:
-                raise DimensionMismatch("sample dimension changed mid-stream")
-            stored = r.read_floats(count * d)
-        else:
-            stored = np.zeros(0)
-        w = BitWriter()
-        w.append_uint(count + 1, 32)
-        w.append_uint(d, 32)
-        w.append_floats(np.concatenate([stored, vec]))
-        content, nbits = w.getvalue()
-        return BitState.pack(state.capacity_bits, content, nbits)
+        count, dim = _header(state.payload)
+        if count and dim != d:
+            raise DimensionMismatch("sample dimension changed mid-stream")
+        layout = self.layout(count + 1, d)
+        buf = bytearray(state.payload)
+        layout.write(buf, "header", [count + 1, d])
+        layout.write(buf, "vectors", vec, start=count * d)
+        return layout.pack(state.capacity_bits, buf)
 
     def finalize(self, state, shared):
-        r = BitReader(state.payload)
-        count = r.read_uint(32)
-        d = r.read_uint(32)
-        vectors = r.read_floats(count * d).reshape(count, d)
-        return kernel_vector(vectors)
+        count, d = _header(state.payload)
+        vectors = self.layout(count, d).read(state.payload, "vectors")
+        return kernel_vector(vectors.reshape(count, d))
 
 
 def kernel_budget_bits(d: int) -> int:
-    return 64 + 64 * d * (d - 1)
+    return OfflineKernelSolver.layout(d - 1, d).nbits
 
 
 class OfflineLstsqSolver(OnePassAlgorithm):
     """Streams the normal equations of the system and solves them at the end.
 
     Accumulating the Gram matrix (upper triangle) and moment vector instead of
-    raw rows keeps the state at 64*(d(d+1)/2 + d) + 64 bits, and the finalize
-    output pinv(Gram) @ moment equals the minimum-norm least-squares solution
-    of the streamed system.  The result is clipped to the unit ball.
+    raw rows keeps the state size independent of the stream length, and the
+    finalize output pinv(Gram) @ moment equals the minimum-norm least-squares
+    solution of the streamed system.  The result is clipped to the unit ball.
 
-    State: [u32 count][u32 d][d(d+1)/2 floats upper Gram][d floats moment].
+    State: layout(d) = Layout(header=uint(32, 2), gram=f64(d * (d + 1) // 2),
+    moment=f64(d)), the Gram matrix's upper triangle in row order.
     """
 
     @staticmethod
-    def _tri(d):
-        return d * (d + 1) // 2
+    def layout(d: int) -> Layout:
+        return Layout(header=HEADER, gram=f64(d * (d + 1) // 2), moment=f64(d))
 
     def update(self, i, sample, state, shared):
         if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
@@ -130,37 +137,27 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         row = np.asarray(sample[0], dtype=float)
         target = float(sample[1])
         d = row.shape[0]
-        iu = np.triu_indices(d)
-        r = BitReader(state.payload)
-        count = r.read_uint(32)
-        if count:
-            if r.read_uint(32) != d:
-                raise DimensionMismatch("sample dimension changed mid-stream")
-            gram = r.read_floats(self._tri(d))
-            moment = r.read_floats(d)
-        else:
-            gram = np.zeros(self._tri(d))
-            moment = np.zeros(d)
-        gram = gram + np.outer(row, row)[iu]
-        moment = moment + target * row
-        w = BitWriter()
-        w.append_uint(count + 1, 32)
-        w.append_uint(d, 32)
-        w.append_floats(gram)
-        w.append_floats(moment)
-        content, nbits = w.getvalue()
-        return BitState.pack(state.capacity_bits, content, nbits)
+        count, dim = _header(state.payload)
+        if count and dim != d:
+            raise DimensionMismatch("sample dimension changed mid-stream")
+        # the all-zero initial state reads as a zero Gram matrix and moment
+        layout = self.layout(d)
+        gram = layout.read(state.payload, "gram") + np.outer(row, row)[np.triu_indices(d)]
+        moment = layout.read(state.payload, "moment") + target * row
+        buf = bytearray(state.payload)
+        layout.write(buf, "header", [count + 1, d])
+        layout.write(buf, "gram", gram)
+        layout.write(buf, "moment", moment)
+        return layout.pack(state.capacity_bits, buf)
 
     def finalize(self, state, shared):
-        r = BitReader(state.payload)
-        count = r.read_uint(32)
+        count, d = _header(state.payload)
         if count == 0:
             raise DegenerateOutput("no equations seen")
-        d = r.read_uint(32)
-        gram_u = r.read_floats(self._tri(d))
-        moment = r.read_floats(d)
+        layout = self.layout(d)
+        moment = layout.read(state.payload, "moment")
         gram = np.zeros((d, d))
-        gram[np.triu_indices(d)] = gram_u
+        gram[np.triu_indices(d)] = layout.read(state.payload, "gram")
         gram = gram + np.triu(gram, 1).T
         w = np.linalg.pinv(gram, hermitian=True) @ moment
         norm = np.linalg.norm(w)
@@ -170,7 +167,7 @@ class OfflineLstsqSolver(OnePassAlgorithm):
 
 
 def lstsq_budget_bits(d: int) -> int:
-    return 64 + 64 * (d * (d + 1) // 2 + d)
+    return OfflineLstsqSolver.layout(d).nbits
 
 
 def perceptron_with_stats(points, max_passes: int) -> tuple[np.ndarray, int]:
@@ -206,11 +203,16 @@ def perceptron(points, max_passes: int) -> np.ndarray:
 class OfflineSeparatorSolver(OnePassAlgorithm):
     """Stores every labeled point and separates them offline by perceptron.
 
-    State: [u32 count][u32 d][count * (d+1) floats, each row then its label].
+    State: layout(count, d) = Layout(header=uint(32, 2),
+    rows=f64(count * (d + 1))), each point's coordinates followed by its label.
     """
 
     def __init__(self, max_passes: int = 10**5):
         self.max_passes = max_passes
+
+    @staticmethod
+    def layout(count: int, d: int) -> Layout:
+        return Layout(header=HEADER, rows=f64(count * (d + 1)))
 
     def update(self, i, sample, state, shared):
         if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
@@ -218,43 +220,25 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         x = np.asarray(sample[0], dtype=float)
         y = float(sample[1])
         d = x.shape[0]
-        r = BitReader(state.payload)
-        count = r.read_uint(32)
-        if count:
-            if r.read_uint(32) != d:
-                raise DimensionMismatch("sample dimension changed mid-stream")
-            stored = r.read_floats(count * (d + 1))
-        else:
-            stored = np.zeros(0)
-        w = BitWriter()
-        w.append_uint(count + 1, 32)
-        w.append_uint(d, 32)
-        w.append_floats(np.concatenate([stored, x, [y]]))
-        content, nbits = w.getvalue()
-        return BitState.pack(state.capacity_bits, content, nbits)
+        count, dim = _header(state.payload)
+        if count and dim != d:
+            raise DimensionMismatch("sample dimension changed mid-stream")
+        layout = self.layout(count + 1, d)
+        buf = bytearray(state.payload)
+        layout.write(buf, "header", [count + 1, d])
+        layout.write(buf, "rows", np.append(x, y), start=count * (d + 1))
+        return layout.pack(state.capacity_bits, buf)
 
     def finalize(self, state, shared):
-        r = BitReader(state.payload)
-        count = r.read_uint(32)
+        count, d = _header(state.payload)
         if count == 0:
             raise DegenerateOutput("no points seen")
-        d = r.read_uint(32)
-        flat = r.read_floats(count * (d + 1)).reshape(count, d + 1)
+        flat = self.layout(count, d).read(state.payload, "rows").reshape(count, d + 1)
         return perceptron([(row[:d], row[d]) for row in flat], self.max_passes)
 
 
 def separator_budget_bits(d: int, n: int) -> int:
-    return 64 + 64 * n * (d + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionSketch:
-    """Decoded reservoir contents: the projection and the stored points."""
-
-    proj: Subspace
-    stored: list
-    quant_bits: int
-    quant_range: float
+    return OfflineSeparatorSolver.layout(n, d).nbits
 
 
 def _quantize(u: np.ndarray, qb: int, rng_half: float) -> np.ndarray:
@@ -268,13 +252,6 @@ def _dequantize(q: np.ndarray, qb: int, rng_half: float) -> np.ndarray:
     return q.astype(float) / levels * (2 * rng_half) - rng_half
 
 
-def proj_state_bits(dprime: int, subsample: int, quant_bits: int) -> int:
-    """Declared accounting: bookkeeping header (count and ambient dimension),
-    one label bit per slot, then the quantized coordinate blocks."""
-    coord_bits = quant_bits if quant_bits else 64
-    return 64 + subsample + subsample * dprime * coord_bits
-
-
 class ProjectionSeparator(OnePassAlgorithm):
     """One-pass separator: project, quantize, reservoir-sample, then separate.
 
@@ -283,10 +260,12 @@ class ProjectionSeparator(OnePassAlgorithm):
     instance, which carries no sample information) rather than stored; the
     state holds only the sampled points.
 
-    State layout, bit-contiguous:
-      [u32 seen-count][u32 ambient d][one label bit per slot][slot blocks],
-    slot j's block holding dprime quantized coordinates of sqrt(d/d') P x,
-    clipped to +-quant_range.  quant_bits = 0 stores raw float64 coordinates.
+    State: layout(dprime, subsample, quant_bits) = Layout(header=uint(32, 2),
+    labels=uint(1, subsample), coords=uint(quant_bits, subsample * dprime)),
+    with coords=f64(subsample * dprime) when quant_bits = 0.  The header holds
+    the seen-count and the ambient d; slot j keeps its label bit (1 for +1)
+    and coordinates j*dprime .. (j+1)*dprime-1, the quantized sqrt(d/d') P x
+    clipped to +-quant_range.
     """
 
     def __init__(
@@ -311,6 +290,7 @@ class ProjectionSeparator(OnePassAlgorithm):
         self.quant_range = float(quant_range)
         self.max_passes = int(max_passes)
         self.seed = int(seed)
+        self._layout = self.layout(self.dprime, self.subsample, self.quant_bits)
         self._fixed_projection = projection
         self._proj_cache = {}
 
@@ -331,85 +311,17 @@ class ProjectionSeparator(OnePassAlgorithm):
 
     # -- state codec --------------------------------------------------------
 
-    @property
-    def _coord_bits(self) -> int:
-        return self.quant_bits if self.quant_bits else 64
-
-    def _slot_bytes(self, u: np.ndarray) -> bytes:
-        if self.quant_bits == 0:
-            return np.asarray(u, dtype="<f8").tobytes()
-        q = _quantize(u, self.quant_bits, self.quant_range)
-        if self.quant_bits == 8:
-            return q.astype(">u1").tobytes()
-        if self.quant_bits == 16:
-            return q.astype(">u2").tobytes()
-        if self.quant_bits == 32:
-            return q.astype(">u4").tobytes()
-        bits = (q[:, None] >> np.arange(self.quant_bits - 1, -1, -1)[None, :]) & 1
-        return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
-
-    def _decode_slot(self, raw: bytes) -> np.ndarray:
-        if self.quant_bits == 0:
-            return np.frombuffer(raw, dtype="<f8").copy()
-        if self.quant_bits == 8:
-            q = np.frombuffer(raw, dtype=">u1").astype(np.uint32)
-        elif self.quant_bits == 16:
-            q = np.frombuffer(raw, dtype=">u2").astype(np.uint32)
-        elif self.quant_bits == 32:
-            q = np.frombuffer(raw, dtype=">u4").astype(np.uint32)
-        else:
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            bits = bits[: self.dprime * self.quant_bits].reshape(self.dprime, self.quant_bits)
-            weights = 1 << np.arange(self.quant_bits - 1, -1, -1, dtype=np.uint32)
-            q = (bits.astype(np.uint32) * weights[None, :]).sum(axis=1)
-        return _dequantize(q, self.quant_bits, self.quant_range)
-
-    def _aligned(self) -> bool:
-        return (64 + self.subsample) % 8 == 0 and (self._coord_bits * self.dprime) % 8 == 0
-
-    def _total_bits(self) -> int:
-        return proj_state_bits(self.dprime, self.subsample, self.quant_bits)
-
-    def _coord_offset_bits(self, j: int) -> int:
-        return 64 + self.subsample + j * self.dprime * self._coord_bits
+    @staticmethod
+    def layout(dprime: int, subsample: int, quant_bits: int) -> Layout:
+        n = subsample * dprime
+        coords = uint(quant_bits, n) if quant_bits else f64(n)
+        return Layout(header=HEADER, labels=uint(1, subsample), coords=coords)
 
     def _write_slot(self, buf: bytearray, j: int, u: np.ndarray, y: float):
-        label_pos = 64 + j
-        if y > 0:
-            buf[label_pos // 8] |= 1 << (7 - label_pos % 8)
-        else:
-            buf[label_pos // 8] &= ~(1 << (7 - label_pos % 8)) & 0xFF
-        raw = self._slot_bytes(u)
-        off = self._coord_offset_bits(j)
-        if self._aligned():
-            start = off // 8
-            buf[start : start + len(raw)] = raw
-        else:
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            nbits = self.dprime * self._coord_bits
-            payload_bits = np.unpackbits(np.frombuffer(bytes(buf), dtype=np.uint8))
-            payload_bits[off : off + nbits] = bits[:nbits]
-            buf[:] = np.packbits(payload_bits).tobytes()
-
-    def _read_slots(self, payload: bytes, upto: int):
-        labels = []
-        coords = []
-        if self._aligned():
-            base = (64 + self.subsample) // 8
-            stride = self.dprime * self._coord_bits // 8
-            for j in range(upto):
-                pos = 64 + j
-                labels.append(1.0 if payload[pos // 8] >> (7 - pos % 8) & 1 else -1.0)
-                coords.append(self._decode_slot(payload[base + j * stride : base + (j + 1) * stride]))
-        else:
-            bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-            for j in range(upto):
-                labels.append(1.0 if bits[64 + j] else -1.0)
-                off = self._coord_offset_bits(j)
-                nbits = self.dprime * self._coord_bits
-                chunk = np.packbits(bits[off : off + nbits]).tobytes()
-                coords.append(self._decode_slot(chunk))
-        return labels, coords
+        self._layout.write(buf, "labels", int(y > 0), start=j)
+        if self.quant_bits:
+            u = _quantize(u, self.quant_bits, self.quant_range)
+        self._layout.write(buf, "coords", u, start=j * self.dprime)
 
     # -- streaming interface ------------------------------------------------
 
@@ -419,54 +331,50 @@ class ProjectionSeparator(OnePassAlgorithm):
         x = np.asarray(sample[0], dtype=float)
         y = float(sample[1])
         d = x.shape[0]
-        total = self._total_bits()
-        if total > state.capacity_bits:
+        if self._layout.nbits > state.capacity_bits:
             raise BudgetViolation(
-                "separator state needs %d bits, budget is %d" % (total, state.capacity_bits)
+                "separator state needs %d bits, budget is %d"
+                % (self._layout.nbits, state.capacity_bits)
             )
         proj = self.projection_for(d, shared)
         u = math.sqrt(d / self.dprime) * (proj.basis @ x)
 
-        buf = bytearray(state.payload)
-        count, dim = struct.unpack(">II", bytes(buf[:8]))
+        count, dim = _header(state.payload)
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         count += 1
-        buf[:8] = struct.pack(">II", count, d)
+        buf = bytearray(state.payload)
+        self._layout.write(buf, "header", [count, d])
         if count <= self.subsample:
             self._write_slot(buf, count - 1, u, y)
         else:
             if shared.value(2 * i) < self.subsample / count:
                 j = int(shared.value(2 * i + 1) * self.subsample)
                 self._write_slot(buf, j, u, y)
-        nbytes = (state.capacity_bits + 7) // 8
-        return BitState(state.capacity_bits, bytes(buf[:nbytes]), used_bits=total)
-
-    def sketch_from_state(self, state: BitState, shared: SharedRandomness) -> ProjectionSketch:
-        count, d = struct.unpack(">II", state.payload[:8])
-        upto = min(count, self.subsample)
-        labels, coords = self._read_slots(state.payload, upto)
-        return ProjectionSketch(
-            proj=self.projection_for(d, shared),
-            stored=list(zip(coords, labels)),
-            quant_bits=self.quant_bits,
-            quant_range=self.quant_range,
-        )
+        return self._layout.pack(state.capacity_bits, buf)
 
     def finalize(self, state, shared):
-        count, d = struct.unpack(">II", state.payload[:8])
+        count, d = _header(state.payload)
         if count == 0:
             raise DegenerateOutput("no points seen")
-        labels, coords = self._read_slots(state.payload, min(count, self.subsample))
-        w_p = perceptron(list(zip(coords, labels)), self.max_passes)
+        kept = min(count, self.subsample)
+        labels = np.where(self._layout.read(state.payload, "labels", 0, kept), 1.0, -1.0)
+        coords = self._layout.read(state.payload, "coords", 0, kept * self.dprime)
+        if self.quant_bits:
+            coords = _dequantize(coords, self.quant_bits, self.quant_range)
+        w_p = perceptron(list(zip(coords.reshape(kept, self.dprime), labels)), self.max_passes)
         proj = self.projection_for(d, shared)
         w = proj.basis.T @ w_p
         return w / np.linalg.norm(w)
 
 
-def build_algorithm(name: str, d: int, seed: int, config: RunConfig = DEFAULTS) -> OnePassAlgorithm:
+def proj_state_bits(dprime: int, subsample: int, quant_bits: int) -> int:
+    return ProjectionSeparator.layout(dprime, subsample, quant_bits).nbits
+
+
+def build_algorithm(name: str, d: int, seed: int) -> OnePassAlgorithm:
     """Registry constructor for the CLI-addressable algorithms."""
-    sep = config.separator
+    sep = DEFAULTS.separator
     builders = {
         "zero": lambda: ZeroPredictor(),
         "random-unit": lambda: RandomUnitPredictor(d, seed),

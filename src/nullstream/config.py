@@ -8,13 +8,12 @@ calibrated values used by the acceptance suite:
   c4  pair offset scale for labeled-pair instances, c4 = sqrt(c1) (0.3)
   cf  conditioning floor on the witness first coordinate (0.2)
   c   separation constant for the hard two-subspace family (0.2)
-  c2  error-fraction constant carried in report statistics (0.05)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -23,18 +22,14 @@ class Constants:
     c4: float = 0.3
     cf: float = 0.2
     c: float = 0.2
-    c2: float = 0.05
 
     def __post_init__(self):
         if not math.isclose(self.c4, math.sqrt(self.c1), rel_tol=1e-9):
             raise ValueError("c4 must equal sqrt(c1); got c4=%r c1=%r" % (self.c4, self.c1))
-        for name in ("c1", "c4", "cf", "c", "c2"):
+        for name in ("c1", "c4", "cf", "c"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError("%s must lie in (0, 1); got %r" % (name, v))
-
-    def with_c1(self, c1: float) -> "Constants":
-        return replace(self, c1=c1, c4=math.sqrt(c1))
 
 
 @dataclass(frozen=True)

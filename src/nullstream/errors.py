@@ -33,10 +33,6 @@ class RankDeficient(NullstreamError):
     """A matrix that must have full (or stated) rank does not."""
 
 
-class OverlapDetected(NullstreamError):
-    """Two subspaces expected to intersect trivially do not."""
-
-
 class NotUnit(ValidationError):
     """A vector that must be unit-norm is not (tolerance 1e-6)."""
 

@@ -16,7 +16,6 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyList,
-    OverlapDetected,
     RankDeficient,
     ZeroDimensional,
 )
@@ -48,29 +47,6 @@ class Subspace:
             if np.abs(gram - np.eye(self.dim)).max() > ORTHO_TOL:
                 raise DegenerateInput("basis rows are not orthonormal to 1e-10")
         object.__setattr__(self, "basis", b)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Singular values, nonincreasing, one per column of the source matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise DimensionMismatch("spectrum must be a flat list")
-        if v.size and (np.any(v < 0) or np.any(np.diff(v) > 0)):
-            raise DegenerateInput("singular values must be nonnegative and nonincreasing")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def max(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def min(self) -> float:
-        return float(self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -136,22 +112,6 @@ def complement(s: Subspace) -> Subspace:
     return Subspace(ambient_dim=d, dim=d - k, basis=q[:, k:].T)
 
 
-def direct_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    if u.dim == 0:
-        return v
-    if v.dim == 0:
-        return u
-    stacked = np.vstack([u.basis, v.basis])
-    out = orthonormalize(stacked)
-    if out.dim < u.dim + v.dim:
-        raise OverlapDetected(
-            "subspaces overlap: rank %d < %d + %d" % (out.dim, u.dim, v.dim)
-        )
-    return out
-
-
 def kernel_vector(vectors) -> np.ndarray:
     """The unit vector orthogonal to d-1 independent vectors in R^d.
 
@@ -209,17 +169,6 @@ def chordal_distance(u: Subspace, v: Subspace) -> float:
     resid = u.basis - (u.basis @ v.basis.T) @ v.basis
     sines = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
     return float(np.sqrt(np.sum(sines**2)))
-
-
-def singular_values(m) -> Spectrum:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch("expected a matrix")
-    vals = np.linalg.svd(m, compute_uv=False)
-    ncols = m.shape[1]
-    if vals.size < ncols:
-        vals = np.concatenate([vals, np.zeros(ncols - vals.size)])
-    return Spectrum(values=vals)
 
 
 def min_eig_projector_sum(subspaces) -> EigCertificate:

@@ -1,4 +1,4 @@
-"""JSON and CSV encoding for instances, subspaces, and reports.
+"""JSON and CSV encoding for instances and reports.
 
 Floats are printed with 17 significant digits so that every IEEE double
 round-trips exactly; reading goes through the stdlib json parser. CSV output
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .instances import AnvInstance, LrInstance, LspDataset
-from .linalg import Subspace
 from .verification import LemmaReport
 
 __all__ = [
@@ -22,10 +21,7 @@ __all__ = [
     "dumps",
     "instance_to_json",
     "instance_from_json",
-    "subspace_to_json",
-    "subspace_from_json",
     "report_to_json",
-    "report_from_json",
     "report_to_csv",
     "csv_cell",
 ]
@@ -165,22 +161,6 @@ def instance_from_json(text: str):
     return inst, seed
 
 
-def subspace_to_json(s: Subspace) -> str:
-    return dumps({"ambient_dim": s.ambient_dim, "dim": s.dim, "basis": s.basis}) + "\n"
-
-
-def subspace_from_json(text: str) -> Subspace:
-    doc = _parse(text)
-    try:
-        return Subspace(
-            ambient_dim=int(doc["ambient_dim"]),
-            dim=int(doc["dim"]),
-            basis=np.asarray(doc["basis"], dtype=float),
-        )
-    except KeyError as exc:
-        raise ValidationError("subspace file missing field %s" % exc) from exc
-
-
 def report_to_json(r: LemmaReport) -> str:
     doc = {
         "lemma_id": r.lemma_id,
@@ -192,22 +172,6 @@ def report_to_json(r: LemmaReport) -> str:
         "trial_rows": list(r.trial_rows),
     }
     return dumps(doc) + "\n"
-
-
-def report_from_json(text: str) -> LemmaReport:
-    doc = _parse(text)
-    try:
-        return LemmaReport(
-            lemma_id=doc["lemma_id"],
-            d=int(doc["d"]),
-            trials=int(doc["trials"]),
-            pass_fraction=float(doc["pass_fraction"]),
-            statistics=doc["statistics"],
-            seed=doc["seed"],
-            trial_rows=tuple(doc["trial_rows"]),
-        )
-    except KeyError as exc:
-        raise ValidationError("report file missing field %s" % exc) from exc
 
 
 def csv_cell(v) -> str:

@@ -29,12 +29,6 @@ from .errors import BudgetViolation, ValidationError
 _U64 = (1 << 64) - 1
 
 
-def _zero_pad(content: bytes, nbytes: int) -> bytes:
-    if len(content) < nbytes:
-        return content + bytes(nbytes - len(content))
-    return content
-
-
 def _check_trailing_zero(payload: bytes, nbits: int):
     r = nbits % 8
     if r and payload and payload[(nbits // 8)] & (0xFF >> r):
@@ -45,9 +39,9 @@ def _check_trailing_zero(payload: bytes, nbits: int):
 class BitState:
     """A memory configuration: b bits, stored MSB-first in ceil(b/8) bytes.
 
-    used_bits is accounting metadata recorded by pack(); the runner reads it
-    for reporting and strips it when laundering states between steps.  It is
-    never information available to the algorithm.
+    used_bits is accounting metadata recorded by Layout.pack(); the runner
+    reads it for reporting and strips it when laundering states between
+    steps.  It is never information available to the algorithm.
     """
 
     capacity_bits: int
@@ -69,22 +63,6 @@ class BitState:
     @classmethod
     def zero(cls, capacity_bits: int) -> "BitState":
         return cls(capacity_bits, bytes((capacity_bits + 7) // 8), used_bits=0)
-
-    @classmethod
-    def pack(cls, capacity_bits: int, content: bytes, content_bits: int | None = None) -> "BitState":
-        """Place content at the front of a capacity-sized state.
-
-        Raises BudgetViolation when the content does not fit; this is how
-        algorithms surface an insufficient budget.
-        """
-        if content_bits is None:
-            content_bits = 8 * len(content)
-        if content_bits > capacity_bits:
-            raise BudgetViolation(
-                "content needs %d bits, budget is %d" % (content_bits, capacity_bits)
-            )
-        payload = _zero_pad(bytes(content), (capacity_bits + 7) // 8)
-        return cls(capacity_bits, payload, used_bits=content_bits)
 
     def hex(self) -> str:
         return self.payload.hex()
@@ -293,64 +271,129 @@ def one_pass_to_protocol(alg: OnePassAlgorithm, split_index: int) -> Protocol:
     return Protocol(send=send, output=output)
 
 
-class BitWriter:
-    """MSB-first bit packer for state layouts with sub-byte fields."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._nbits = 0
-
-    @property
-    def nbits(self) -> int:
-        return self._nbits
-
-    def append_uint(self, value: int, nbits: int):
-        value = int(value)
-        if value < 0 or (nbits < 64 and value >> nbits):
-            raise ValidationError("value %d does not fit in %d bits" % (value, nbits))
-        for k in range(nbits - 1, -1, -1):
-            bit = (value >> k) & 1
-            pos = self._nbits % 8
-            if pos == 0:
-                self._bytes.append(0)
-            if bit:
-                self._bytes[-1] |= 1 << (7 - pos)
-            self._nbits += 1
-
-    def append_bytes(self, data: bytes):
-        if self._nbits % 8:
-            raise ValidationError("byte append requires byte alignment")
-        self._bytes.extend(data)
-        self._nbits += 8 * len(data)
-
-    def append_floats(self, arr):
-        self.append_bytes(np.asarray(arr, dtype="<f8").tobytes())
-
-    def getvalue(self) -> tuple[bytes, int]:
-        return bytes(self._bytes), self._nbits
 
 
-class BitReader:
-    """Inverse of BitWriter over a payload buffer."""
+def uint(width: int, count: int = 1) -> tuple:
+    """Layout field spec: count unsigned integers of width bits, MSB-first."""
+    if not 1 <= width <= 64:
+        raise ValidationError("uint fields are 1 to 64 bits wide, not %d" % width)
+    return width, count, False
 
-    def __init__(self, payload: bytes):
-        self._payload = payload
-        self._pos = 0
 
-    def read_uint(self, nbits: int) -> int:
-        v = 0
-        for _ in range(nbits):
-            byte = self._payload[self._pos // 8]
-            v = (v << 1) | ((byte >> (7 - self._pos % 8)) & 1)
-            self._pos += 1
-        return v
+def f64(count: int = 1) -> tuple:
+    """Layout field spec: count float64 values as little-endian bytes."""
+    return 64, count, True
 
-    def read_bytes(self, n: int) -> bytes:
-        if self._pos % 8:
-            raise ValidationError("byte read requires byte alignment")
-        start = self._pos // 8
-        self._pos += 8 * n
-        return self._payload[start : start + n]
 
-    def read_floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.read_bytes(8 * count), dtype="<f8").copy()
+class Layout:
+    """A state format: named fields packed back to back from bit 0.
+
+    Layout(header=uint(32, 2), vectors=f64(n)) puts two 32-bit counters at
+    bits 0..63 and n float64 values after them; nbits is the total, which is
+    the budget a state in this format needs.  write and read address any run
+    of elements of one field at any bit offset and touch only the bytes those
+    elements span.
+    """
+
+    __slots__ = ("fields", "nbits")
+
+    def __init__(self, **specs):
+        self.fields = {}
+        offset = 0
+        for name, (width, count, is_float) in specs.items():
+            if count < 0:
+                raise ValidationError("field %s has negative length %d" % (name, count))
+            self.fields[name] = (offset, width, count, is_float)
+            offset += width * count
+        self.nbits = offset
+
+    def _span(self, buf, name, start, count):
+        offset, width, length, _ = self.fields[name]
+        if start < 0 or count < 0 or start + count > length:
+            raise ValidationError(
+                "elements %d..%d lie outside field %s of %d" % (start, start + count, name, length)
+            )
+        lo = offset + start * width
+        if lo + count * width > 8 * len(buf):
+            raise BudgetViolation(
+                "field %s needs bit %d, the state has %d" % (name, lo + count * width, 8 * len(buf))
+            )
+        return lo
+
+    def write(self, buf: bytearray, name: str, values, start: int = 0):
+        """Store values as elements start, start+1, ... of the field.
+
+        Raises BudgetViolation when a value does not fit the field's width or
+        the elements lie beyond the end of buf.
+        """
+        _, width, _, is_float = self.fields[name]
+        if is_float:
+            raw = np.asarray(values, dtype="<f8").tobytes()
+            count = len(raw) // 8
+        else:
+            ints = np.asarray(values).reshape(-1)
+            if ints.dtype.kind not in "ui":  # Python ints past the int64 range
+                ints = np.asarray(values, dtype=object).reshape(-1)
+                if not all(isinstance(v, int) for v in ints):
+                    raise ValidationError("field %s holds integers" % name)
+            if ints.size and (
+                int(ints.max()) >> width or ints.dtype.kind != "u" and ints.min() < 0
+            ):
+                raise BudgetViolation("a value of field %s does not fit in %d bits" % (name, width))
+            bits = np.unpackbits(ints.astype(">u8").view(np.uint8)).reshape(-1, 64)
+            raw = np.packbits(bits[:, 64 - width :]).tobytes()
+            count = ints.size
+        lo = self._span(buf, name, start, count)
+        _put(buf, lo, raw, count * width)
+
+    def read(self, payload, name: str, start: int = 0, count: int | None = None) -> np.ndarray:
+        """Elements start .. start+count-1 of the field (default: to its end),
+        as float64 or uint64."""
+        _, width, length, is_float = self.fields[name]
+        if count is None:
+            count = length - start
+        lo = self._span(payload, name, start, count)
+        raw = _get(payload, lo, count * width)
+        if is_float:
+            return np.frombuffer(raw, dtype="<f8").copy()
+        # right-align each element in whole bytes, then in a big-endian u64
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count * width)
+        nbytes = (width + 7) // 8
+        padded = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+        padded[:, 8 * nbytes - width :] = bits.reshape(count, width)
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, 8 - nbytes :] = np.packbits(padded).reshape(count, nbytes)
+        return words.view(">u8").reshape(count).astype(np.uint64)
+
+    def pack(self, capacity_bits: int, buf) -> BitState:
+        """The state holding buf, with used_bits = nbits; raises
+        BudgetViolation when the layout does not fit capacity_bits."""
+        if self.nbits > capacity_bits:
+            raise BudgetViolation("state needs %d bits, budget is %d" % (self.nbits, capacity_bits))
+        return BitState(capacity_bits, bytes(buf), used_bits=self.nbits)
+
+
+def _put(buf: bytearray, lo: int, raw: bytes, nbits: int):
+    """Store the first nbits of raw (MSB-first) at bit lo of buf."""
+    first, shift = divmod(lo, 8)
+    if shift == 0 and nbits % 8 == 0:
+        buf[first : first + nbits // 8] = raw
+        return
+    end = (lo + nbits + 7) // 8
+    pad = 8 * end - lo - nbits  # bits after the span in its last byte
+    value = int.from_bytes(raw, "big") >> (8 * len(raw) - nbits)
+    mask = ((1 << nbits) - 1) << pad
+    old = int.from_bytes(buf[first:end], "big")
+    buf[first:end] = ((old & ~mask) | (value << pad)).to_bytes(end - first, "big")
+
+
+def _get(payload, lo: int, nbits: int) -> bytes:
+    """nbits of payload from bit lo, MSB-first, zero-padded to whole bytes."""
+    first, shift = divmod(lo, 8)
+    if shift == 0 and nbits % 8 == 0:
+        return bytes(payload[first : first + nbits // 8])
+    end = (lo + nbits + 7) // 8
+    pad = 8 * end - lo - nbits  # bits after the span in its last byte
+    value = (int.from_bytes(payload[first:end], "big") >> pad) & ((1 << nbits) - 1)
+    nbytes = (nbits + 7) // 8
+    return (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big")

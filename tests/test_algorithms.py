@@ -178,6 +178,18 @@ def test_offline_solvers_empty_stream_degenerate():
         run_one_pass(OfflineLstsqSolver(), [], 1024, seed=1)
 
 
+def test_offline_solvers_budget_below_header_is_budget_violation():
+    # a budget too small for the [u32 count][u32 d] header itself
+    x = np.ones(4)
+    for alg, sample in (
+        (OfflineKernelSolver(), x),
+        (OfflineLstsqSolver(), (x, 1.0)),
+        (OfflineSeparatorSolver(), (x, 1.0)),
+    ):
+        with pytest.raises(BudgetViolation):
+            run_one_pass(alg, [sample], 16, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # perceptron
 
@@ -258,15 +270,17 @@ def test_preimage_identity_quantization_off():
     state = BitState.zero(budget)
     for i, s in enumerate(ds.points(), start=1):
         state = BitState(budget, alg.update(i, s, state, shared).payload)
-    sketch = alg.sketch_from_state(state, shared)
-    w_p = perceptron(sketch.stored, 500)
-    w_hat = sketch.proj.basis.T @ w_p
+    layout = ProjectionSeparator.layout(24, 40, 0)
+    stored = layout.read(state.payload, "coords").reshape(40, 24)
+    labels = np.where(layout.read(state.payload, "labels"), 1.0, -1.0)
+    proj = alg.projection_for(48, shared)
+    w_p = perceptron(list(zip(stored, labels)), 500)
+    w_hat = proj.basis.T @ w_p
     scale = math.sqrt(48 / 24)
     for x, _ in ds.points():
-        assert abs(w_hat @ x - w_p @ (sketch.proj.basis @ x)) <= 1e-10
+        assert abs(w_hat @ x - w_p @ (proj.basis @ x)) <= 1e-10
     # and the stored coordinates are exactly the scaled projections
-    stored_first = sketch.stored[0][0]
-    assert_allclose(stored_first, scale * (sketch.proj.basis @ ds.xs[0]), rtol=1e-12)
+    assert_allclose(stored[0], scale * (proj.basis @ ds.xs[0]), rtol=1e-12)
 
 
 def test_projection_separator_full_run_small():
@@ -294,6 +308,16 @@ def test_projection_separator_budget_violation():
     alg = ProjectionSeparator(dprime=16, subsample_size=10, quant_bits=16, seed=2)
     with pytest.raises(BudgetViolation):
         run_one_pass(alg, ds.points(), proj_state_bits(16, 10, 16) - 1, seed=3)
+
+
+def test_projection_separator_count_overflow_is_budget_violation():
+    # a seen-count at the u32 maximum has no room for one more sample
+    alg = ProjectionSeparator(dprime=2, subsample_size=2, quant_bits=8, seed=0)
+    budget = proj_state_bits(2, 2, 8)
+    payload = bytearray((budget + 7) // 8)
+    payload[:8] = (2**32 - 1).to_bytes(4, "big") + (4).to_bytes(4, "big")
+    with pytest.raises(BudgetViolation):
+        alg.update(1, (np.ones(4), 1.0), BitState(budget, bytes(payload)), SharedRandomness(0))
 
 
 def test_projection_separator_rejects_dprime_above_ambient():
@@ -328,14 +352,14 @@ def test_reservoir_subsets_uniform():
     counts = Counter()
     stream = [(np.array([float(k)]), 1.0) for k in range(1, 11)]
     budget = proj_state_bits(1, 3, 0)
+    layout = ProjectionSeparator.layout(1, 3, 0)
     for run in range(10_000):
         alg = ProjectionSeparator(dprime=1, subsample_size=3, quant_bits=0, seed=0)
         shared = SharedRandomness(run)
         state = BitState.zero(budget)
         for i, s in enumerate(stream, start=1):
             state = BitState(budget, alg.update(i, s, state, shared).payload)
-        sketch = alg.sketch_from_state(state, shared)
-        kept = frozenset(int(round(abs(v[0]))) for v, _ in sketch.stored)
+        kept = frozenset(int(round(abs(v))) for v in layout.read(state.payload, "coords"))
         assert len(kept) == 3
         counts[kept] += 1
     n, p = 10_000, 1 / 120

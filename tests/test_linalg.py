@@ -11,7 +11,6 @@ from nullstream.errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyList,
-    OverlapDetected,
     RankDeficient,
     ZeroDimensional,
 )
@@ -87,29 +86,6 @@ def test_complement_edge_dims():
     c = linalg.complement(full)
     assert c.dim == 0
     assert linalg.complement(c).dim == 4
-
-
-def test_direct_sum_plane():
-    u = linalg.orthonormalize([np.array([1.0, 0.0, 0.0])])
-    v = linalg.orthonormalize([np.array([0.0, 1.0, 0.0])])
-    s = linalg.direct_sum(u, v)
-    assert s.dim == 2
-    assert np.linalg.norm(linalg.project(s, np.array([0.0, 0.0, 1.0]))) < ATOL
-
-
-def test_direct_sum_generic_dimension():
-    rng = np.random.default_rng(11)
-    d = 16
-    for _ in range(10):
-        v = linalg.sample_grassmannian(d // 2, d, rng)
-        u = linalg.sample_grassmannian(d // 2 - 1, d, rng)
-        assert linalg.direct_sum(v, u).dim == d - 1
-
-
-def test_direct_sum_overlap():
-    u = linalg.orthonormalize([np.array([1.0, 0.0, 0.0])])
-    with pytest.raises(OverlapDetected):
-        linalg.direct_sum(u, u)
 
 
 def test_kernel_vector_axis_cases():
@@ -206,28 +182,6 @@ def test_chordal_triangle_inequality():
         assert linalg.chordal_distance(a, c) <= (
             linalg.chordal_distance(a, b) + linalg.chordal_distance(b, c) + 1e-9
         )
-
-
-def test_singular_values_diagonal():
-    assert_allclose(linalg.singular_values(np.eye(3)).values, [1, 1, 1], atol=ATOL)
-    assert_allclose(linalg.singular_values(np.diag([3.0, 2.0])).values, [3, 2], atol=ATOL)
-
-
-def test_singular_values_frobenius_identity():
-    rng = np.random.default_rng(13)
-    m = rng.standard_normal((8, 5))
-    s = linalg.singular_values(m)
-    assert_allclose(np.sum(s.values**2), np.sum(m**2), atol=1e-10)
-
-
-def test_singular_values_transpose_agreement():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((6, 9))
-    a = linalg.singular_values(m).values
-    b = linalg.singular_values(m.T).values
-    nz_a = a[a > 1e-12]
-    nz_b = b[b > 1e-12]
-    assert_allclose(nz_a, nz_b, atol=1e-10)
 
 
 def test_singular_value_decomposition_consistency():

@@ -17,17 +17,13 @@ from nullstream.instances import (
     gen_lr_from_anv,
     gen_lsp_margin,
 )
-from nullstream.linalg import sample_grassmannian
 from nullstream.serialize import (
     dumps,
     format_float,
     instance_from_json,
     instance_to_json,
-    report_from_json,
     report_to_csv,
     report_to_json,
-    subspace_from_json,
-    subspace_to_json,
 )
 from nullstream.verification import comorth_check
 
@@ -110,19 +106,12 @@ def test_instance_parser_rejects_garbage():
         instance_from_json(json.dumps(doc))
 
 
-def test_subspace_round_trip():
-    rng = np.random.default_rng(4)
-    s = sample_grassmannian(5, 9, rng)
-    back = subspace_from_json(subspace_to_json(s))
-    assert back.ambient_dim == 9 and back.dim == 5
-    assert np.array_equal(back.basis, s.basis)
-
-
 def test_report_round_trip_and_csv_shape():
     r = comorth_check(12, 8, seed=0)
-    back = report_from_json(report_to_json(r))
-    assert back == r
-    assert back.trial_rows == r.trial_rows
+    doc = json.loads(report_to_json(r))
+    for name in ("lemma_id", "d", "trials", "pass_fraction", "statistics", "seed"):
+        assert doc[name] == getattr(r, name), name
+    assert tuple(doc["trial_rows"]) == r.trial_rows
 
     text = report_to_csv(r)
     assert "\r" not in text

@@ -7,36 +7,35 @@ from hypothesis import strategies as st
 
 from nullstream.errors import BudgetViolation, ValidationError
 from nullstream.streaming import (
-    BitReader,
     BitState,
-    BitWriter,
+    Layout,
     Message,
     OnePassAlgorithm,
     Protocol,
     ProtocolTranscript,
     SharedRandomness,
+    f64,
     one_pass_to_protocol,
     run_one_pass,
     run_one_pass_stats,
     run_protocol,
     shuffle,
+    uint,
 )
 
 
 class Counting(OnePassAlgorithm):
     """Stores a 64-bit counter; output is the number of samples seen."""
 
+    LAYOUT = Layout(n=uint(64))
+
     def update(self, i, sample, state, shared):
-        if state.capacity_bits < 64:
-            raise BudgetViolation("counter needs 64 bits")
-        n = BitReader(state.payload).read_uint(64)
-        w = BitWriter()
-        w.append_uint(n + 1, 64)
-        content, nbits = w.getvalue()
-        return BitState.pack(state.capacity_bits, content, nbits)
+        buf = bytearray(state.payload)
+        self.LAYOUT.write(buf, "n", int(self.LAYOUT.read(buf, "n")[0]) + 1)
+        return self.LAYOUT.pack(state.capacity_bits, buf)
 
     def finalize(self, state, shared):
-        return BitReader(state.payload).read_uint(64)
+        return int(self.LAYOUT.read(state.payload, "n")[0])
 
 
 class StateStasher(OnePassAlgorithm):
@@ -77,11 +76,15 @@ def test_bitstate_shape_and_trailing_bits():
 
 
 def test_bitstate_pack_budget():
-    s = BitState.pack(64, b"\x01\x02", 16)
+    layout = Layout(a=uint(8), b=uint(8))
+    buf = bytearray(8)
+    layout.write(buf, "a", 1)
+    layout.write(buf, "b", 2)
+    s = layout.pack(64, buf)
     assert s.used_bits == 16
     assert s.payload[:2] == b"\x01\x02" and s.payload[2:] == bytes(6)
     with pytest.raises(BudgetViolation):
-        BitState.pack(8, b"\x01\x02")
+        layout.pack(8, buf[:1])
 
 
 def test_bitstate_hex_dump():
@@ -222,34 +225,94 @@ def test_self_stashing_defeated_by_protocol_split():
     assert t.output != direct  # party 2's fresh copy never saw the first half
 
 
-@given(st.lists(st.tuples(st.integers(0, 2**16 - 1), st.integers(1, 17)), max_size=20))
-def test_bit_writer_reader_roundtrip(fields):
-    w = BitWriter()
-    expect = []
-    for value, width in fields:
-        v = value % (1 << width)
-        w.append_uint(v, width)
-        expect.append((v, width))
-    content, nbits = w.getvalue()
-    assert nbits == sum(width for _, width in expect)
-    r = BitReader(content)
-    for v, width in expect:
-        assert r.read_uint(width) == v
+# Layout.write and Layout.read are the package's bit writer and reader.
+
+FIELD_SPECS = st.lists(
+    st.one_of(
+        st.builds(uint, st.integers(1, 64), st.integers(0, 6)),
+        st.builds(f64, st.integers(0, 3)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _layout(specs):
+    return Layout(**{"f%d" % k: spec for k, spec in enumerate(specs)})
+
+
+def _values(data, width, is_float, count):
+    element = st.floats(width=64) if is_float else st.integers(0, 2**width - 1)
+    return data.draw(st.lists(element, min_size=count, max_size=count))
+
+
+def _same(got, want, is_float):
+    if is_float:
+        return np.asarray(got, dtype="<f8").tobytes() == np.asarray(want, dtype="<f8").tobytes()
+    return [int(v) for v in got] == list(want)
+
+
+@given(FIELD_SPECS, st.data())
+def test_bit_writer_reader_roundtrip(specs, data):
+    # read returns what write stored, for whole fields and any run inside one
+    layout = _layout(specs)
+    buf = bytearray((layout.nbits + 7) // 8)
+    stored = {}
+    for name, (_, width, length, is_float) in layout.fields.items():
+        stored[name] = _values(data, width, is_float, length)
+        layout.write(buf, name, stored[name])
+    for name, (_, width, length, is_float) in layout.fields.items():
+        start = data.draw(st.integers(0, length))
+        count = data.draw(st.integers(0, length - start))
+        new = _values(data, width, is_float, count)
+        layout.write(buf, name, new, start=start)
+        stored[name][start : start + count] = new
+        assert _same(layout.read(buf, name, start, count), new, is_float)
+    for name, (_, _, _, is_float) in layout.fields.items():
+        assert _same(layout.read(buf, name), stored[name], is_float)
+
+
+@given(FIELD_SPECS, st.data())
+def test_bit_writer_alignment_guard(specs, data):
+    # a write at any bit offset leaves every bit outside its elements as it was
+    layout = _layout(specs)
+    nbytes = (layout.nbits + 7) // 8
+    buf = bytearray(data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    before = np.unpackbits(np.frombuffer(bytes(buf), dtype=np.uint8))
+    name = data.draw(st.sampled_from(sorted(layout.fields)))
+    offset, width, length, is_float = layout.fields[name]
+    start = data.draw(st.integers(0, length))
+    values = _values(data, width, is_float, data.draw(st.integers(0, length - start)))
+    layout.write(buf, name, values, start=start)
+    after = np.unpackbits(np.frombuffer(bytes(buf), dtype=np.uint8))
+    lo, hi = offset + start * width, offset + (start + len(values)) * width
+    assert np.array_equal(before[:lo], after[:lo])
+    assert np.array_equal(before[hi:], after[hi:])
 
 
 def test_bit_writer_floats_roundtrip():
-    w = BitWriter()
-    w.append_uint(7, 32)
+    layout = Layout(head=uint(32), flag=uint(3), vals=f64(4))
+    assert layout.nbits == 32 + 3 + 4 * 64
     arr = np.array([1.5, -2.25, 1e-300, 3.14159])
-    w.append_floats(arr)
-    content, nbits = w.getvalue()
-    r = BitReader(content)
-    assert r.read_uint(32) == 7
-    assert np.array_equal(r.read_floats(4), arr)
+    buf = bytearray((layout.nbits + 7) // 8)
+    layout.write(buf, "head", 7)
+    layout.write(buf, "flag", 5)
+    layout.write(buf, "vals", arr)
+    assert layout.read(buf, "head")[0] == 7
+    assert layout.read(buf, "flag")[0] == 5
+    assert np.array_equal(layout.read(buf, "vals"), arr)
+    assert np.array_equal(layout.read(buf, "vals", 1, 2), arr[1:3])
 
 
-def test_bit_writer_alignment_guard():
-    w = BitWriter()
-    w.append_uint(1, 3)
+def test_layout_values_must_fit():
+    layout = Layout(a=uint(3), b=uint(64, 2), c=f64(1))
+    buf = bytearray((layout.nbits + 7) // 8)
+    layout.write(buf, "b", [2**64 - 1, 0])
+    for name, bad in (("a", 8), ("a", -1), ("b", 2**64), ("b", [-1, 2**63])):
+        with pytest.raises(BudgetViolation):
+            layout.write(buf, name, bad)
+    with pytest.raises(BudgetViolation):
+        layout.write(bytearray(1), "b", 1)  # beyond the end of the state
     with pytest.raises(ValidationError):
-        w.append_bytes(b"\x00")
+        layout.write(buf, "b", [1, 2, 3])  # more elements than the field has
+    assert list(layout.read(buf, "b")) == [2**64 - 1, 0]
