@@ -36,8 +36,8 @@ def _sample_vector(sample) -> np.ndarray:
 
 
 # every solver state opens with [u32 count][u32 d]
-HEADER = uint(32, 2)
-_HEADER_ONLY = Layout(header=HEADER)
+_HEADER = uint(32, 2)
+_HEADER_ONLY = Layout(header=_HEADER)
 
 
 def _header(payload) -> tuple[int, int]:
@@ -91,7 +91,7 @@ class OfflineKernelSolver(OnePassAlgorithm):
 
     @staticmethod
     def layout(count: int, d: int) -> Layout:
-        return Layout(header=HEADER, vectors=f64(count * d))
+        return Layout(header=_HEADER, vectors=f64(count * d))
 
     def update(self, i, sample, state, shared):
         vec = _sample_vector(sample)
@@ -129,7 +129,7 @@ class OfflineLstsqSolver(OnePassAlgorithm):
 
     @staticmethod
     def layout(d: int) -> Layout:
-        return Layout(header=HEADER, gram=f64(d * (d + 1) // 2), moment=f64(d))
+        return Layout(header=_HEADER, gram=f64(d * (d + 1) // 2), moment=f64(d))
 
     def update(self, i, sample, state, shared):
         if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
@@ -212,7 +212,7 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
 
     @staticmethod
     def layout(count: int, d: int) -> Layout:
-        return Layout(header=HEADER, rows=f64(count * (d + 1)))
+        return Layout(header=_HEADER, rows=f64(count * (d + 1)))
 
     def update(self, i, sample, state, shared):
         if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
@@ -315,7 +315,7 @@ class ProjectionSeparator(OnePassAlgorithm):
     def layout(dprime: int, subsample: int, quant_bits: int) -> Layout:
         n = subsample * dprime
         coords = uint(quant_bits, n) if quant_bits else f64(n)
-        return Layout(header=HEADER, labels=uint(1, subsample), coords=coords)
+        return Layout(header=_HEADER, labels=uint(1, subsample), coords=coords)
 
     def _write_slot(self, buf: bytearray, j: int, u: np.ndarray, y: float):
         self._layout.write(buf, "labels", int(y > 0), start=j)

@@ -271,8 +271,6 @@ def one_pass_to_protocol(alg: OnePassAlgorithm, split_index: int) -> Protocol:
     return Protocol(send=send, output=output)
 
 
-
-
 def uint(width: int, count: int = 1) -> tuple:
     """Layout field spec: count unsigned integers of width bits, MSB-first."""
     if not 1 <= width <= 64:
