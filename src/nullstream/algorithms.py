@@ -54,9 +54,8 @@ class ZeroPredictor(OnePassAlgorithm):
     LAYOUT = Layout(d=uint(32))
 
     def update(self, i, sample, state, shared):
-        buf = bytearray(state.payload)
-        self.LAYOUT.write(buf, "d", _sample_vector(sample).shape[0])
-        return self.LAYOUT.pack(state.capacity_bits, buf)
+        self.LAYOUT.write(state.payload, "d", _sample_vector(sample).shape[0])
+        return self.LAYOUT.pack(state)
 
     def finalize(self, state, shared):
         return np.zeros(int(self.LAYOUT.read(state.payload, "d")[0]))
@@ -100,10 +99,9 @@ class OfflineKernelSolver(OnePassAlgorithm):
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         layout = self.layout(count + 1, d)
-        buf = bytearray(state.payload)
-        layout.write(buf, "header", [count + 1, d])
-        layout.write(buf, "vectors", vec, start=count * d)
-        return layout.pack(state.capacity_bits, buf)
+        layout.write(state.payload, "header", [count + 1, d])
+        layout.write(state.payload, "vectors", vec, start=count * d)
+        return layout.pack(state)
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)
@@ -144,11 +142,10 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         layout = self.layout(d)
         gram = layout.read(state.payload, "gram") + np.outer(row, row)[np.triu_indices(d)]
         moment = layout.read(state.payload, "moment") + target * row
-        buf = bytearray(state.payload)
-        layout.write(buf, "header", [count + 1, d])
-        layout.write(buf, "gram", gram)
-        layout.write(buf, "moment", moment)
-        return layout.pack(state.capacity_bits, buf)
+        layout.write(state.payload, "header", [count + 1, d])
+        layout.write(state.payload, "gram", gram)
+        layout.write(state.payload, "moment", moment)
+        return layout.pack(state)
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)
@@ -224,10 +221,9 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         layout = self.layout(count + 1, d)
-        buf = bytearray(state.payload)
-        layout.write(buf, "header", [count + 1, d])
-        layout.write(buf, "rows", np.append(x, y), start=count * (d + 1))
-        return layout.pack(state.capacity_bits, buf)
+        layout.write(state.payload, "header", [count + 1, d])
+        layout.write(state.payload, "rows", np.append(x, y), start=count * (d + 1))
+        return layout.pack(state)
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)
@@ -343,15 +339,14 @@ class ProjectionSeparator(OnePassAlgorithm):
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         count += 1
-        buf = bytearray(state.payload)
-        self._layout.write(buf, "header", [count, d])
+        self._layout.write(state.payload, "header", [count, d])
         if count <= self.subsample:
-            self._write_slot(buf, count - 1, u, y)
+            self._write_slot(state.payload, count - 1, u, y)
         else:
-            if shared.value(2 * i) < self.subsample / count:
-                j = int(shared.value(2 * i + 1) * self.subsample)
-                self._write_slot(buf, j, u, y)
-        return self._layout.pack(state.capacity_bits, buf)
+            keep, slot = shared.values(2 * i, 2)
+            if keep < self.subsample / count:
+                self._write_slot(state.payload, int(slot * self.subsample), u, y)
+        return self._layout.pack(state)
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)

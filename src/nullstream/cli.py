@@ -617,22 +617,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit codes of the deliberate failures that are not validation failures (2)
+EXIT_CODES = {AcceptanceTooRare: 3, BudgetViolation: 4, DegenerateOutput: 5, NotSeparableInProjection: 5}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AcceptanceTooRare as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except BudgetViolation as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except (DegenerateOutput, NotSeparableInProjection) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 5
     except NullstreamError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return next((code for klass, code in EXIT_CODES.items() if isinstance(exc, klass)), 2)
 
 
 if __name__ == "__main__":

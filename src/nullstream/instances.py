@@ -48,6 +48,15 @@ UNIT_TOL = 1e-10
 DEFAULT_MAX_ATTEMPTS = 20000
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array; raises ValidationError if any entry is NaN or
+    infinite (every comparison with NaN is false, so no later check would)."""
+    out = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError("%s holds a non-finite value" % name)
+    return out
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -63,8 +72,8 @@ class AnvInstance:
     cf: float | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        w = np.asarray(self.witness, dtype=float)
+        v = _finite("vectors", self.vectors)
+        w = _finite("witness", self.witness)
         if self.variant not in (GAUSSIAN_RAW, SPHERE_CONDITIONED):
             raise ValidationError("unknown variant %r" % (self.variant,))
         if v.shape != (self.d - 1, self.d) or w.shape != (self.d,):
@@ -76,6 +85,7 @@ class AnvInstance:
         if self.variant == SPHERE_CONDITIONED:
             if self.cf is None:
                 raise ValidationError("conditioned instances carry cf")
+            _finite("cf", self.cf)
             norms = np.linalg.norm(v, axis=1)
             if np.abs(norms - 1.0).max() > UNIT_TOL:
                 raise NotUnit("conditioned vectors must be unit")
@@ -95,9 +105,10 @@ class LspDataset:
     margin: float
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
+        xs = _finite("points", self.xs)
         ys = np.asarray(self.ys, dtype=float)
-        w = np.asarray(self.witness, dtype=float)
+        w = _finite("witness", self.witness)
+        _finite("margin", self.margin)
         if xs.ndim != 2 or ys.shape != (xs.shape[0],) or w.shape != (xs.shape[1],):
             raise DimensionMismatch("points, labels and witness shapes disagree")
         if not np.all(np.isin(ys, (-1.0, 1.0))):
@@ -134,9 +145,9 @@ class LrInstance:
     witness: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        w = np.asarray(self.witness, dtype=float)
+        a = _finite("rows", self.a)
+        b = _finite("targets", self.b)
+        w = _finite("witness", self.witness)
         if a.ndim != 2 or b.shape != (a.shape[0],) or w.shape != (a.shape[1],):
             raise DimensionMismatch("matrix, target and witness shapes disagree")
         if np.linalg.norm(a, axis=1).max() > 1 + 1e-12:

@@ -20,24 +20,21 @@ from .streaming import OnePassAlgorithm, SharedRandomness
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Constants shared by the two reductions.
-
-    norm_floor guards the regression wrapper's normalization: an inner output
-    shorter than this cannot have met its loss guarantee, so normalizing it
-    would fabricate a meaningless answer.
-    """
+    """Constants shared by the two reductions."""
 
     c4: float
     cf: float
-    norm_floor: float | None = None
 
     def __post_init__(self):
         if self.c4 <= 0 or self.cf <= 0:
             raise ValidationError("c4 and cf must be positive")
-        if self.norm_floor is None:
-            object.__setattr__(self, "norm_floor", self.cf / 2.0)
-        if self.norm_floor <= 0:
-            raise ValidationError("norm_floor must be positive")
+
+    @property
+    def norm_floor(self) -> float:
+        """cf / 2, the floor of the regression wrapper's normalization: an
+        inner output shorter than this cannot have met its loss guarantee, so
+        normalizing it would fabricate a meaningless answer."""
+        return self.cf / 2.0
 
     @classmethod
     def from_constants(cls, consts) -> "ReductionConfig":

@@ -158,6 +158,8 @@ def instance_from_json(text: str):
             raise ValidationError("unknown instance type %r" % (kind,))
     except KeyError as exc:
         raise ValidationError("instance file missing field %s" % exc) from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("malformed instance field: %s" % exc) from exc
     return inst, seed
 
 

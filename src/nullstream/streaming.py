@@ -2,9 +2,12 @@
 one-way communication protocols.
 
 The model: an algorithm sees samples one at a time and may carry exactly b
-bits between steps.  The carrier is a BitState; the runner rebuilds each
-step's input state from the previous state's payload bytes alone, so nothing
-an implementation smuggles on the state object survives to the next step.
+bits between steps.  The carrier is a BitState: the runner makes one per run,
+every update edits its payload bytearray in place and returns it, and after
+each step the runner checks that the buffer kept its identity, its size and
+its zero bits past b.  A BitState has no room for anything else (__slots__);
+what an algorithm keeps on itself is exposed by the protocol split, whose two
+parties run separate copies and share only the message bytes.
 Transient working memory inside a single update call is unbounded (the model
 places no limit on per-step computation), and is documented as such: memory
 accounting here means the between-steps configuration only.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -35,37 +38,32 @@ def _check_trailing_zero(payload: bytes, nbits: int):
         raise ValidationError("bits beyond the declared length must be zero")
 
 
-@dataclass(frozen=True)
 class BitState:
-    """A memory configuration: b bits, stored MSB-first in ceil(b/8) bytes.
+    """A memory configuration: b bits, stored MSB-first in a bytearray of
+    ceil(b/8) bytes whose bits past b are zero.
 
-    used_bits is accounting metadata recorded by Layout.pack(); the runner
-    reads it for reporting and strips it when laundering states between
-    steps.  It is never information available to the algorithm.
+    BitState(b) is the all-zero state; BitState(b, payload) copies payload.
+    used_bits is accounting metadata, 0 on a new state and set by
+    Layout.pack(); the runner records it after each step and then clears it.
+    It is never information available to the algorithm.
     """
 
-    capacity_bits: int
-    payload: bytes
-    used_bits: int | None = field(default=None, compare=False)
+    __slots__ = ("capacity_bits", "payload", "used_bits")
 
-    def __post_init__(self):
-        if self.capacity_bits < 1:
+    def __init__(self, capacity_bits: int, payload=None):
+        if capacity_bits < 1:
             raise ValidationError("capacity must be at least 1 bit")
-        want = (self.capacity_bits + 7) // 8
-        if len(self.payload) != want:
+        want = (capacity_bits + 7) // 8
+        payload = bytearray(want) if payload is None else bytearray(payload)
+        if len(payload) != want:
             raise ValidationError(
                 "payload is %d bytes, capacity %d bits needs %d"
-                % (len(self.payload), self.capacity_bits, want)
+                % (len(payload), capacity_bits, want)
             )
-        _check_trailing_zero(self.payload, self.capacity_bits)
-        object.__setattr__(self, "payload", bytes(self.payload))
-
-    @classmethod
-    def zero(cls, capacity_bits: int) -> "BitState":
-        return cls(capacity_bits, bytes((capacity_bits + 7) // 8), used_bits=0)
-
-    def hex(self) -> str:
-        return self.payload.hex()
+        _check_trailing_zero(payload, capacity_bits)
+        self.capacity_bits = capacity_bits
+        self.payload = payload
+        self.used_bits = 0
 
 
 class SharedRandomness:
@@ -83,14 +81,17 @@ class SharedRandomness:
         self.seed = int(seed) & _U64
 
     def value(self, index: int) -> float:
+        return float(self.values(index, 1)[0])
+
+    def values(self, index: int, count: int) -> np.ndarray:
+        """value(index), ..., value(index + count - 1) from one Philox: a
+        counter step makes four 64-bit words, and value(i) is the first word
+        of step i scaled the way Generator.random() scales it."""
         if index < 0:
             raise ValidationError("stream index must be nonnegative")
         bg = Philox(key=self.seed)
         bg.advance(int(index))
-        return float(Generator(bg).random())
-
-    def values(self, index: int, count: int) -> np.ndarray:
-        return np.array([self.value(index + j) for j in range(count)])
+        return (bg.random_raw(4 * count)[::4] >> 11) * 2.0**-53
 
     def generator(self, *tags) -> Generator:
         key = []
@@ -109,12 +110,13 @@ class SharedRandomness:
 class OnePassAlgorithm:
     """Behavioral interface for streaming algorithms.
 
-    update(i, sample, state, shared) -> BitState with the same capacity;
-    finalize(state, shared) -> output.  Step indices are 1-based.  Anything an
-    implementation wants to remember between samples must live in the returned
-    BitState; the runner discards everything else.  Caches that are pure
-    functions of (shared randomness, configuration) are fine since they carry
-    no sample information.
+    update(i, sample, state, shared) -> state: edit state.payload in place
+    (same bytearray, same length, bits past capacity_bits left zero) and
+    return the same state object; finalize(state, shared) -> output.  Step
+    indices are 1-based.  Anything an implementation wants to remember
+    between samples must live in state.payload; the protocol split carries
+    nothing else.  Caches that are pure functions of (shared randomness,
+    configuration) are fine since they carry no sample information.
     """
 
     def update(self, i: int, sample, state: BitState, shared: SharedRandomness) -> BitState:
@@ -132,23 +134,20 @@ class RunStats:
     def record(self, state: BitState):
         self.steps += 1
         if state.used_bits is not None:
-            if self.max_used_bits is None or state.used_bits > self.max_used_bits:
-                self.max_used_bits = state.used_bits
+            self.max_used_bits = max(state.used_bits, self.max_used_bits or 0)
 
 
-def _advance(alg, samples, state, shared, budget_bits, first_index, stats=None):
+def _advance(alg, samples, state, shared, first_index, stats=None):
+    capacity, payload, nbytes = state.capacity_bits, state.payload, len(state.payload)
     for offset, z in enumerate(samples):
-        new = alg.update(first_index + offset, z, state, shared)
-        if not isinstance(new, BitState):
-            raise BudgetViolation("update must return a BitState")
-        if new.capacity_bits != budget_bits:
-            raise BudgetViolation(
-                "update changed state capacity: %d -> %d" % (budget_bits, new.capacity_bits)
-            )
+        if alg.update(first_index + offset, z, state, shared) is not state:
+            raise BudgetViolation("update must edit the run's state in place and return it")
+        if state.capacity_bits != capacity or state.payload is not payload or len(payload) != nbytes:
+            raise BudgetViolation("update replaced or resized the %d-bit state buffer" % capacity)
+        _check_trailing_zero(payload, capacity)
         if stats is not None:
-            stats.record(new)
-        # launder: only the payload bytes cross to the next step
-        state = BitState(budget_bits, bytes(new.payload))
+            stats.record(state)
+        state.used_bits = None
     return state
 
 
@@ -159,12 +158,9 @@ def run_one_pass(alg: OnePassAlgorithm, samples, budget_bits: int, seed: int):
 
 def run_one_pass_stats(alg: OnePassAlgorithm, samples, budget_bits: int, seed: int):
     """Like run_one_pass but also returns RunStats (peak declared state bits)."""
-    if budget_bits < 1:
-        raise ValidationError("budget must be at least 1 bit")
     shared = SharedRandomness(seed)
     stats = RunStats()
-    state = BitState.zero(budget_bits)
-    state = _advance(alg, samples, state, shared, budget_bits, first_index=1, stats=stats)
+    state = _advance(alg, samples, BitState(budget_bits), shared, first_index=1, stats=stats)
     return alg.finalize(state, shared), stats
 
 
@@ -174,8 +170,7 @@ def shuffle(samples, seed: int) -> list:
     n = len(out)
     if n < 2:
         return out
-    sr = SharedRandomness(seed)
-    u = sr.values(0, n - 1)
+    u = SharedRandomness(seed).values(0, n - 1)
     for i in range(n - 1, 0, -1):
         j = int(u[n - 1 - i] * (i + 1))
         out[i], out[j] = out[j], out[i]
@@ -256,8 +251,7 @@ def one_pass_to_protocol(alg: OnePassAlgorithm, split_index: int) -> Protocol:
                 "party 1 holds %d samples, split index is %d" % (len(input1), split_index)
             )
         a = copy.deepcopy(pristine)
-        state = BitState.zero(budget_bits)
-        state = _advance(a, input1, state, shared, budget_bits, first_index=1)
+        state = _advance(a, input1, BitState(budget_bits), shared, first_index=1)
         return Message(nbits=budget_bits, payload=state.payload)
 
     def output(input2, message, budget_bits, shared):
@@ -265,7 +259,7 @@ def one_pass_to_protocol(alg: OnePassAlgorithm, split_index: int) -> Protocol:
             raise ValidationError("simulation expects a full-state message")
         a = copy.deepcopy(pristine)
         state = BitState(budget_bits, message.payload)
-        state = _advance(a, input2, state, shared, budget_bits, first_index=split_index + 1)
+        state = _advance(a, input2, state, shared, first_index=split_index + 1)
         return a.finalize(state, shared)
 
     return Protocol(send=send, output=output)
@@ -363,12 +357,15 @@ class Layout:
         words[:, 8 - nbytes :] = np.packbits(padded).reshape(count, nbytes)
         return words.view(">u8").reshape(count).astype(np.uint64)
 
-    def pack(self, capacity_bits: int, buf) -> BitState:
-        """The state holding buf, with used_bits = nbits; raises
-        BudgetViolation when the layout does not fit capacity_bits."""
-        if self.nbits > capacity_bits:
-            raise BudgetViolation("state needs %d bits, budget is %d" % (self.nbits, capacity_bits))
-        return BitState(capacity_bits, bytes(buf), used_bits=self.nbits)
+    def pack(self, state: BitState) -> BitState:
+        """Set state.used_bits = nbits and return state; raises
+        BudgetViolation when the layout does not fit state.capacity_bits."""
+        if self.nbits > state.capacity_bits:
+            raise BudgetViolation(
+                "state needs %d bits, budget is %d" % (self.nbits, state.capacity_bits)
+            )
+        state.used_bits = self.nbits
+        return state
 
 
 def _put(buf: bytearray, lo: int, raw: bytes, nbits: int):

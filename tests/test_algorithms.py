@@ -267,9 +267,9 @@ def test_preimage_identity_quantization_off():
     alg = ProjectionSeparator(dprime=24, subsample_size=40, quant_bits=0, seed=5)
     budget = proj_state_bits(24, 40, 0)
     shared = SharedRandomness(11)
-    state = BitState.zero(budget)
+    state = BitState(budget)
     for i, s in enumerate(ds.points(), start=1):
-        state = BitState(budget, alg.update(i, s, state, shared).payload)
+        alg.update(i, s, state, shared)
     layout = ProjectionSeparator.layout(24, 40, 0)
     stored = layout.read(state.payload, "coords").reshape(40, 24)
     labels = np.where(layout.read(state.payload, "labels"), 1.0, -1.0)
@@ -356,9 +356,9 @@ def test_reservoir_subsets_uniform():
     for run in range(10_000):
         alg = ProjectionSeparator(dprime=1, subsample_size=3, quant_bits=0, seed=0)
         shared = SharedRandomness(run)
-        state = BitState.zero(budget)
+        state = BitState(budget)
         for i, s in enumerate(stream, start=1):
-            state = BitState(budget, alg.update(i, s, state, shared).payload)
+            alg.update(i, s, state, shared)
         kept = frozenset(int(round(abs(v))) for v in layout.read(state.payload, "coords"))
         assert len(kept) == 3
         counts[kept] += 1

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from nullstream import cli, errors
 from nullstream.algorithms import kernel_budget_bits
 from nullstream.cli import main
 from nullstream.config import DEFAULTS
@@ -114,6 +115,44 @@ def test_run_zero_on_equations_gives_cf_squared(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["metrics"]["loss"] == DEFAULTS.constants.cf**2
+
+
+def test_run_malformed_instance_fields_exit_2(tmp_path, capsys):
+    doc = json.loads(gen_anv(capsys, tmp_path / "anv.json").read_text())
+    for field, value in (("vectors", [[1.0, 2.0], [3.0]]), ("d", "x")):
+        bad = tmp_path / ("bad-%s.json" % field)
+        bad.write_text(json.dumps(dict(doc, **{field: value})))
+        code, _, stderr = run_cli(
+            capsys, "run", "--instance", str(bad), "--alg", "random-unit",
+            "--budget", "64", "--seed", "0",
+        )
+        assert code == 2
+        assert stderr.startswith("error: ")
+
+
+# the exit codes the cli module docstring documents
+DOCUMENTED_EXIT = {
+    errors.AcceptanceTooRare: 3,
+    errors.BudgetViolation: 4,
+    errors.DegenerateOutput: 5,
+    errors.NotSeparableInProjection: 5,
+}
+
+
+def test_every_nullstream_error_exits_with_its_documented_code(capsys, monkeypatch):
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.NullstreamError)
+    ]
+    assert set(DOCUMENTED_EXIT) < set(classes)
+    for klass in classes:
+        def fail(args, klass=klass):
+            raise klass("deliberate %s" % klass.__name__)
+
+        monkeypatch.setattr(cli, "cmd_verify", fail)
+        code, _, stderr = run_cli(capsys, "verify", "comorth", "--d", "4")
+        assert code == DOCUMENTED_EXIT.get(klass, 2), klass
+        assert stderr == "error: deliberate %s\n" % klass.__name__
 
 
 def test_run_shuffled_is_deterministic_and_order_invariant_here(tmp_path, capsys):

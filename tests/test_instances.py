@@ -17,6 +17,8 @@ from nullstream.errors import (
 from nullstream.instances import (
     AnvInstance,
     GAUSSIAN_RAW,
+    LrInstance,
+    LspDataset,
     SPHERE_CONDITIONED,
     anv_loss,
     classification_error,
@@ -292,6 +294,33 @@ def test_margin_and_error_trivials():
     assert classification_error(-ds.witness, ds) == 1.0
     with pytest.raises(DimensionMismatch):
         margin_of(np.zeros(3), ds)
+
+
+def _spoiled(arr):
+    out = np.array(arr, dtype=float)
+    out.flat[-1] = np.nan
+    return out
+
+
+_ANV = gen_anv_conditioned(8, 0.2, seed=1)
+_LSP = gen_lsp_from_anv(_ANV, 0.3)
+_LR = gen_lr_from_anv(_ANV, seed=2)
+NON_FINITE = {
+    "anv-vectors": lambda: AnvInstance(_ANV.variant, 8, _spoiled(_ANV.vectors), _ANV.witness, 0.2),
+    "anv-witness": lambda: AnvInstance(_ANV.variant, 8, _ANV.vectors, _spoiled(_ANV.witness), 0.2),
+    "anv-cf": lambda: AnvInstance(_ANV.variant, 8, _ANV.vectors, _ANV.witness, np.nan),
+    "lsp-points": lambda: LspDataset(_spoiled(_LSP.xs), _LSP.ys, _LSP.witness, _LSP.margin),
+    "lsp-margin": lambda: LspDataset(_LSP.xs, _LSP.ys, _LSP.witness, np.nan),
+    "lr-rows": lambda: LrInstance(_spoiled(_LR.a), _LR.b, _LR.witness),
+    "lr-targets": lambda: LrInstance(_LR.a, _spoiled(_LR.b), _LR.witness),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_instances_reject_non_finite_values(case):
+    # every comparison with NaN is false, so no other check catches these
+    with pytest.raises(ValidationError):
+        NON_FINITE[case]()
 
 
 @pytest.mark.parametrize("d", [8, 16, 64])

@@ -69,8 +69,6 @@ def test_reduction_config_defaults_and_validation():
     assert_allclose(CFG.c4, np.sqrt(C.c1))
     with pytest.raises(ValidationError):
         ReductionConfig(c4=-1.0, cf=0.2)
-    with pytest.raises(ValidationError):
-        ReductionConfig(c4=0.3, cf=0.2, norm_floor=0.0)
 
 
 # ---------------------------------------------------------------------------

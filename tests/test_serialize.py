@@ -106,6 +106,23 @@ def test_instance_parser_rejects_garbage():
         instance_from_json(json.dumps(doc))
 
 
+def test_instance_parser_rejects_nan_tokens():
+    doc = json.loads(instance_to_json(gen_anv_gaussian(8, seed=0), 0))
+    doc["vectors"][2][3] = math.nan
+    text = json.dumps(doc)
+    assert "NaN" in text
+    with pytest.raises(ValidationError):
+        instance_from_json(text)
+
+
+@pytest.mark.parametrize("field, value", [("vectors", [[1.0, 2.0], [3.0]]), ("d", "x")])
+def test_instance_parser_maps_malformed_fields(field, value):
+    doc = json.loads(instance_to_json(gen_anv_gaussian(8, seed=0), 0))
+    doc[field] = value
+    with pytest.raises(ValidationError):
+        instance_from_json(json.dumps(doc))
+
+
 def test_report_round_trip_and_csv_shape():
     r = comorth_check(12, 8, seed=0)
     doc = json.loads(report_to_json(r))

@@ -1,12 +1,12 @@
 """Golden state bytes: the exact bit format every state-carrying algorithm
 writes.
 
-Each case streams a fixed seeded sample list through one algorithm, steps the
-state the way the runner does (only the payload bytes cross a step), and pins
-the budget, the peak used_bits and the sha256 of the final payload.  The
-ProjectionSeparator cases run longer than the reservoir so that replacement
-runs, and cover byte-aligned 8/16/32-bit slots, unaligned packed slots, and
-aligned and unaligned raw float64 slots.
+Each case streams a fixed seeded sample list through one algorithm, editing
+one state in place the way the runner does, and pins the budget, the peak
+used_bits and the sha256 of the final payload.  The ProjectionSeparator cases
+run longer than the reservoir so that replacement runs, and cover byte-aligned
+8/16/32-bit slots, unaligned packed slots, and aligned and unaligned raw
+float64 slots.
 """
 
 import hashlib
@@ -30,12 +30,11 @@ from nullstream.streaming import BitState, SharedRandomness
 
 def _final_state(alg, samples, budget, seed):
     shared = SharedRandomness(seed)
-    state = BitState.zero(budget)
+    state = BitState(budget)
     peak = 0
     for i, sample in enumerate(samples, start=1):
-        new = alg.update(i, sample, state, shared)
-        peak = max(peak, new.used_bits)
-        state = BitState(budget, new.payload)
+        alg.update(i, sample, state, shared)
+        peak = max(peak, state.used_bits)
     return hashlib.sha256(state.payload).hexdigest(), peak
 
 

@@ -30,9 +30,8 @@ class Counting(OnePassAlgorithm):
     LAYOUT = Layout(n=uint(64))
 
     def update(self, i, sample, state, shared):
-        buf = bytearray(state.payload)
-        self.LAYOUT.write(buf, "n", int(self.LAYOUT.read(buf, "n")[0]) + 1)
-        return self.LAYOUT.pack(state.capacity_bits, buf)
+        self.LAYOUT.write(state.payload, "n", int(self.LAYOUT.read(state.payload, "n")[0]) + 1)
+        return self.LAYOUT.pack(state)
 
     def finalize(self, state, shared):
         return int(self.LAYOUT.read(state.payload, "n")[0])
@@ -43,9 +42,8 @@ class StateStasher(OnePassAlgorithm):
     object instead of in the payload."""
 
     def update(self, i, sample, state, shared):
-        new = BitState.zero(state.capacity_bits)
-        object.__setattr__(new, "hidden", getattr(state, "hidden", 0) + sample)
-        return new
+        state.hidden = getattr(state, "hidden", 0) + sample
+        return state
 
     def finalize(self, state, shared):
         return getattr(state, "hidden", None)
@@ -66,8 +64,8 @@ class SelfStasher(OnePassAlgorithm):
 
 
 def test_bitstate_shape_and_trailing_bits():
-    s = BitState.zero(12)
-    assert len(s.payload) == 2
+    s = BitState(12)
+    assert s.payload == bytearray(2) and isinstance(s.payload, bytearray)
     with pytest.raises(ValidationError):
         BitState(12, bytes([0x00, 0x0F]))  # bits 12..15 set
     BitState(12, bytes([0xFF, 0xF0]))  # fine: only the first 12 bits used
@@ -77,18 +75,14 @@ def test_bitstate_shape_and_trailing_bits():
 
 def test_bitstate_pack_budget():
     layout = Layout(a=uint(8), b=uint(8))
-    buf = bytearray(8)
-    layout.write(buf, "a", 1)
-    layout.write(buf, "b", 2)
-    s = layout.pack(64, buf)
+    s = BitState(64)
+    layout.write(s.payload, "a", 1)
+    layout.write(s.payload, "b", 2)
+    assert layout.pack(s) is s
     assert s.used_bits == 16
     assert s.payload[:2] == b"\x01\x02" and s.payload[2:] == bytes(6)
     with pytest.raises(BudgetViolation):
-        layout.pack(8, buf[:1])
-
-
-def test_bitstate_hex_dump():
-    assert BitState(16, bytes([0xAB, 0xCD])).hex() == "abcd"
+        layout.pack(BitState(8))
 
 
 def test_shared_randomness_deterministic_and_bounded():
@@ -103,9 +97,20 @@ def test_shared_randomness_deterministic_and_bounded():
 
 
 def test_shared_randomness_bulk_matches_single():
-    sr = SharedRandomness(99)
-    u = sr.values(5, 10)
-    assert list(u) == [sr.value(5 + j) for j in range(10)]
+    # value(i) is the first word of Philox step i scaled by 2^-53; the
+    # literals are Generator(Philox(key=seed) advanced by i).random()
+    pinned = {
+        (0, 0): "0x1.7a5d3204726c0p-7",
+        (12345, 7): "0x1.59811cbda0c30p-1",
+        (2**63 + 5, 1000): "0x1.2c8bbd42c2684p-3",
+        (99, 123456789): "0x1.db0228689ecaep-1",
+    }
+    for (seed, i), want in pinned.items():
+        assert SharedRandomness(seed).value(i).hex() == want
+    # the same draws as later elements of one bulk draw
+    assert SharedRandomness(12345).values(0, 8)[7].hex() == pinned[12345, 7]
+    assert SharedRandomness(2**63 + 5).values(990, 20)[10].hex() == pinned[2**63 + 5, 1000]
+    assert shuffle(range(20), seed=5) == [17, 2, 18, 9, 5, 19, 8, 12, 7, 16, 11, 3, 10, 6, 1, 13, 0, 15, 4, 14]
 
 
 def test_shared_randomness_roughly_uniform():
@@ -140,7 +145,8 @@ def test_budget_violation_small_budget():
 def test_capacity_change_rejected():
     class Grower(OnePassAlgorithm):
         def update(self, i, sample, state, shared):
-            return BitState.zero(state.capacity_bits + 8)
+            state.capacity_bits += 8
+            return state
 
         def finalize(self, state, shared):
             return None
@@ -205,15 +211,50 @@ def test_simulation_wrong_party1_size():
 
 
 def test_state_stashing_defeated_by_runner():
-    samples = [3, 4, 5]
-    # naive chaining without the runner: the stash survives
-    alg = StateStasher()
-    state = BitState.zero(8)
-    for i, z in enumerate(samples, start=1):
-        state = alg.update(i, z, state, SharedRandomness(0))
-    assert alg.finalize(state, SharedRandomness(0)) == 12
-    # under the runner the state is rebuilt from payload bytes each step
-    assert run_one_pass(StateStasher(), samples, 8, seed=0) != 12
+    # BitState has __slots__: the state object has no room for a stash
+    with pytest.raises(AttributeError):
+        run_one_pass(StateStasher(), [3, 4, 5], 8, seed=0)
+
+
+class Returns(OnePassAlgorithm):
+    """Runs edit(state) at every step and returns what it returns."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def update(self, i, sample, state, shared):
+        return self.edit(state)
+
+    def finalize(self, state, shared):
+        return bytes(state.payload)
+
+
+def test_runner_rejects_a_grown_or_replaced_payload():
+    def grow(state):
+        state.payload.append(0)
+        return state
+
+    def swap(state):
+        state.payload = bytearray(len(state.payload))
+        return state
+
+    for edit in (grow, swap):
+        with pytest.raises(BudgetViolation):
+            run_one_pass(Returns(edit), [1], 16, seed=0)
+
+
+def test_runner_rejects_a_bit_past_the_budget():
+    def spill(state):
+        state.payload[-1] |= 0x01  # bit 15 of a 12-bit state
+        return state
+
+    with pytest.raises(ValidationError):
+        run_one_pass(Returns(spill), [1], 12, seed=0)
+
+
+def test_runner_rejects_a_fresh_state():
+    with pytest.raises(BudgetViolation):
+        run_one_pass(Returns(lambda state: BitState(state.capacity_bits)), [1], 8, seed=0)
 
 
 def test_self_stashing_defeated_by_protocol_split():
