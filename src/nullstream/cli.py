@@ -1,7 +1,7 @@
 """Command-line front end: instance generation, budgeted runs, lemma
 certification, and batch experiment sweeps.
 
-Exit codes: 0 success (for verify: criteria met), 2 validation failure,
+Exit codes: 0 success, 1 verify criterion not met, 2 validation failure,
 3 infeasible generation, 4 budget violation, 5 algorithm failure. CSV and
 JSON output use LF newlines and 17-significant-digit floats throughout.
 """
@@ -9,14 +9,16 @@ JSON output use LF newlines and 17-significant-digit floats throughout.
 import argparse
 import csv
 import hashlib
+import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algorithms import REGISTRY, build_algorithm
+from .algorithms import build_algorithm
 from .config import DEFAULTS
 from .errors import (
     AcceptanceTooRare,
@@ -48,6 +50,7 @@ from .serialize import (
     dumps,
     instance_from_json,
     instance_to_json,
+    json_int,
     report_to_csv,
     report_to_json,
 )
@@ -62,14 +65,74 @@ from .verification import (
 )
 
 METRIC_COLUMNS = ("loss", "error", "margin")
+ORDERS = ("fixed", "shuffled")
 
-# the null-vector objective scores unit candidates only, so the zero
-# baseline is meaningful just for the other two problem types
-COMPATIBLE = {
-    "anv": ("random-unit", "offline-kernel"),
-    "lsp": ("zero", "random-unit", "offline-separator", "proj-separator"),
-    "lr": ("zero", "random-unit", "offline-lstsq"),
+
+def _anv_diagnostics(inst) -> list:
+    lines = [
+        "residual = %.3e" % float(np.abs(inst.vectors @ inst.witness).max()),
+        "witness_first_coord = %.6f" % float(inst.witness[0]),
+    ]
+    if inst.cf is not None:
+        lines.append("tail_estimate = %.3e" % first_coord_tail(inst.d, inst.cf))
+    return lines
+
+
+def _lsp_diagnostics(inst) -> list:
+    norms = np.linalg.norm(inst.xs, axis=1)
+    achieved = float(np.min((inst.xs @ inst.witness) * inst.ys / norms))
+    return ["margin = %.6g" % inst.margin, "achieved_margin = %.6g" % achieved]
+
+
+def _lr_diagnostics(inst) -> list:
+    return [
+        "residual = %.3e" % float(np.linalg.norm(inst.a @ inst.witness - inst.b)),
+        "witness_norm = %.6f" % float(np.linalg.norm(inst.witness)),
+    ]
+
+
+class Kind(NamedTuple):
+    """What the CLI does with one instance class."""
+
+    name: str  # instance_type in reports
+    samples: Callable  # instance -> its stream in fixed order
+    metrics: Callable  # (instance, output) -> {metric column: value}
+    algorithms: tuple  # the registered algorithms its stream can feed
+    diagnostics: Callable  # instance -> the lines `gen` prints
+
+
+# The lambdas look the metric functions up when they run, so a rebound module
+# name reaches every report. The null-vector objective scores unit candidates
+# only, so the zero baseline is meaningful just for the other two types.
+KINDS = {
+    AnvInstance: Kind(
+        "anv", lambda inst: list(inst.vectors), lambda inst, w: {"loss": anv_loss(inst, w)},
+        ("random-unit", "offline-kernel"), _anv_diagnostics,
+    ),
+    LspDataset: Kind(
+        "lsp", lambda inst: inst.points(),
+        lambda inst, w: {"error": classification_error(w, inst), "margin": margin_of(w, inst)},
+        ("zero", "random-unit", "offline-separator", "proj-separator"), _lsp_diagnostics,
+    ),
+    LrInstance: Kind(
+        "lr", lambda inst: list(zip(inst.a, inst.b)), lambda inst, w: {"loss": lr_loss(inst, w)},
+        ("zero", "random-unit", "offline-lstsq"), _lr_diagnostics,
+    ),
 }
+
+# the sweep status and exit code of each deliberate failure that is not a
+# validation failure; any other NullstreamError exits 2 and, in a sweep, is
+# status "error" unless it is a ValidationError, which stops the sweep
+FAILURES = {
+    BudgetViolation: ("budget-violation", 4),
+    DegenerateOutput: ("degenerate-output", 5),
+    NotSeparableInProjection: ("not-separable", 5),
+    AcceptanceTooRare: ("acceptance-too-rare", 3),
+}
+
+
+def _failure(exc: NullstreamError) -> tuple:
+    return next((v for k, v in FAILURES.items() if isinstance(exc, k)), ("error", 2))
 
 
 def _read_text(path: str) -> str:
@@ -88,32 +151,52 @@ def _write_text(path: str, text: str):
         raise ValidationError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _instance_kind(inst) -> str:
-    if isinstance(inst, AnvInstance):
-        return "anv"
-    if isinstance(inst, LspDataset):
-        return "lsp"
-    if isinstance(inst, LrInstance):
-        return "lr"
-    raise ValidationError("unknown instance type %s" % type(inst).__name__)
+def _csv_line(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
 
 
-def _samples_for(inst) -> list:
-    kind = _instance_kind(inst)
-    if kind == "anv":
-        return [row for row in inst.vectors]
-    if kind == "lsp":
-        return inst.points()
-    return list(zip(inst.a, inst.b))
+def _open_csv(path: str, columns, key_width: int = 0):
+    """Make `path` ready to take rows under the header `columns`.
 
+    An existing file must start with that header. A last line without its
+    newline was cut short by a kill mid-write, so it is truncated away.
+    Returns the key tuples (first `key_width` cells) of the rows present and
+    a function that appends one row and closes the file, writing the header
+    together with the first row of a new file.
+    """
+    header = _csv_line(columns).encode("utf-8")
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
+    except OSError as exc:
+        raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
+    kept = data[: data.rfind(b"\n") + 1]
+    if not (kept.startswith(header) or not kept and header.startswith(data)):
+        raise ValidationError("existing %s has different columns" % path)
+    try:
+        if len(kept) < len(data):
+            os.truncate(path, len(kept))
+        rows = csv.reader(io.StringIO(kept[len(header):].decode("utf-8"), newline=""))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("cannot resume %s: %s" % (path, exc)) from exc
+    keys = {tuple(row[:key_width]) for row in rows if row}
+    header_due = not kept
 
-def _metrics_for(inst, w) -> dict:
-    kind = _instance_kind(inst)
-    if kind == "anv":
-        return {"loss": anv_loss(inst, w)}
-    if kind == "lsp":
-        return {"error": classification_error(w, inst), "margin": margin_of(w, inst)}
-    return {"loss": lr_loss(inst, w)}
+    def append(cells):
+        nonlocal header_due
+        line = _csv_line(cells).encode("utf-8")
+        try:
+            with open(path, "ab") as fh:
+                fh.write(header + line if header_due else line)
+        except OSError as exc:
+            raise ValidationError("cannot write %s: %s" % (path, exc)) from exc
+        header_due = False
+
+    return keys, append
 
 
 def _shuffle_seed(seed: int) -> int:
@@ -122,75 +205,50 @@ def _shuffle_seed(seed: int) -> int:
     return int(SharedRandomness(seed).generator("order-shuffle").integers(1 << 63))
 
 
-def _ordered_samples(inst, order: str, seed: int) -> list:
-    samples = _samples_for(inst)
-    if order == "shuffled":
-        return shuffle(samples, _shuffle_seed(seed))
-    if order != "fixed":
-        raise ValidationError("order must be fixed or shuffled")
-    return samples
-
-
 # ---------------------------------------------------------------------------
 # gen
-
-
-def _diagnostics(inst) -> list:
-    kind = _instance_kind(inst)
-    if kind == "anv":
-        lines = [
-            "residual = %.3e" % float(np.abs(inst.vectors @ inst.witness).max()),
-            "witness_first_coord = %.6f" % float(inst.witness[0]),
-        ]
-        if inst.cf is not None:
-            lines.append("tail_estimate = %.3e" % first_coord_tail(inst.d, inst.cf))
-        return lines
-    if kind == "lsp":
-        norms = np.linalg.norm(inst.xs, axis=1)
-        achieved = float(np.min((inst.xs @ inst.witness) * inst.ys / norms))
-        return ["margin = %.6g" % inst.margin, "achieved_margin = %.6g" % achieved]
-    return [
-        "residual = %.3e" % float(np.linalg.norm(inst.a @ inst.witness - inst.b)),
-        "witness_norm = %.6f" % float(np.linalg.norm(inst.witness)),
-    ]
 
 
 def _generate(problem: str, opts: dict):
     """Build an instance from a generator name and a flat option dict.
 
     Every option must be consumed; leftovers are a validation error so that
-    misspelled experiment-grid keys fail loudly.
+    misspelled experiment-grid keys fail loudly. Integer parameters take only
+    integers, so a fractional or boolean value is rejected, not truncated.
     """
     opts = dict(opts)
 
     def take(key, cast, default=KeyError):
         if key in opts:
-            return cast(opts.pop(key))
+            try:
+                return cast(opts.pop(key))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError("%s parameter %r: %s" % (problem, key, exc)) from exc
         if default is KeyError:
             raise ValidationError("%s requires parameter %r" % (problem, key))
         return default
 
     if problem == "anv-gaussian":
-        inst = gen_anv_gaussian(take("d", int), take("seed", int))
+        inst = gen_anv_gaussian(take("d", json_int), take("seed", json_int))
     elif problem == "anv-conditioned":
         inst = gen_anv_conditioned(
-            take("d", int),
+            take("d", json_int),
             take("cf", float),
-            take("seed", int),
-            max_attempts=take("max_attempts", int, DEFAULT_MAX_ATTEMPTS),
+            take("seed", json_int),
+            max_attempts=take("max_attempts", json_int, DEFAULT_MAX_ATTEMPTS),
         )
     elif problem == "lsp-margin":
         inst = gen_lsp_margin(
-            take("d", int), take("m", int), take("gamma", float), take("seed", int)
+            take("d", json_int), take("m", json_int), take("gamma", float), take("seed", json_int)
         )
     elif problem == "lsp-hard":
         inst, _, _ = gen_lsp_hard(
-            take("d", int),
-            take("m", int),
+            take("d", json_int),
+            take("m", json_int),
             take("cf", float),
             take("c", float),
-            take("seed", int),
-            max_attempts=take("max_attempts", int, DEFAULT_MAX_ATTEMPTS),
+            take("seed", json_int),
+            max_attempts=take("max_attempts", json_int, DEFAULT_MAX_ATTEMPTS),
         )
     else:
         raise ValidationError("unknown problem %r" % (problem,))
@@ -222,9 +280,10 @@ def cmd_gen(args) -> int:
         inst = _generate(args.problem, opts)
         seed = args.seed
     _write_text(args.out, instance_to_json(inst, seed))
+    kind = KINDS[type(inst)]
     print("wrote %s" % args.out)
-    print("type = %s  d = %d" % (_instance_kind(inst), inst.d))
-    for line in _diagnostics(inst):
+    print("type = %s  d = %d" % (kind.name, inst.d))
+    for line in kind.diagnostics(inst):
         print(line)
     return 0
 
@@ -234,21 +293,19 @@ def cmd_gen(args) -> int:
 
 
 def _run_report(inst, algorithm: str, budget_bits: int, seed: int, order: str) -> dict:
-    kind = _instance_kind(inst)
-    if algorithm not in REGISTRY:
-        raise ValidationError(
-            "unknown algorithm %r; registered: %s" % (algorithm, ", ".join(REGISTRY))
-        )
-    if algorithm not in COMPATIBLE[kind]:
+    kind = KINDS[type(inst)]
+    if algorithm not in kind.algorithms:
         raise ValidationError(
             "algorithm %s does not accept %s instances (try: %s)"
-            % (algorithm, kind, ", ".join(COMPATIBLE[kind]))
+            % (algorithm, kind.name, ", ".join(kind.algorithms))
         )
-    samples = _ordered_samples(inst, order, seed)
+    samples = kind.samples(inst)
+    if order == "shuffled":
+        samples = shuffle(samples, _shuffle_seed(seed))
     alg = build_algorithm(algorithm, inst.d, seed)
     w, stats = run_one_pass_stats(alg, samples, budget_bits, seed)
     return {
-        "instance_type": kind,
+        "instance_type": kind.name,
         "d": inst.d,
         "n_samples": len(samples),
         "algorithm": algorithm,
@@ -256,7 +313,7 @@ def _run_report(inst, algorithm: str, budget_bits: int, seed: int, order: str) -
         "seed": seed,
         "order": order,
         "max_used_bits": stats.max_used_bits,
-        "metrics": _metrics_for(inst, w),
+        "metrics": kind.metrics(inst, w),
     }
 
 
@@ -272,35 +329,14 @@ RUN_CSV_COLUMNS = (
 ) + METRIC_COLUMNS
 
 
-def _append_csv_rows(path: str, columns, rows):
-    exists = os.path.exists(path) and os.path.getsize(path) > 0
-    if exists:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-        if header != list(columns):
-            raise ValidationError("existing %s has different columns" % path)
-    try:
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if not exists:
-                writer.writerow(columns)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise ValidationError("cannot write %s: %s" % (path, exc)) from exc
-
-
 def cmd_run(args) -> int:
     inst, _ = instance_from_json(_read_text(args.instance))
     report = _run_report(inst, args.alg, args.budget, args.seed, args.order)
     print(dumps(report))
     if args.csv:
-        flat = dict(report)
-        metrics = flat.pop("metrics")
-        for key in METRIC_COLUMNS:
-            flat[key] = metrics.get(key)
-        _append_csv_rows(
-            args.csv, RUN_CSV_COLUMNS, [[csv_cell(flat[c]) for c in RUN_CSV_COLUMNS]]
-        )
+        flat = dict(report, **{key: report["metrics"].get(key) for key in METRIC_COLUMNS})
+        _, append = _open_csv(args.csv, RUN_CSV_COLUMNS)
+        append([csv_cell(flat[c]) for c in RUN_CSV_COLUMNS])
     return 0
 
 
@@ -361,12 +397,6 @@ def cmd_verify(args) -> int:
 
 EXPERIMENT_COLUMNS = ("trial", "seed", "status", "state_bits") + METRIC_COLUMNS
 SPEC_KEYS = {"problem", "params", "grid", "trials", "seed", "order"}
-STATUS_BY_ERROR = (
-    (BudgetViolation, "budget-violation"),
-    (DegenerateOutput, "degenerate-output"),
-    (NotSeparableInProjection, "not-separable"),
-    (AcceptanceTooRare, "acceptance-too-rare"),
-)
 
 
 def _load_spec(path: str) -> dict:
@@ -394,11 +424,14 @@ def _load_spec(path: str) -> dict:
     }
     if not isinstance(spec["params"], dict) or not isinstance(spec["grid"], dict):
         raise ValidationError("params and grid must be JSON objects")
-    if not isinstance(spec["trials"], int) or spec["trials"] < 1:
+    for key in ("trials", "seed"):
+        try:
+            json_int(spec[key])
+        except TypeError as exc:
+            raise ValidationError("%s: %s" % (key, exc)) from exc
+    if spec["trials"] < 1:
         raise ValidationError("trials must be a positive integer")
-    if not isinstance(spec["seed"], int):
-        raise ValidationError("seed must be an integer")
-    if spec["order"] not in ("fixed", "shuffled"):
+    if spec["order"] not in ORDERS:
         raise ValidationError("order must be fixed or shuffled")
     overlap = set(spec["params"]) & set(spec["grid"])
     if overlap:
@@ -418,70 +451,45 @@ def _derived_seed(seed: int, cell_key: str, trial: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _experiment_cells(spec):
-    grid_keys = sorted(spec["grid"])
-    for combo in product(*(spec["grid"][k] for k in grid_keys)):
-        yield dict(zip(grid_keys, combo))
-
-
 def _run_experiment_row(spec, cell, cell_key, trial):
     seed = _derived_seed(spec["seed"], cell_key, trial)
     merged = dict(spec["params"])
     merged.update(cell)
     try:
         algorithm = merged.pop("algorithm")
-        budget_bits = int(merged.pop("budget_bits"))
+        budget_bits = json_int(merged.pop("budget_bits"))
     except KeyError as exc:
         raise ValidationError("experiment spec missing %s" % exc) from exc
+    except TypeError as exc:
+        raise ValidationError("budget_bits: %s" % exc) from exc
     merged["seed"] = seed
-    row = {c: None for c in EXPERIMENT_COLUMNS}
-    row["trial"] = trial
-    row["seed"] = seed
+    row = {"trial": trial, "seed": seed}
     try:
         inst = _generate(spec["problem"], merged)
         report = _run_report(inst, algorithm, budget_bits, seed, spec["order"])
+    except ValidationError:
+        raise
     except NullstreamError as exc:
-        for klass, label in STATUS_BY_ERROR:
-            if isinstance(exc, klass):
-                row["status"] = label
-                break
-        else:
-            if isinstance(exc, ValidationError):
-                raise
-            row["status"] = "error"
+        row["status"] = _failure(exc)[0]
         return row
-    row["status"] = "ok"
-    row["state_bits"] = report["max_used_bits"]
-    for key in METRIC_COLUMNS:
-        row[key] = report["metrics"].get(key)
+    row.update(report["metrics"], status="ok", state_bits=report["max_used_bits"])
     return row
-
-
-def _existing_row_keys(path: str, columns) -> set:
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(columns):
-            raise ValidationError("existing %s has different columns" % path)
-        key_width = len(columns) - len(EXPERIMENT_COLUMNS) + 1
-        return {tuple(line[:key_width]) for line in reader if line}
 
 
 def cmd_experiment(args) -> int:
     spec = _load_spec(args.spec)
     grid_keys = sorted(spec["grid"])
     columns = tuple(grid_keys) + EXPERIMENT_COLUMNS
-    done = _existing_row_keys(args.out, columns)
+    done, append = _open_csv(args.out, columns, len(grid_keys) + 1)
 
     pending = []
-    for cell in _experiment_cells(spec):
+    for combo in product(*(spec["grid"][k] for k in grid_keys)):
+        cell = dict(zip(grid_keys, combo))
         cell_cells = [csv_cell(cell[k]) for k in grid_keys]
         cell_key = ",".join("%s=%s" % (k, v) for k, v in zip(grid_keys, cell_cells))
         for trial in range(spec["trials"]):
             if tuple(cell_cells + [str(trial)]) not in done:
-                pending.append((cell, cell_key, trial, cell_cells))
+                pending.append((cell_cells, cell, cell_key, trial))
 
     threads = os.environ.get("NULLSTREAM_THREADS", "1")
     try:
@@ -490,21 +498,21 @@ def cmd_experiment(args) -> int:
         raise ValidationError("NULLSTREAM_THREADS must be an integer")
 
     def work(item):
-        cell, cell_key, trial, _ = item
-        return _run_experiment_row(spec, cell, cell_key, trial)
+        return _run_experiment_row(spec, *item[1:])
+
+    def commit(rows):
+        # both maps yield rows in pending order, so the bytes do not depend
+        # on the thread count, and each row is on disk before the next is
+        # awaited, so a killed sweep leaves a prefix that a rerun resumes
+        for (cell_cells, *_), row in zip(pending, rows):
+            append(cell_cells + [csv_cell(row.get(c)) for c in EXPERIMENT_COLUMNS])
 
     if threads > 1 and len(pending) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, pending))
+            commit(pool.map(work, pending))
     else:
-        results = [work(item) for item in pending]
-
-    rows = []
-    for (cell, _, trial, cell_cells), row in zip(pending, results):
-        rows.append(cell_cells + [csv_cell(row[c]) for c in EXPERIMENT_COLUMNS])
-    if rows:
-        _append_csv_rows(args.out, columns, rows)
-    print("%d rows appended to %s" % (len(rows), args.out))
+        commit(map(work, pending))
+    print("%d rows appended to %s" % (len(pending), args.out))
     return 0
 
 
@@ -570,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alg", required=True)
     run.add_argument("--budget", type=int, required=True)
     run.add_argument("--seed", type=int, required=True)
-    run.add_argument("--order", choices=("fixed", "shuffled"), default="fixed")
+    run.add_argument("--order", choices=ORDERS, default="fixed")
     run.add_argument("--csv", default=None, help="append a flat row here")
     run.set_defaults(func=cmd_run)
 
@@ -617,17 +625,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exit codes of the deliberate failures that are not validation failures (2)
-EXIT_CODES = {AcceptanceTooRare: 3, BudgetViolation: 4, DegenerateOutput: 5, NotSeparableInProjection: 5}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NullstreamError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return next((code for klass, code in EXIT_CODES.items() if isinstance(exc, klass)), 2)
+        return _failure(exc)[1]
 
 
 if __name__ == "__main__":

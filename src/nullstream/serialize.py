@@ -21,6 +21,7 @@ __all__ = [
     "dumps",
     "instance_to_json",
     "instance_from_json",
+    "json_int",
     "report_to_json",
     "report_to_csv",
     "csv_cell",
@@ -80,6 +81,14 @@ def dumps(doc) -> str:
     return out.getvalue()
 
 
+def json_int(value) -> int:
+    """Return `value` if it is a JSON integer; raise TypeError for anything
+    else, integral floats and booleans included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer, got %r" % (value,))
+    return value
+
+
 def _parse(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -130,13 +139,13 @@ def instance_from_json(text: str):
     doc = _parse(text)
     try:
         kind = doc["type"]
-        seed = doc["seed"]
+        seed = json_int(doc["seed"])
         params = doc["params"]
         witness = np.asarray(doc["witness"], dtype=float)
         if kind == "anv":
             inst = AnvInstance(
                 variant=params["variant"],
-                d=int(doc["d"]),
+                d=json_int(doc["d"]),
                 vectors=np.asarray(doc["vectors"], dtype=float),
                 witness=witness,
                 cf=None if params["cf"] is None else float(params["cf"]),

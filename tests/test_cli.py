@@ -350,4 +350,68 @@ def test_experiment_malformed_spec_exits_2(tmp_path, capsys):
     missing["grid"] = {"d": [12]}  # no budget anywhere
     bad.write_text(json.dumps(missing))
     assert run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))[0] == 2
+    # integer parameters take JSON integers only: no strings, fractions or booleans
+    for key, value in (("budget_bits", "abc"), ("budget_bits", 1.5), ("d", "x"), ("d", True)):
+        bad.write_text(json.dumps({**SWEEP, "grid": {**SWEEP["grid"], key: [value]}}))
+        assert run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))[0] == 2
+    for change in ({"params": {"m": 30.0, "gamma": 0.25}}, {"trials": True}, {"seed": False}):
+        bad.write_text(json.dumps({**SWEEP, **change}))
+        assert run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))[0] == 2
     assert not out.exists()
+
+
+def _whole_sweep(tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps(SWEEP))
+    whole = tmp_path / "whole.csv"
+    assert run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(whole))[0] == 0
+    return spec, whole.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_experiment_interrupted_sweep_keeps_done_rows_and_resumes(
+    tmp_path, capsys, monkeypatch, threads
+):
+    spec, whole = _whole_sweep(tmp_path, capsys)
+    lines = whole.splitlines(keepends=True)
+    if threads is not None:
+        monkeypatch.setenv("NULLSTREAM_THREADS", threads)
+    out = tmp_path / "sweep.csv"
+    real = cli._run_experiment_row
+    for k in (1, 5):
+        # fail on the row that lands on line k + 1, whichever thread runs it
+        kill_seed = lines[1 + k].split(b",")[4].decode()
+
+        def killed(*args):
+            row = real(*args)
+            if str(row["seed"]) == kill_seed:
+                raise RuntimeError("killed")
+            return row
+
+        monkeypatch.setattr(cli, "_run_experiment_row", killed)
+        with pytest.raises(RuntimeError):
+            main(["experiment", "--spec", str(spec), "--out", str(out)])
+        assert out.read_bytes() == b"".join(lines[: 1 + k])
+        monkeypatch.setattr(cli, "_run_experiment_row", real)
+        code, stdout, _ = run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(out))
+        assert code == 0
+        assert stdout.startswith("%d rows appended" % (len(lines) - 1 - k))
+        assert out.read_bytes() == whole
+        out.unlink()
+
+
+def test_experiment_resume_drops_a_line_cut_mid_write(tmp_path, capsys):
+    spec, whole = _whole_sweep(tmp_path, capsys)
+    out = tmp_path / "sweep.csv"
+    lines = whole.splitlines(keepends=True)
+    line_end = len(b"".join(lines[:4]))
+    after_key = line_end + len(b",".join(lines[4].split(b",")[:4])) + 1
+    # inside the header; at a line end; after a row's key cells; inside a float
+    for cut in (9, line_end, after_key, len(whole) - 3):
+        out.write_bytes(whole[:cut])
+        assert run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(out))[0] == 0
+        assert out.read_bytes() == whole, cut
+    # a file that is not a cut-short sweep is refused and left as it is
+    out.write_bytes(b"not,a,sweep")
+    assert run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(out))[0] == 2
+    assert out.read_bytes() == b"not,a,sweep"

@@ -115,7 +115,18 @@ def test_instance_parser_rejects_nan_tokens():
         instance_from_json(text)
 
 
-@pytest.mark.parametrize("field, value", [("vectors", [[1.0, 2.0], [3.0]]), ("d", "x")])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("vectors", [[1.0, 2.0], [3.0]]),
+        ("d", "x"),
+        ("d", 8.0),
+        ("d", 6.9),
+        ("seed", "abc"),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+)
 def test_instance_parser_maps_malformed_fields(field, value):
     doc = json.loads(instance_to_json(gen_anv_gaussian(8, seed=0), 0))
     doc[field] = value
