@@ -5,6 +5,7 @@ the chi-square mean for the random-unit baseline, the classical perceptron
 mistake bound, and brute-force multinomial statistics for the reservoir.
 """
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -219,6 +220,27 @@ def test_perceptron_mistake_bound_on_margin_dataset():
         bound = (np.linalg.norm(ds.xs, axis=1).max() / 0.25) ** 2
         assert updates <= bound
         assert classification_error(w, ds) == 0.0
+
+
+# (source, seed) -> (update count, sha256 of w.tobytes()): the labeled pairs
+# anv_via_lsp feeds OfflineSeparatorSolver at d=64, and one wide margin set.
+# A single flipped mistake decision changes both.
+PERCEPTRON_GOLDEN = {
+    ("anv-pairs", 0): (5134, "d6a04bdef25135fd9cf2c9c621299c49fc8613794859e04832390088d2cbfe77"),
+    ("anv-pairs", 1): (1938, "1919d835a8426cc70a4f3223ce2407528e11179d1f7e846e11bd1c4a29905fd9"),
+    ("anv-pairs", 2): (5006, "85385d6c00fe2dc9f3801c58dd8744b009c831b5a7b236291a4bee5d37d5a2a2"),
+    ("margin", 0): (2, "2a9e536d5e9387faef414b956ea424838cd74b3c01a947d9db3810cbaf3b2d30"),
+}
+
+
+@pytest.mark.parametrize("source,seed", sorted(PERCEPTRON_GOLDEN))
+def test_perceptron_output_pinned(source, seed):
+    if source == "anv-pairs":
+        ds = gen_lsp_from_anv(gen_anv_conditioned(64, CF, seed=seed), C4)
+    else:
+        ds = gen_lsp_margin(600, 600, 0.3, seed=seed)
+    w, updates = perceptron_with_stats(ds.points(), max_passes=OfflineSeparatorSolver().max_passes)
+    assert (updates, hashlib.sha256(w.tobytes()).hexdigest()) == PERCEPTRON_GOLDEN[source, seed]
 
 
 # ---------------------------------------------------------------------------
