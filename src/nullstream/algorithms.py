@@ -12,6 +12,7 @@ that layout's nbits, so the accounting and the format cannot disagree.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -113,6 +114,15 @@ def kernel_budget_bits(d: int) -> int:
     return OfflineKernelSolver.layout(d - 1, d).nbits
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_triangle(d: int) -> np.ndarray:
+    """Flat indices of a d x d matrix's upper triangle, in row order."""
+    rows, cols = np.triu_indices(d)
+    flat = rows * d + cols
+    flat.flags.writeable = False
+    return flat
+
+
 class OfflineLstsqSolver(OnePassAlgorithm):
     """Streams the normal equations of the system and solves them at the end.
 
@@ -140,7 +150,7 @@ class OfflineLstsqSolver(OnePassAlgorithm):
             raise DimensionMismatch("sample dimension changed mid-stream")
         # the all-zero initial state reads as a zero Gram matrix and moment
         layout = self.layout(d)
-        gram = layout.read(state.payload, "gram") + np.outer(row, row)[np.triu_indices(d)]
+        gram = layout.read(state.payload, "gram") + np.outer(row, row).take(_upper_triangle(d))
         moment = layout.read(state.payload, "moment") + target * row
         layout.write(state.payload, "header", [count + 1, d])
         layout.write(state.payload, "gram", gram)
@@ -154,7 +164,7 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         layout = self.layout(d)
         moment = layout.read(state.payload, "moment")
         gram = np.zeros((d, d))
-        gram[np.triu_indices(d)] = layout.read(state.payload, "gram")
+        gram.put(_upper_triangle(d), layout.read(state.payload, "gram"))
         gram = gram + np.triu(gram, 1).T
         w = np.linalg.pinv(gram, hermitian=True) @ moment
         norm = np.linalg.norm(w)
@@ -174,13 +184,15 @@ def perceptron_with_stats(points, max_passes: int) -> tuple[np.ndarray, int]:
         raise ValidationError("perceptron needs at least one point")
     xs = np.array([np.asarray(x, dtype=float) for x, _ in points])
     ys = np.array([float(y) for _, y in points])
+    rows = [(x, y, y * x) for x, y in zip(xs, ys)]
     w = np.zeros(xs.shape[1])
+    score = w.dot  # stays bound to w: mistakes update w in place
     total = 0
     for _ in range(max_passes):
         mistakes = 0
-        for x, y in zip(xs, ys):
-            if (w @ x) * y <= 0:
-                w = w + y * x
+        for x, y, yx in rows:
+            if score(x) * y <= 0:
+                w += yx
                 mistakes += 1
         total += mistakes
         if mistakes == 0:
@@ -193,6 +205,13 @@ def perceptron(points, max_passes: int) -> np.ndarray:
 
     Returns a unit vector scoring every point strictly positive, or raises
     NotSeparableInProjection once max_passes full cycles fail to converge.
+
+    Each point is scored with w.dot(x): on contiguous float64 vectors that is
+    the same ddot kernel as w @ x with less dispatch around it, so every
+    mistake decision is unchanged.  Scoring must stay that one ddot per point;
+    a blocked matrix product sums in another order, and a single flipped sign
+    changes the separator.  A mistake adds the precomputed y * x in place,
+    the same rounded values w + y * x would add.
     """
     return perceptron_with_stats(points, max_passes)[0]
 
@@ -313,8 +332,10 @@ class ProjectionSeparator(OnePassAlgorithm):
         coords = uint(quant_bits, n) if quant_bits else f64(n)
         return Layout(header=_HEADER, labels=uint(1, subsample), coords=coords)
 
-    def _write_slot(self, buf: bytearray, j: int, u: np.ndarray, y: float):
+    def _write_slot(self, buf: bytearray, j: int, proj: Subspace, x: np.ndarray, y: float):
+        """Store (x, y) in slot j; only kept samples pay for the projection."""
         self._layout.write(buf, "labels", int(y > 0), start=j)
+        u = math.sqrt(x.shape[0] / self.dprime) * (proj.basis @ x)
         if self.quant_bits:
             u = _quantize(u, self.quant_bits, self.quant_range)
         self._layout.write(buf, "coords", u, start=j * self.dprime)
@@ -333,19 +354,17 @@ class ProjectionSeparator(OnePassAlgorithm):
                 % (self._layout.nbits, state.capacity_bits)
             )
         proj = self.projection_for(d, shared)
-        u = math.sqrt(d / self.dprime) * (proj.basis @ x)
-
         count, dim = _header(state.payload)
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         count += 1
         self._layout.write(state.payload, "header", [count, d])
         if count <= self.subsample:
-            self._write_slot(state.payload, count - 1, u, y)
+            self._write_slot(state.payload, count - 1, proj, x, y)
         else:
             keep, slot = shared.values(2 * i, 2)
             if keep < self.subsample / count:
-                self._write_slot(state.payload, int(slot * self.subsample), u, y)
+                self._write_slot(state.payload, int(slot * self.subsample), proj, x, y)
         return self._layout.pack(state)
 
     def finalize(self, state, shared):

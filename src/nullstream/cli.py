@@ -50,6 +50,7 @@ from .serialize import (
     dumps,
     instance_from_json,
     instance_to_json,
+    json_float,
     json_int,
     report_to_csv,
     report_to_json,
@@ -214,7 +215,8 @@ def _generate(problem: str, opts: dict):
 
     Every option must be consumed; leftovers are a validation error so that
     misspelled experiment-grid keys fail loudly. Integer parameters take only
-    integers, so a fractional or boolean value is rejected, not truncated.
+    integers, so a fractional or boolean value is rejected, not truncated;
+    real parameters take only finite numbers, not strings or booleans.
     """
     opts = dict(opts)
 
@@ -233,20 +235,23 @@ def _generate(problem: str, opts: dict):
     elif problem == "anv-conditioned":
         inst = gen_anv_conditioned(
             take("d", json_int),
-            take("cf", float),
+            take("cf", json_float),
             take("seed", json_int),
             max_attempts=take("max_attempts", json_int, DEFAULT_MAX_ATTEMPTS),
         )
     elif problem == "lsp-margin":
         inst = gen_lsp_margin(
-            take("d", json_int), take("m", json_int), take("gamma", float), take("seed", json_int)
+            take("d", json_int),
+            take("m", json_int),
+            take("gamma", json_float),
+            take("seed", json_int),
         )
     elif problem == "lsp-hard":
         inst, _, _ = gen_lsp_hard(
             take("d", json_int),
             take("m", json_int),
-            take("cf", float),
-            take("c", float),
+            take("cf", json_float),
+            take("c", json_float),
             take("seed", json_int),
             max_attempts=take("max_attempts", json_int, DEFAULT_MAX_ATTEMPTS),
         )

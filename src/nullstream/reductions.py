@@ -4,7 +4,10 @@ solvers.
 Both wrappers are stateless combinators: all persistent memory belongs to the
 inner algorithm, so the wrapped algorithm runs under exactly the inner bit
 budget.  The equation-insertion position of the regression wrapper is a pure
-function of shared randomness, re-derived at every step instead of stored.
+function of shared randomness and the dimension: it is never stored in the
+state, only cached on the wrapper per (shared seed, d), which is the kind of
+cache the OnePassAlgorithm contract allows since it carries no sample
+information.
 """
 
 from __future__ import annotations
@@ -78,19 +81,24 @@ class AnvViaLr(OnePassAlgorithm):
 
     Every stream vector theta_k becomes the equation theta_k^T w = 0; the
     equation e1^T w = cf is inserted after position p, with p uniform in
-    {0, ..., d-1} derived from shared randomness (never stored).  The inner
-    index of theta_k is k for k <= p and k+1 afterwards; the pinned equation
-    sits at p+1.
+    {0, ..., d-1} derived from shared randomness.  p is never stored in the
+    state; it is derived once per (shared seed, d) and cached on the wrapper.
+    The inner index of theta_k is k for k <= p and k+1 afterwards; the pinned
+    equation sits at p+1.
     """
 
     def __init__(self, lr_alg: OnePassAlgorithm, cfg: ReductionConfig, seed: int = 0):
         self.inner = lr_alg
         self.cfg = cfg
         self.seed = int(seed)
+        self._positions = {}
 
     def _position(self, d: int, shared: SharedRandomness) -> int:
-        u = shared.generator("anv-via-lr", self.seed).random()
-        return min(int(u * d), d - 1)
+        key = (shared.seed, d)
+        if key not in self._positions:
+            u = shared.generator("anv-via-lr", self.seed).random()
+            self._positions[key] = min(int(u * d), d - 1)
+        return self._positions[key]
 
     def _pinned(self, d: int):
         e1 = np.zeros(d)

@@ -22,6 +22,7 @@ __all__ = [
     "instance_to_json",
     "instance_from_json",
     "json_int",
+    "json_float",
     "report_to_json",
     "report_to_csv",
     "csv_cell",
@@ -87,6 +88,21 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("expected an integer, got %r" % (value,))
     return value
+
+
+def json_float(value) -> float:
+    """Return `value` as a float if it is a finite JSON number (integer or
+    float); raise TypeError for booleans, strings and anything else, and
+    ValueError for infinities, NaN and integers past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number, got %r" % (value,))
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("%r is past the float range" % (value,)) from None
+    if not math.isfinite(number):
+        raise ValueError("expected a finite number, got %r" % (value,))
+    return number
 
 
 def _parse(text: str) -> dict:

@@ -332,8 +332,12 @@ class Layout:
                 int(ints.max()) >> width or ints.dtype.kind != "u" and ints.min() < 0
             ):
                 raise BudgetViolation("a value of field %s does not fit in %d bits" % (name, width))
-            bits = np.unpackbits(ints.astype(">u8").view(np.uint8)).reshape(-1, 64)
-            raw = np.packbits(bits[:, 64 - width :]).tobytes()
+            words = ints.astype(">u8").view(np.uint8).reshape(-1, 8)
+            if width % 8:
+                bits = np.unpackbits(words).reshape(-1, 64)
+                raw = np.packbits(bits[:, 64 - width :]).tobytes()
+            else:  # whole bytes: the low width/8 byte columns of each word
+                raw = words[:, 8 - width // 8 :].tobytes()
             count = ints.size
         lo = self._span(buf, name, start, count)
         _put(buf, lo, raw, count * width)
@@ -349,12 +353,15 @@ class Layout:
         if is_float:
             return np.frombuffer(raw, dtype="<f8").copy()
         # right-align each element in whole bytes, then in a big-endian u64
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count * width)
         nbytes = (width + 7) // 8
-        padded = np.zeros((count, 8 * nbytes), dtype=np.uint8)
-        padded[:, 8 * nbytes - width :] = bits.reshape(count, width)
+        columns = np.frombuffer(raw, dtype=np.uint8)
+        if width % 8:
+            bits = np.unpackbits(columns, count=count * width)
+            padded = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+            padded[:, 8 * nbytes - width :] = bits.reshape(count, width)
+            columns = np.packbits(padded)
         words = np.zeros((count, 8), dtype=np.uint8)
-        words[:, 8 - nbytes :] = np.packbits(padded).reshape(count, nbytes)
+        words[:, 8 - nbytes :] = columns.reshape(count, nbytes)
         return words.view(">u8").reshape(count).astype(np.uint64)
 
     def pack(self, state: BitState) -> BitState:

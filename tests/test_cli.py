@@ -357,6 +357,16 @@ def test_experiment_malformed_spec_exits_2(tmp_path, capsys):
     for change in ({"params": {"m": 30.0, "gamma": 0.25}}, {"trials": True}, {"seed": False}):
         bad.write_text(json.dumps({**SWEEP, **change}))
         assert run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))[0] == 2
+    # real parameters take finite JSON numbers only: no strings, booleans or infinities
+    for gamma in ("0.25", True, float("inf"), 10**400):
+        bad.write_text(json.dumps({**SWEEP, "params": {"m": 30, "gamma": gamma}}))
+        code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
+        assert code == 2 and "'gamma'" in err
+    for key in ("cf", "c"):
+        params = {"m": 30, "cf": 0.2, "c": 1.0, key: "0.5"}
+        bad.write_text(json.dumps({**SWEEP, "problem": "lsp-hard", "params": params}))
+        code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
+        assert code == 2 and "%r" % key in err
     assert not out.exists()
 
 

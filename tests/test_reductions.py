@@ -233,3 +233,32 @@ def test_lr_route_protocol_split_matches_one_pass():
         proto = one_pass_to_protocol(build(), split_index=split)
         tr = run_protocol(proto, vecs[:split], vecs[split:], budget, seed=13)
         assert np.array_equal(direct, tr.output)
+
+
+def _pinned_position(alg, vecs, seed):
+    """Where the wrapper inserted the pinned equation, seen by its spy."""
+    alg.inner.log.clear()
+    run_one_pass(alg, vecs, 64, seed=seed)
+    return next(k for k, (_, (_, t)) in enumerate(alg.inner.log) if t == C.cf)
+
+
+def test_lr_route_cached_position_follows_shared_seed():
+    # the position is cached on the wrapper; one object reused under two
+    # shared seeds must still insert where a fresh wrapper does under each
+    vecs = list(gen_anv_conditioned(10, C.cf, seed=6).vectors)
+    fresh = {s: _pinned_position(anv_via_lr(RecordingSink(), CFG), vecs, s) for s in (1, 3)}
+    assert fresh[1] != fresh[3]
+    reused = anv_via_lr(RecordingSink(), CFG)
+    for s in (1, 3, 1):
+        assert _pinned_position(reused, vecs, s) == fresh[s]
+
+
+def test_lr_route_protocol_split_matches_one_pass_at_every_index():
+    d = 8
+    vecs = list(gen_anv_conditioned(d, C.cf, seed=3).vectors)
+    budget = lstsq_budget_bits(d)
+    direct = run_one_pass(anv_via_lr(OfflineLstsqSolver(), CFG, seed=4), vecs, budget, seed=11)
+    for split in range(len(vecs) + 1):
+        proto = one_pass_to_protocol(anv_via_lr(OfflineLstsqSolver(), CFG, seed=4), split)
+        tr = run_protocol(proto, vecs[:split], vecs[split:], budget, seed=11)
+        assert tr.output.tobytes() == direct.tobytes()

@@ -345,6 +345,21 @@ def test_bit_writer_floats_roundtrip():
     assert np.array_equal(layout.read(buf, "vals", 1, 2), arr[1:3])
 
 
+@pytest.mark.parametrize("lead", [0, 3])
+@pytest.mark.parametrize("width", range(8, 65, 8))
+def test_whole_byte_fields_are_msb_first(width, lead):
+    # whole-byte widths bypass the bit re-alignment; pin their bytes, at an
+    # aligned and an unaligned offset, against the values' own bit strings
+    values = [2**width - 1, 1, 0x0123456789ABCDEF >> (64 - width)]
+    layout = Layout(pad=uint(1, lead), vals=uint(width, len(values)))
+    bits = "0" * lead + "".join(format(v, "0%db" % width) for v in values)
+    bits += "0" * (-len(bits) % 8)
+    buf = bytearray(len(bits) // 8)
+    layout.write(buf, "vals", values)
+    assert bytes(buf) == int(bits, 2).to_bytes(len(buf), "big")
+    assert [int(v) for v in layout.read(buf, "vals")] == values
+
+
 def test_layout_values_must_fit():
     layout = Layout(a=uint(3), b=uint(64, 2), c=f64(1))
     buf = bytearray((layout.nbits + 7) // 8)
