@@ -14,6 +14,9 @@ Conditioned instances demand the witness have a first coordinate of at least
 cf.  That event is realized by exact rejection sampling; given the kernel, the
 vectors are not uniform on the orthogonal subsphere (the conditional law
 carries a determinant weight), so direct construction would silently bias.
+The rejection stays exact: a sign-and-QR screen skips the SVD only for
+attempts whose rejection is already certain, and every accepted witness is
+the SVD's kernel_vector, so instances are the same bytes with or without it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+from scipy.linalg import lapack
 
 from .errors import (
     AcceptanceTooRare,
@@ -33,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    SIGN_SCAN_TOL,
     kernel_vector,
     sample_grassmannian,
     sample_uniform_sphere,
@@ -46,6 +51,8 @@ SPHERE_CONDITIONED = "sphere-conditioned"
 WITNESS_RESIDUAL_TOL = 1e-9
 UNIT_TOL = 1e-10
 DEFAULT_MAX_ATTEMPTS = 20000
+EPS = float(np.finfo(float).eps)
+SCREEN_SAFETY = 4.0
 
 
 def _finite(name: str, value) -> np.ndarray:
@@ -199,8 +206,86 @@ def first_coord_tail(d: int, cf: float) -> float:
     return num / den
 
 
+def _check_conditioning(d: int, cf: float) -> None:
+    if d < 2:
+        raise ValidationError("need d >= 2")
+    if not (0.0 < cf < 1.0):
+        raise ValidationError("cf must lie in (0, 1)")
+
+
+def _check_count(name: str, n: int) -> None:
+    if n < 1:
+        raise ValidationError("%s must be at least 1, got %d" % (name, n))
+
+
+def _rejection_certain(rows: np.ndarray, sign: float, cf: float) -> bool:
+    """True only when sign * kernel_vector(rows)[0] < cf is already certain.
+
+    It never computes the witness, so it can only reject; False means "run
+    kernel_vector and decide from its witness".  Two screens:
+
+    * Sign.  kernel_vector makes the first coordinate above SIGN_SCAN_TOL
+      positive, so with sign -1 the witness's first coordinate is at most
+      SIGN_SCAN_TOL, which is below any cf > SIGN_SCAN_TOL.
+    * QR.  Let A = rows ((d-1) x d), v its exact unit kernel vector, sigma
+      its (d-1)-th singular value, eps the machine epsilon and
+      gamma = d^2 eps |A|_F.  The last column q of a complete Householder QR
+      of A^T spans the kernel up to rounding, and
+        - for every unit x, sin angle(x, v) <= |A x| / sigma, and for unit
+          x, y, ||x[0]| - |y[0]|| <= sqrt(2) sin angle(x, y);
+        - the SVD's kernel vector u is exact for A plus a perturbation of
+          norm at most gamma, so |A u| <= gamma;
+        - the computed R is exact for A^T plus a perturbation of norm at most
+          gamma (Higham, Accuracy and Stability of Numerical Algorithms,
+          Thm 19.4), so sigma >= sigma_min(R) - gamma >= 1/|R^-1|_F - gamma.
+      Together, |u[0]| <= |q[0]| + sqrt(2) (|A q| + gamma) / (1/|R^-1|_F -
+      gamma).  The sign scan leaves the witness's first coordinate at most
+      |u[0]|, so |q[0]| plus that band below cf is a certain rejection.  The
+      band is widened by SCREEN_SAFETY for the rounding in q's norm and in
+      evaluating the band itself.  When gamma |R^-1|_F > 1/2 (or LAPACK
+      reports a singular R), the lower bound on sigma is not established
+      and the screen decides nothing.
+    """
+    if sign < 0:
+        return cf > SIGN_SCAN_TOL
+    n, d = rows.shape
+    qr, tau, _, info = lapack.dgeqrf(rows.T, lwork=32 * d)
+    if info:
+        return False
+    last = np.zeros((d, 1))
+    last[-1] = 1.0
+    q = lapack.dormqr("L", "N", qr, tau, last, lwork=1)[0][:, 0]
+    # the strictly lower part still holds the Householder vectors; counting
+    # them only enlarges the norm, which keeps the bound on sigma valid
+    r_inv, info = lapack.dtrtri(qr[:n])
+    if info:
+        return False
+    r_inv_norm = np.linalg.norm(r_inv)
+    gamma = d * d * EPS * np.linalg.norm(rows)
+    if not gamma * r_inv_norm <= 0.5:
+        return False
+    band = SCREEN_SAFETY * math.sqrt(2.0) * (np.linalg.norm(rows @ q) + gamma) / (
+        1.0 / r_inv_norm - gamma
+    )
+    return abs(q[0]) + band < cf
+
+
+def _accepted_witness(rows: np.ndarray, sign: float, cf: float):
+    """sign * kernel_vector(rows) when its first coordinate is at least cf,
+    else None (also when rows are rank deficient).  Only rejections that are
+    already certain skip the SVD, so every witness and decision is exactly
+    that of kernel_vector."""
+    if _rejection_certain(rows, sign, cf):
+        return None
+    try:
+        w = sign * kernel_vector(rows)
+    except RankDeficient:
+        return None
+    return w if w[0] >= cf else None
+
+
 def _conditioned_attempt(d: int, cf: float, rng: np.random.Generator):
-    """One rejection attempt: vectors, a sign-symmetrized kernel, accept flag.
+    """One rejection attempt: the vectors and the accepted witness, or None.
 
     The kernel direction of uniform vectors is uniform on the sphere once its
     sign is randomized, so the acceptance probability is exactly the one-sided
@@ -209,42 +294,42 @@ def _conditioned_attempt(d: int, cf: float, rng: np.random.Generator):
     g = rng.standard_normal((d - 1, d))
     thetas = g / np.linalg.norm(g, axis=1, keepdims=True)
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    try:
-        w = sign * kernel_vector(thetas)
-    except RankDeficient:
-        return thetas, None, False
-    return thetas, w, bool(w[0] >= cf)
+    return thetas, _accepted_witness(thetas, sign, cf)
 
 
-def gen_anv_conditioned(
-    d: int, cf: float, seed, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-) -> AnvInstance:
-    if d < 2:
-        raise ValidationError("need d >= 2")
-    if not (0.0 < cf < 1.0):
-        raise ValidationError("cf must lie in (0, 1)")
-    rng = _as_rng(seed)
-    for _ in range(max_attempts):
-        thetas, w, ok = _conditioned_attempt(d, cf, rng)
-        if ok:
-            return AnvInstance(
-                variant=SPHERE_CONDITIONED, d=d, vectors=thetas, witness=w, cf=cf
-            )
+def _too_rare(d: int, cf: float, max_attempts: int) -> AcceptanceTooRare:
     tail = first_coord_tail(d, cf)
-    raise AcceptanceTooRare(
+    return AcceptanceTooRare(
         "no acceptance in %d attempts; exact tail estimate %.3e at d=%d cf=%g"
         % (max_attempts, tail, d, cf),
         tail_estimate=tail,
     )
 
 
+def gen_anv_conditioned(
+    d: int, cf: float, seed, max_attempts: int = DEFAULT_MAX_ATTEMPTS
+) -> AnvInstance:
+    _check_conditioning(d, cf)
+    _check_count("max_attempts", max_attempts)
+    rng = _as_rng(seed)
+    for _ in range(max_attempts):
+        thetas, w = _conditioned_attempt(d, cf, rng)
+        if w is not None:
+            return AnvInstance(
+                variant=SPHERE_CONDITIONED, d=d, vectors=thetas, witness=w, cf=cf
+            )
+    raise _too_rare(d, cf, max_attempts)
+
+
 def conditioned_acceptance_stats(d: int, cf: float, attempts: int, seed) -> tuple[int, int]:
     """(accepted, attempts) over a fixed number of rejection attempts."""
+    _check_conditioning(d, cf)
+    _check_count("attempts", attempts)
     rng = _as_rng(seed)
     accepted = 0
     for _ in range(attempts):
-        _, _, ok = _conditioned_attempt(d, cf, rng)
-        accepted += int(ok)
+        _, w = _conditioned_attempt(d, cf, rng)
+        accepted += w is not None
     return accepted, attempts
 
 
@@ -332,19 +417,16 @@ def gen_lsp_hard(
         raise ValidationError("need even d >= 4")
     if m < d:
         raise ValidationError("need m >= d")
-    if not (0.0 < cf < 1.0):
-        raise ValidationError("cf must lie in (0, 1)")
+    _check_conditioning(d, cf)
+    _check_count("max_attempts", max_attempts)
     rng = _as_rng(seed)
     for _ in range(max_attempts):
         v = sample_grassmannian(d // 2, d, rng)
         u = sample_grassmannian(d // 2 - 1, d, rng)
         stacked = np.vstack([v.basis, u.basis])
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        try:
-            w = sign * kernel_vector(stacked)
-        except RankDeficient:
-            continue
-        if w[0] < cf:
+        w = _accepted_witness(stacked, sign, cf)
+        if w is None:
             continue
         draws = [sample_dv(v, c, rng) for _ in range(m)] + [
             sample_dv(u, c, rng) for _ in range(m)
@@ -353,12 +435,7 @@ def gen_lsp_hard(
         ys = np.array([y for _, y in draws])
         margin = float(np.min((xs @ w) * ys / np.linalg.norm(xs, axis=1)))
         return LspDataset(xs=xs, ys=ys, witness=w, margin=margin), v, u
-    tail = first_coord_tail(d, cf)
-    raise AcceptanceTooRare(
-        "no acceptance in %d attempts; exact tail estimate %.3e at d=%d cf=%g"
-        % (max_attempts, tail, d, cf),
-        tail_estimate=tail,
-    )
+    raise _too_rare(d, cf, max_attempts)
 
 
 def gen_lr_from_anv(inst: AnvInstance, seed) -> LrInstance:

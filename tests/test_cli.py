@@ -69,6 +69,18 @@ def test_gen_rare_acceptance_exits_3(tmp_path, capsys):
     assert "tail" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("anv-conditioned", "--d", "16", "--max-attempts", "0"),
+    ("lsp-hard", "--d", "16", "--m", "20", "--max-attempts", "-1"),
+])
+def test_gen_nonpositive_max_attempts_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    code, _, stderr = run_cli(capsys, "gen", *argv, "--seed", "0", "--out", str(out))
+    assert code == 2
+    assert "max_attempts must be at least 1" in stderr
+    assert not out.exists()
+
+
 def test_gen_invalid_parameters_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,

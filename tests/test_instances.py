@@ -115,6 +115,76 @@ def test_gen_anv_conditioned_too_rare():
     assert info.value.tail_estimate < 1e-20
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gen_anv_conditioned(16, 0.2, seed=0, max_attempts=0),
+    lambda: gen_anv_conditioned(16, 0.2, seed=0, max_attempts=-1),
+    lambda: gen_lsp_hard(16, 20, 0.2, 0.2, seed=0, max_attempts=0),
+    lambda: conditioned_acceptance_stats(1, 0.2, 5, seed=0),
+    lambda: conditioned_acceptance_stats(8, 1.5, 5, seed=0),
+    lambda: conditioned_acceptance_stats(8, -0.5, 5, seed=0),
+    lambda: conditioned_acceptance_stats(8, 0.0, 5, seed=0),
+    lambda: conditioned_acceptance_stats(8, float("nan"), 5, seed=0),
+    lambda: conditioned_acceptance_stats(8, 0.2, 0, seed=0),
+    lambda: conditioned_acceptance_stats(8, 0.2, -3, seed=0),
+])
+def test_conditioned_sampler_rejects_invalid_parameters(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def _seeded_attempt_rows(d, seed):
+    """The vectors and sign that _conditioned_attempt draws from this seed."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d - 1, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True), 1.0 if rng.random() < 0.5 else -1.0
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_rejection_screen_falls_through_at_the_threshold(d):
+    # cf set to the SVD's own witness coordinate: the screen must leave the
+    # decision to kernel_vector, which accepts; one ulp higher rejects
+    checked = 0
+    for s in range(60):
+        thetas, sign = _seeded_attempt_rows(d, s)
+        if sign < 0:
+            continue
+        w = linalg.kernel_vector(thetas)
+        assert not instances._rejection_certain(thetas, 1.0, w[0])
+        rows, accepted = instances._conditioned_attempt(d, w[0], np.random.default_rng(s))
+        assert rows.tobytes() == thetas.tobytes()
+        assert accepted is not None and accepted.tobytes() == w.tobytes()
+        above = np.nextafter(w[0], 1.0)
+        assert instances._conditioned_attempt(d, above, np.random.default_rng(s))[1] is None
+        checked += 1
+    assert checked >= 20
+
+
+def test_rejection_screen_at_the_threshold_for_stacked_bases():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        stacked = np.vstack([linalg.sample_grassmannian(8, 16, rng).basis,
+                             linalg.sample_grassmannian(7, 16, rng).basis])
+        w = linalg.kernel_vector(stacked)
+        assert instances._accepted_witness(stacked, 1.0, w[0]).tobytes() == w.tobytes()
+        assert instances._accepted_witness(stacked, 1.0, np.nextafter(w[0], 1.0)) is None
+
+
+def test_negative_sign_screen_stays_off_at_or_below_sign_scan_tol():
+    # a kernel whose first coordinate (-5e-13) is below the sign scan's
+    # tolerance keeps its negative first coordinate, so sign -1 accepts a
+    # cf under that tolerance; above the tolerance sign -1 always rejects
+    d = 8
+    v = np.zeros(d)
+    v[0], v[1], v[2] = -5e-13, 0.6, 0.8
+    q, _ = scipy.linalg.qr(v[:, None], mode="full")
+    rows = q[:, 1:].T
+    assert -linalg.kernel_vector(rows)[0] >= 1e-13
+    tol = linalg.SIGN_SCAN_TOL
+    assert not instances._rejection_certain(rows, -1.0, tol)
+    assert instances._accepted_witness(rows, -1.0, 1e-13) is not None
+    assert instances._rejection_certain(rows, -1.0, np.nextafter(tol, 1.0))
+
+
 def test_anv_loss_witness_is_null():
     for inst in (gen_anv_gaussian(30, seed=1), gen_anv_conditioned(30, 0.2, seed=1)):
         assert anv_loss(inst, inst.witness) < 1e-18
