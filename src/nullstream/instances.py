@@ -242,13 +242,14 @@ def _rejection_certain(rows: np.ndarray, sign: float, cf: float) -> bool:
       gamma).  The sign scan leaves the witness's first coordinate at most
       |u[0]|, so |q[0]| plus that band below cf is a certain rejection.  The
       band is widened by SCREEN_SAFETY for the rounding in q's norm and in
-      evaluating the band itself.  When gamma |R^-1|_F > 1/2 (or LAPACK
-      reports a singular R), the lower bound on sigma is not established
-      and the screen decides nothing.
+      evaluating the band itself.  Unless gamma |R^-1|_F <= 1/2 (it fails
+      for a singular or non-finite R too), the lower bound on sigma is not
+      established and the screen decides nothing.
     """
     if sign < 0:
         return cf > SIGN_SCAN_TOL
     n, d = rows.shape
+    # a workspace of 32 columns lets LAPACK take its blocked path
     qr, tau, _, info = lapack.dgeqrf(rows.T, lwork=32 * d)
     if info:
         return False

@@ -1,0 +1,92 @@
+"""Alternate benchmark runs of two checkouts and write both sets of runs.
+
+usage:
+  python3 tools/bench_pairs.py --base PARENT_DIR --head CHANGE_DIR \
+      --workloads reduce-d64,sweep-proj,certify --seeds 1-10 --out BENCH_N.json
+
+For every workload and seed it runs `perfbench/run.py` of the base and the
+head checkout back to back, one at a time, so both see the same slow and
+quiet spells of the host; which side goes first alternates from seed to
+seed.  Each side is stored in the `perfbench/sweep.py --out` format
+(seconds, trace, seeds, and per workload a summary of every end-to-end
+metric plus each run's result and record line); `pairs` counts, per metric,
+the seeds on which head beat base, ties counting for neither.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+from sweep import parse_seeds, summarize  # noqa: E402
+
+
+def run_once(root, workload, seed, seconds):
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, timeout=900)
+    lines = proc.stdout.decode().strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError("%s: %s seed %d exited %d" % (root, workload, seed, proc.returncode))
+    record = next((json.loads(line[len("record "):]) for line in lines
+                   if line.startswith("record ")), None)
+    return {"seed": seed, "result": json.loads(lines[-1]), "record": record}
+
+
+def side(runs, seconds, seeds):
+    doc = {"seconds": seconds, "trace": 0, "seeds": seeds, "workloads": {}}
+    for workload, rs in runs.items():
+        names = list(rs[0]["result"]["metrics"])
+        summary = {n: summarize([r["result"]["metrics"][n]["value"] for r in rs]) for n in names}
+        doc["workloads"][workload] = {"summary": summary, "runs": rs}
+    return doc
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True)
+    parser.add_argument("--head", required=True)
+    parser.add_argument("--workloads", required=True)
+    parser.add_argument("--seeds", default="1-10")
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+
+    with open(os.path.join(args.head, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    runs = {"base": {}, "head": {}}
+    pairs = {}
+    for workload in args.workloads.split(","):
+        wins = {}
+        for i, seed in enumerate(seeds):
+            pair = {}
+            order = (("base", args.base), ("head", args.head))
+            for name, root in order[::-1] if i % 2 else order:
+                pair[name] = run_once(os.path.abspath(root), workload, seed, args.seconds)
+                runs[name].setdefault(workload, []).append(pair[name])
+            values = {k: {m: v["value"] for m, v in r["result"]["metrics"].items()}
+                      for k, r in pair.items()}
+            for metric, b in values["base"].items():
+                h = values["head"][metric]
+                won = h > b if better[metric] == "higher" else h < b
+                wins[metric] = wins.get(metric, 0) + int(won)
+            print("%s seed %d ops_per_s base %.3f head %.3f" % (
+                workload, seed, values["base"]["ops_per_s"], values["head"]["ops_per_s"]),
+                flush=True)
+        pairs[workload] = {m: "%d of %d" % (w, len(seeds)) for m, w in wins.items()}
+    doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
+           "pairs": pairs,
+           "base": side(runs["base"], args.seconds, seeds),
+           "head": side(runs["head"], args.seconds, seeds)}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
