@@ -1,0 +1,70 @@
+"""Golden bytes of the certificates at their default thresholds and of the
+two separator algorithms.
+
+`nullstream verify` prints a report whose statistics carry every threshold
+it was judged against (c_emp, the sandwich bounds, the spectral envelope
+fractions, the KS and std caps), so the stdout digest of each lemma pins
+those values along with the verdict; at d = 16 and 2000 samples the marginal
+test misses its KS cap, so that case pins a FAIL.  The separator outputs pin the
+quantization range and pass limits through the separator each run returns.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from nullstream.algorithms import build_algorithm, proj_state_bits, separator_budget_bits
+from nullstream.cli import main
+from nullstream.config import DEFAULTS
+from nullstream.instances import gen_lsp_margin
+from nullstream.streaming import run_one_pass
+
+# argv after "verify" -> (exit code, sha256 of stdout)
+VERIFY_CASES = {
+    ("no-joint-sol", "--d", "16", "--trials", "6", "--seed", "3"):
+        (0, "c1fb2ab3301bd5fa056b79e169516328f9146b0e15626c96b4f01327ac83b53c"),
+    ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"):
+        (0, "348d4ad60ee2e5f82fd8fdbe678289d80089487294d4c474fb3155f06925afa4"),
+    ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
+        (0, "6ee205b43c22048c598574930264b275c02dc67653b858b0d630ce063338eece"),
+    ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
+        (1, "4a25f3db555dfe12153037155f4ea77804c7d68e39e85bff59261d80af9616c8"),
+    ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
+        (0, "7b7d81e5635cac8e7264fdb5c04096c286ccc203f5d985366e401c85b8772813"),
+    ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
+        (0, "9e79b13e7402337c30ae9b3316a0aa3d5d998364b2b58a9bfd31d6bd5cc7dc91"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_CASES), ids=lambda a: a[0])
+def test_verify_stdout_at_default_thresholds(argv, capsys):
+    code = main(["verify", *argv])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == VERIFY_CASES[argv]
+
+
+D, M, GAMMA = 16, 40, 0.25
+SEP = DEFAULTS.separator
+
+BUDGETS = {
+    "offline-separator": separator_budget_bits(D, M),
+    "proj-separator": proj_state_bits(min(SEP.dprime, D), SEP.subsample, SEP.quant_bits),
+}
+
+# (algorithm, seed) -> sha256 of the output vector's float64 bytes
+SEPARATOR_CASES = {
+    ("offline-separator", 1): "a70d5ab6c5a5171f9363746c43b4b9156b6267f4807d729c2b38303b8f1eeabb",
+    ("offline-separator", 2): "36d6ad4bf41a81da6a5e297264da7925c043ca83140811ba1a1541b7c925cbfe",
+    ("proj-separator", 1): "629ac9318074e7f55aef28401ed3769e93584ee0a17967cf90f976f02e056b37",
+    ("proj-separator", 2): "0a61a28143e5ea20a17da29846d9da5b4dc003207f962215d49c1ea5abdb6134",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATOR_CASES), ids=str)
+def test_separator_output_bytes(case):
+    name, seed = case
+    ds = gen_lsp_margin(D, M, GAMMA, seed)
+    w = run_one_pass(build_algorithm(name, D, seed), ds.points(), BUDGETS[name], seed)
+    digest = hashlib.sha256(np.ascontiguousarray(w, dtype=float).tobytes()).hexdigest()
+    assert digest == SEPARATOR_CASES[case]
