@@ -16,7 +16,7 @@ from .algorithms import (
     proj_state_bits,
     separator_budget_bits,
 )
-from .config import DEFAULTS, Constants, RunConfig, SeparatorDefaults, VerifyDefaults
+from .config import DEFAULTS, Constants, RunConfig, SeparatorDefaults
 from .errors import (
     AcceptanceTooRare,
     BudgetViolation,

@@ -223,8 +223,7 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
     rows=f64(count * (d + 1))), each point's coordinates followed by its label.
     """
 
-    def __init__(self, max_passes: int = 10**5):
-        self.max_passes = max_passes
+    max_passes = 10**5
 
     @staticmethod
     def layout(count: int, d: int) -> Layout:
@@ -283,13 +282,15 @@ class ProjectionSeparator(OnePassAlgorithm):
     clipped to +-quant_range.
     """
 
+    # the clip applied before quantizing, and finalize's perceptron pass limit
+    quant_range = 4.0
+    max_passes = 500
+
     def __init__(
         self,
         dprime: int,
         subsample_size: int,
         quant_bits: int = 16,
-        quant_range: float = 4.0,
-        max_passes: int = 500,
         seed: int = 0,
         projection: Subspace | None = None,
     ):
@@ -297,13 +298,9 @@ class ProjectionSeparator(OnePassAlgorithm):
             raise ValidationError("dprime and subsample_size must be positive")
         if quant_bits and not (1 <= quant_bits <= 32):
             raise ValidationError("quant_bits must be 0 (off) or 1..32")
-        if quant_range <= 0:
-            raise ValidationError("quant_range must be positive")
         self.dprime = int(dprime)
         self.subsample = int(subsample_size)
         self.quant_bits = int(quant_bits)
-        self.quant_range = float(quant_range)
-        self.max_passes = int(max_passes)
         self.seed = int(seed)
         self._layout = self.layout(self.dprime, self.subsample, self.quant_bits)
         self._fixed_projection = projection
@@ -399,8 +396,6 @@ def build_algorithm(name: str, d: int, seed: int) -> OnePassAlgorithm:
             dprime=min(sep.dprime, d),
             subsample_size=sep.subsample,
             quant_bits=sep.quant_bits,
-            quant_range=sep.quant_range,
-            max_passes=sep.max_passes,
             seed=seed,
         ),
     }

@@ -57,6 +57,7 @@ from .serialize import (
 )
 from .streaming import SharedRandomness, run_one_pass_stats, shuffle
 from .verification import (
+    JOINT_C_EMP,
     certify_no_joint_sol,
     certify_sandwich,
     comorth_check,
@@ -599,12 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify_sub.add_parser("no-joint-sol", help="joint eigenvalue certificate")
     verify_common(p, _verify_no_joint_sol, 50)
-    p.add_argument("--delta", type=float, default=DEFAULTS.verify.joint_delta)
-    p.add_argument("--c-emp", dest="c_emp", type=float, default=DEFAULTS.verify.joint_c_emp)
+    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--c-emp", dest="c_emp", type=float, default=JOINT_C_EMP)
 
     p = verify_sub.add_parser("sandwich", help="projector pencil sandwich bounds")
     verify_common(p, _verify_sandwich, 100)
-    p.add_argument("--t", type=float, default=DEFAULTS.verify.sandwich_t)
+    p.add_argument("--t", type=float, default=0.2)
 
     p = verify_sub.add_parser("singular", help="gaussian singular value bounds")
     verify_common(p, _verify_singular, 1000)

@@ -1,13 +1,16 @@
 """Run-wide constants.
 
-Every tunable the generators, reductions and certificates rely on lives in one
-record so experiments can override them coherently.  The defaults below are the
-calibrated values used by the acceptance suite:
+The calibrated values the generators, reductions and acceptance suite share
+live in one frozen record, DEFAULTS:
 
   c1  target loss bound certified by the reductions (0.09)
   c4  pair offset scale for labeled-pair instances, c4 = sqrt(c1) (0.3)
   cf  conditioning floor on the witness first coordinate (0.2)
   c   separation constant for the hard two-subspace family (0.2)
+
+plus the shape (dprime, subsample, quant_bits) of the registered projection
+separator.  The certificate
+thresholds are constants of nullstream.verification.
 """
 
 from __future__ import annotations
@@ -39,34 +42,12 @@ class SeparatorDefaults:
     dprime: int = 600
     subsample: int = 600
     quant_bits: int = 16
-    quant_range: float = 4.0
-    max_passes: int = 500
-
-
-@dataclass(frozen=True)
-class VerifyDefaults:
-    """Calibrated thresholds used by the certificate suite."""
-
-    # no-joint-solution certificate
-    joint_delta: float = 0.5
-    joint_c_emp: float = 0.05
-    # quadratic-form sandwich certificate
-    sandwich_t: float = 0.2
-    # spectral experiments
-    sigma_envelope_lo: float = 0.3
-    sigma_envelope_hi: float = 3.0
-    # sphere concentration
-    std_cap: float = 3.0
-    # sphere marginal distances
-    ks_normal_max: float = 0.03
-    ks_exact_max: float = 0.01
 
 
 @dataclass(frozen=True)
 class RunConfig:
     constants: Constants = field(default_factory=Constants)
     separator: SeparatorDefaults = field(default_factory=SeparatorDefaults)
-    verify: VerifyDefaults = field(default_factory=VerifyDefaults)
 
 
 DEFAULTS = RunConfig()

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from .config import DEFAULTS
 from .errors import ValidationError
 from .instances import first_coord_tail
 from .linalg import (
@@ -32,6 +31,14 @@ from .linalg import (
 )
 
 COMORTH_TOL = 1e-8
+# calibrated thresholds: the joint certificate's projection floor, the band
+# the spectral quantile ratios are counted in, the concentration std cap in
+# units of 1/sqrt(d), and the sphere marginal's KS caps
+JOINT_C_EMP = 0.05
+SIGMA_ENVELOPE = (0.3, 3.0)
+STD_CAP = 3.0
+KS_NORMAL_MAX = 0.03
+KS_EXACT_MAX = 0.01
 PASS_CONSISTENCY_TOL = 1e-12
 CDF_GRID_POINTS = 200_001
 
@@ -76,7 +83,7 @@ def certify_no_joint_sol(
     delta_threshold: float,
     trials: int,
     seed: int,
-    c_emp: float = DEFAULTS.verify.joint_c_emp,
+    c_emp: float = JOINT_C_EMP,
 ) -> LemmaReport:
     """Certify that far-apart subspace triples leave no small-projection unit
     vector: lambda_min(P_V1 + P_V2 + P_U) >= 3 c_emp^2 forces the largest of
@@ -150,10 +157,11 @@ def joint_sol_lambda_min(subspaces) -> float:
 # quadratic-form sandwich certificate
 
 
-def sandwich_bounds(t: float, kmax: float = 0.5) -> tuple[float, float]:
-    s = (1.0 + t) * math.sqrt(kmax)
+def sandwich_bounds(t: float) -> tuple[float, float]:
+    """Bounds on the pencil ratio when each half has at most d/2 rows."""
+    s = (1.0 + t) * math.sqrt(0.5)
     if s >= 1.0:
-        raise ValidationError("(1+t) sqrt(kmax) must be < 1 for a finite upper bound")
+        raise ValidationError("(1+t) sqrt(1/2) must be < 1 for a finite upper bound")
     return (1.0 + s) ** -2, (1.0 - s) ** -2
 
 
@@ -182,9 +190,7 @@ def certify_sandwich(d: int, t: float, trials: int, seed: int) -> LemmaReport:
     Gram form of a Gaussian matrix with independent N(0, 1/d) entries."""
     if d % 2 or d < 8:
         raise ValidationError("need even d >= 8")
-    k1 = 0.5
-    k2 = 0.5 - 1.0 / d
-    lower, upper = sandwich_bounds(t, max(k1, k2))
+    lower, upper = sandwich_bounds(t)
     rows = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -220,17 +226,7 @@ def certify_sandwich(d: int, t: float, trials: int, seed: int) -> LemmaReport:
 # singular-value concentration
 
 
-def singular_value_experiment(
-    N: int,
-    d: int,
-    t: float,
-    trials: int,
-    seed: int,
-    envelope: tuple[float, float] = (
-        DEFAULTS.verify.sigma_envelope_lo,
-        DEFAULTS.verify.sigma_envelope_hi,
-    ),
-) -> LemmaReport:
+def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) -> LemmaReport:
     """Frequency of the sqrt(N) +- sqrt(d) +- t singular-value sandwich for
     standard Gaussian matrices, plus mid-spectrum quantile ratios."""
     if N < d:
@@ -262,7 +258,7 @@ def singular_value_experiment(
         "prob_bound": prob_bound,
         "sigma_binomial": sigma_bin,
     }
-    e_lo, e_hi = envelope
+    e_lo, e_hi = SIGMA_ENVELOPE
     for tau in taus:
         key = "ratio_%d" % int(100 * tau)
         vals = np.array([r[key] for r in rows])
@@ -300,14 +296,7 @@ def _ks_statistic(sample: np.ndarray, cdf_at: np.ndarray) -> float:
     return float(np.maximum(np.abs(cdf_at - i / n), np.abs(cdf_at - (i - 1) / n)).max())
 
 
-def sphere_marginal_tests(
-    d: int,
-    samples: int,
-    c_f: float,
-    seed: int,
-    ks_normal_max: float = DEFAULTS.verify.ks_normal_max,
-    ks_exact_max: float = DEFAULTS.verify.ks_exact_max,
-) -> LemmaReport:
+def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaReport:
     """Empirical law of the first sphere coordinate against two references:
     the exact integrated marginal and the N(0,1) limit of sqrt(d) times it."""
     if d < 4:
@@ -322,12 +311,12 @@ def sphere_marginal_tests(
     exact_tail = first_coord_tail(d, c_f)
     emp_tail = float(np.mean(coords >= c_f))
     alpha = -math.log(exact_tail) / d if exact_tail > 0 else float("inf")
-    passed = ks_exact <= ks_exact_max and ks_normal <= ks_normal_max
+    passed = ks_exact <= KS_EXACT_MAX and ks_normal <= KS_NORMAL_MAX
     stats = {
         "ks_exact": ks_exact,
         "ks_normal": ks_normal,
-        "ks_exact_max": float(ks_exact_max),
-        "ks_normal_max": float(ks_normal_max),
+        "ks_exact_max": KS_EXACT_MAX,
+        "ks_normal_max": KS_NORMAL_MAX,
         "emp_tail": emp_tail,
         "exact_tail": exact_tail,
         "alpha": alpha,
@@ -344,12 +333,7 @@ def sphere_marginal_tests(
     )
 
 
-def sphere_concentration_test(
-    d: int,
-    trials: int,
-    seed: int,
-    std_cap: float = DEFAULTS.verify.std_cap,
-) -> LemmaReport:
+def sphere_concentration_test(d: int, trials: int, seed: int) -> LemmaReport:
     """Concentration of the 1-Lipschitz function y -> ||proj of y onto a fixed
     half-dimensional subspace||: its std over uniform y shrinks like 1/sqrt(d)."""
     if d % 2 or d < 4:
@@ -361,12 +345,12 @@ def sphere_concentration_test(
     f = np.linalg.norm(ys @ u2.basis.T, axis=1)
     std = float(np.std(f))
     mean = float(np.mean(f))
-    passed = std <= std_cap / math.sqrt(d)
+    passed = std <= STD_CAP / math.sqrt(d)
     stats = {
         "std": std,
         "mean": mean,
-        "std_cap": float(std_cap),
-        "cap_value": std_cap / math.sqrt(d),
+        "std_cap": STD_CAP,
+        "cap_value": STD_CAP / math.sqrt(d),
         "mean_reference": math.sqrt(0.5),
     }
     return LemmaReport(

@@ -92,14 +92,14 @@ def test_no_joint_sol_reports_probe_statistics():
 
 
 def test_sandwich_bounds_match_reference_values():
-    lower, upper = sandwich_bounds(0.2, 0.5)
+    lower, upper = sandwich_bounds(0.2)
     assert_allclose(lower, 0.2926, atol=5e-4)
     assert_allclose(upper, 43.56, atol=0.03)
 
 
 def test_sandwich_bounds_reject_large_t():
     with pytest.raises(ValidationError):
-        sandwich_bounds(0.5, 0.5)
+        sandwich_bounds(0.5)
 
 
 def test_sandwich_at_calibrated_point():
