@@ -439,6 +439,11 @@ def _load_spec(path: str) -> dict:
         raise ValidationError("trials must be a positive integer")
     if spec["order"] not in ORDERS:
         raise ValidationError("order must be fixed or shuffled")
+    if "seed" in spec["params"] or "seed" in spec["grid"]:
+        raise ValidationError(
+            "seed is derived per row from the spec's top-level seed; "
+            "it cannot be a parameter or grid key"
+        )
     overlap = set(spec["params"]) & set(spec["grid"])
     if overlap:
         raise ValidationError(

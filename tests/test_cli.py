@@ -264,6 +264,26 @@ def test_verify_invalid_dimension_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("no-joint-sol", "--d", "16", "--trials", "0"),
+        ("sandwich", "--d", "16", "--trials", "0"),
+        ("singular", "--d", "16", "--trials", "0"),
+        ("marginal", "--d", "16", "--samples", "0"),
+        ("marginal", "--d", "16", "--samples", "-1"),
+        ("concentration", "--d", "16", "--trials", "0"),
+        ("comorth", "--d", "16", "--trials", "-2"),
+    ],
+    ids=lambda a: "%s%s" % (a[0], a[-1]),
+)
+def test_verify_without_trials_or_samples_exits_2(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "must be at least 1" in stderr
+
+
 SWEEP = {
     "problem": "lsp-margin",
     "params": {"m": 30, "gamma": 0.25},
@@ -374,6 +394,12 @@ def test_experiment_malformed_spec_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps({**SWEEP, "params": {"m": 30, "gamma": gamma}}))
         code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
         assert code == 2 and "'gamma'" in err
+    # each row's seed is derived from the top-level seed, never taken from a cell
+    for change in ({"params": {**SWEEP["params"], "seed": 5}},
+                   {"grid": {**SWEEP["grid"], "seed": [1, 2]}}):
+        bad.write_text(json.dumps({**SWEEP, **change}))
+        code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
+        assert code == 2 and "seed" in err
     for key in ("cf", "c"):
         params = {"m": 30, "cf": 0.2, "c": 1.0, key: "0.5"}
         bad.write_text(json.dumps({**SWEEP, "problem": "lsp-hard", "params": params}))
