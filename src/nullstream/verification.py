@@ -70,6 +70,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(trial)))
 
 
+def _need_some(name: str, count: int):
+    # a certificate over no trials or samples has nothing to report
+    if count < 1:
+        raise ValidationError("%s must be at least 1" % name)
+
+
 def _fraction(rows) -> float:
     return sum(1.0 for r in rows if r["passed"]) / len(rows) if rows else 0.0
 
@@ -96,6 +102,7 @@ def certify_no_joint_sol(
     """
     if d % 2 or d < 8:
         raise ValidationError("need even d >= 8")
+    _need_some("trials", trials)
     rows = []
     threshold = 3.0 * c_emp * c_emp
     probe_dim = max(1, d // 16)
@@ -190,6 +197,7 @@ def certify_sandwich(d: int, t: float, trials: int, seed: int) -> LemmaReport:
     Gram form of a Gaussian matrix with independent N(0, 1/d) entries."""
     if d % 2 or d < 8:
         raise ValidationError("need even d >= 8")
+    _need_some("trials", trials)
     lower, upper = sandwich_bounds(t)
     rows = []
     for trial in range(trials):
@@ -208,8 +216,8 @@ def certify_sandwich(d: int, t: float, trials: int, seed: int) -> LemmaReport:
         "lower": lower,
         "upper": upper,
         "t": float(t),
-        "min_rho": min(r["rho_min"] for r in rows) if rows else float("nan"),
-        "max_rho": max(r["rho_max"] for r in rows) if rows else float("nan"),
+        "min_rho": min(r["rho_min"] for r in rows),
+        "max_rho": max(r["rho_max"] for r in rows),
     }
     return LemmaReport(
         lemma_id="sandwich",
@@ -231,6 +239,7 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
     standard Gaussian matrices, plus mid-spectrum quantile ratios."""
     if N < d:
         raise ValidationError("need N >= d")
+    _need_some("trials", trials)
     lo = math.sqrt(N) - math.sqrt(d) - t
     hi = math.sqrt(N) + math.sqrt(d) + t
     taus = (0.5, 0.75, 0.9)
@@ -249,7 +258,7 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
             row["ratio_%d" % int(100 * tau)] = float(s[idx] / ((1 - tau) * math.sqrt(d)))
         rows.append(row)
     prob_bound = 2.0 * math.exp(-t * t / 2.0)
-    sigma_bin = math.sqrt(prob_bound * (1 - prob_bound) / trials) if trials else 0.0
+    sigma_bin = math.sqrt(prob_bound * (1 - prob_bound) / trials)
     stats = {
         "lower": lo,
         "upper": hi,
@@ -301,6 +310,7 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
     the exact integrated marginal and the N(0,1) limit of sqrt(d) times it."""
     if d < 4:
         raise ValidationError("need d >= 4")
+    _need_some("samples", samples)
     rng = np.random.default_rng((int(seed), 0))
     g = rng.standard_normal((samples, d))
     coords = g[:, 0] / np.linalg.norm(g, axis=1)
@@ -338,6 +348,7 @@ def sphere_concentration_test(d: int, trials: int, seed: int) -> LemmaReport:
     half-dimensional subspace||: its std over uniform y shrinks like 1/sqrt(d)."""
     if d % 2 or d < 4:
         raise ValidationError("need even d >= 4")
+    _need_some("trials", trials)
     u2 = sample_grassmannian(d // 2, d, np.random.default_rng((int(seed), 0)))
     rng = np.random.default_rng((int(seed), 1))
     g = rng.standard_normal((trials, d))
@@ -414,6 +425,7 @@ def comorth_check(d: int, trials: int, seed: int) -> LemmaReport:
     """Chordal distance is invariant under taking orthogonal complements."""
     if d < 3:
         raise ValidationError("need d >= 3")
+    _need_some("trials", trials)
     rows = []
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -423,7 +435,7 @@ def comorth_check(d: int, trials: int, seed: int) -> LemmaReport:
         dev = abs(chordal_distance(u, v) - chordal_distance(complement(u), complement(v)))
         rows.append({"trial": trial, "deviation": dev, "passed": bool(dev <= COMORTH_TOL)})
     stats = {
-        "max_deviation": max(r["deviation"] for r in rows) if rows else 0.0,
+        "max_deviation": max(r["deviation"] for r in rows),
         "tolerance": COMORTH_TOL,
     }
     return LemmaReport(
