@@ -7,6 +7,7 @@ uses LF newlines and the same float format.
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -105,6 +106,24 @@ def json_float(value) -> float:
     return number
 
 
+def _numbers(doc: dict, key: str, depth: int) -> np.ndarray:
+    """doc[key] as a float array if it nests JSON numbers `depth` lists deep;
+    raise TypeError for strings, booleans or nulls among them (which a float
+    cast would take), and ValueError for integers past the float range."""
+    leaves = doc[key]
+    for _ in range(depth - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    others = set(map(type, leaves)) - {int, float}
+    if others:
+        raise TypeError(
+            "%s holds %s, not numbers" % (key, ", ".join(sorted(t.__name__ for t in others)))
+        )
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except OverflowError:
+        raise ValueError("%s holds an integer past the float range" % key) from None
+
+
 def _parse(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -157,26 +176,26 @@ def instance_from_json(text: str):
         kind = doc["type"]
         seed = json_int(doc["seed"])
         params = doc["params"]
-        witness = np.asarray(doc["witness"], dtype=float)
+        witness = _numbers(doc, "witness", 1)
         if kind == "anv":
             inst = AnvInstance(
                 variant=params["variant"],
                 d=json_int(doc["d"]),
-                vectors=np.asarray(doc["vectors"], dtype=float),
+                vectors=_numbers(doc, "vectors", 2),
                 witness=witness,
-                cf=None if params["cf"] is None else float(params["cf"]),
+                cf=None if params["cf"] is None else json_float(params["cf"]),
             )
         elif kind == "lsp":
             inst = LspDataset(
-                xs=np.asarray(doc["points"], dtype=float),
-                ys=np.asarray(doc["labels"], dtype=float),
+                xs=_numbers(doc, "points", 2),
+                ys=_numbers(doc, "labels", 1),
                 witness=witness,
-                margin=float(params["margin"]),
+                margin=json_float(params["margin"]),
             )
         elif kind == "lr":
             inst = LrInstance(
-                a=np.asarray(doc["vectors"], dtype=float),
-                b=np.asarray(doc["targets"], dtype=float),
+                a=_numbers(doc, "vectors", 2),
+                b=_numbers(doc, "targets", 1),
                 witness=witness,
             )
         else:

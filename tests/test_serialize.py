@@ -115,6 +115,25 @@ def test_instance_parser_rejects_nan_tokens():
         instance_from_json(text)
 
 
+def _instance_holding(field):
+    """An instance of the type whose file has `field`."""
+    anv = gen_anv_conditioned(8, 0.2, seed=0)
+    if field in ("points", "labels", "margin"):
+        return gen_lsp_margin(8, 6, 0.25, seed=0)
+    if field == "targets":
+        return gen_lr_from_anv(anv, 0)
+    return anv if field == "cf" else gen_anv_gaussian(8, seed=0)
+
+
+def _first(bad):
+    """Replace the first number of a flat or nested array by `bad`."""
+    def edit(value):
+        if isinstance(value[0], list):
+            return [edit(value[0])] + value[1:]
+        return [bad] + value[1:]
+    return edit
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -125,12 +144,23 @@ def test_instance_parser_rejects_nan_tokens():
         ("seed", "abc"),
         ("seed", 1.5),
         ("seed", True),
+        # the values a float() cast would take: numeric strings, booleans
+        pytest.param("cf", str, id="cf-string"),
+        pytest.param("cf", lambda cf: True, id="cf-true"),
+        pytest.param("margin", str, id="margin-string"),
+        pytest.param("witness", lambda w: [str(w[0])] + w[1:], id="witness-string"),
+        pytest.param("vectors", _first(True), id="vectors-true"),
+        pytest.param("points", _first(None), id="points-null"),
+        pytest.param("labels", lambda ys: [str(ys[0])] + ys[1:], id="labels-string"),
+        pytest.param("targets", _first(False), id="targets-false"),
+        pytest.param("witness", _first(10**400), id="witness-huge-integer"),
     ],
 )
 def test_instance_parser_maps_malformed_fields(field, value):
-    doc = json.loads(instance_to_json(gen_anv_gaussian(8, seed=0), 0))
-    doc[field] = value
-    with pytest.raises(ValidationError):
+    doc = json.loads(instance_to_json(_instance_holding(field), 0))
+    holder = doc["params"] if field in ("cf", "margin") else doc
+    holder[field] = value(holder[field]) if callable(value) else value
+    with pytest.raises(ValidationError, match="malformed instance field"):
         instance_from_json(json.dumps(doc))
 
 
