@@ -383,27 +383,27 @@ def proj_state_bits(dprime: int, subsample: int, quant_bits: int) -> int:
     return ProjectionSeparator.layout(dprime, subsample, quant_bits).nbits
 
 
+# name -> constructor from (d, seed); REGISTRY lists the names in this order
+_BUILDERS = {
+    "zero": lambda d, seed: ZeroPredictor(),
+    "random-unit": RandomUnitPredictor,
+    "offline-kernel": lambda d, seed: OfflineKernelSolver(),
+    "offline-lstsq": lambda d, seed: OfflineLstsqSolver(),
+    "offline-separator": lambda d, seed: OfflineSeparatorSolver(),
+    "proj-separator": lambda d, seed: ProjectionSeparator(
+        dprime=min(DEFAULTS.separator.dprime, d),
+        subsample_size=DEFAULTS.separator.subsample,
+        quant_bits=DEFAULTS.separator.quant_bits,
+        seed=seed,
+    ),
+}
+REGISTRY = tuple(_BUILDERS)
+
+
 def build_algorithm(name: str, d: int, seed: int) -> OnePassAlgorithm:
     """Registry constructor for the CLI-addressable algorithms."""
-    sep = DEFAULTS.separator
-    builders = {
-        "zero": lambda: ZeroPredictor(),
-        "random-unit": lambda: RandomUnitPredictor(d, seed),
-        "offline-kernel": lambda: OfflineKernelSolver(),
-        "offline-lstsq": lambda: OfflineLstsqSolver(),
-        "offline-separator": lambda: OfflineSeparatorSolver(),
-        "proj-separator": lambda: ProjectionSeparator(
-            dprime=min(sep.dprime, d),
-            subsample_size=sep.subsample,
-            quant_bits=sep.quant_bits,
-            seed=seed,
-        ),
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ValidationError(
-            "unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(builders)))
+            "unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(_BUILDERS)))
         )
-    return builders[name]()
-
-
-REGISTRY = ("zero", "random-unit", "offline-kernel", "offline-lstsq", "offline-separator", "proj-separator")
+    return _BUILDERS[name](d, seed)
