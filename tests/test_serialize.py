@@ -117,12 +117,13 @@ def test_instance_parser_rejects_nan_tokens():
 
 def _instance_holding(field):
     """An instance of the type whose file has `field`."""
-    anv = gen_anv_conditioned(8, 0.2, seed=0)
     if field in ("points", "labels", "margin"):
         return gen_lsp_margin(8, 6, 0.25, seed=0)
     if field == "targets":
-        return gen_lr_from_anv(anv, 0)
-    return anv if field == "cf" else gen_anv_gaussian(8, seed=0)
+        return gen_lr_from_anv(gen_anv_conditioned(8, 0.2, seed=0), 0)
+    if field == "cf":
+        return gen_anv_conditioned(8, 0.2, seed=0)
+    return gen_anv_gaussian(8, seed=0)
 
 
 def _first(bad):
