@@ -42,8 +42,8 @@ _HEADER_ONLY = Layout(header=_HEADER)
 
 
 def _header(payload) -> tuple[int, int]:
-    count, d = _HEADER_ONLY.read(payload, "header")
-    return int(count), int(d)
+    count, d = _HEADER_ONLY.read(payload, "header").tolist()
+    return count, d
 
 
 class ZeroPredictor(OnePassAlgorithm):
@@ -256,9 +256,18 @@ def separator_budget_bits(d: int, n: int) -> int:
 
 
 def _quantize(u: np.ndarray, qb: int, rng_half: float) -> np.ndarray:
+    """Levels of u clipped to +-rng_half.
+
+    The clip makes the one new array and every later step runs in place on
+    it, rounding exactly as round((clip(u) + rng_half) / (2 rng_half) *
+    levels) does; u itself is left as it was.
+    """
     levels = (1 << qb) - 1
-    clipped = np.clip(u, -rng_half, rng_half)
-    return np.round((clipped + rng_half) / (2 * rng_half) * levels).astype(np.uint32)
+    q = np.clip(u, -rng_half, rng_half)
+    q += rng_half
+    q /= 2 * rng_half
+    q *= levels
+    return np.rint(q, out=q).astype(np.uint32)
 
 
 def _dequantize(q: np.ndarray, qb: int, rng_half: float) -> np.ndarray:
@@ -332,7 +341,8 @@ class ProjectionSeparator(OnePassAlgorithm):
     def _write_slot(self, buf: bytearray, j: int, proj: Subspace, x: np.ndarray, y: float):
         """Store (x, y) in slot j; only kept samples pay for the projection."""
         self._layout.write(buf, "labels", int(y > 0), start=j)
-        u = math.sqrt(x.shape[0] / self.dprime) * (proj.basis @ x)
+        u = proj.basis @ x
+        u *= math.sqrt(x.shape[0] / self.dprime)
         if self.quant_bits:
             u = _quantize(u, self.quant_bits, self.quant_range)
         self._layout.write(buf, "coords", u, start=j * self.dprime)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,6 +31,12 @@ from numpy.random import Generator, Philox
 from .errors import BudgetViolation, ValidationError
 
 _U64 = (1 << 64) - 1
+
+# Layout moves integer runs of up to _FEW elements given as Python ints with
+# int arithmetic, which costs less than numpy's dispatch on so few values,
+# and fields of these widths with one big-endian numpy cast
+_FEW = 8
+_WHOLE_BYTES = (8, 16, 32, 64)
 
 
 def _check_trailing_zero(payload: bytes, nbits: int):
@@ -70,25 +77,45 @@ class SharedRandomness:
     """Counter-addressable uniform stream plus named bulk substreams.
 
     value(i) is a pure function of (seed, i): Philox keyed by the seed,
-    advanced to position i.  generator(*tags) derives an independent numpy
-    Generator keyed by (seed, tags) for bulk draws (projection matrices,
-    inserted-equation positions, ...); distinct tags give independent streams.
+    advanced to position i.  values(i, n) serves draws that lie inside one
+    aligned block of BLOCK indices from a cached copy of that block, which is
+    itself a pure function of (seed, block index) and so carries no sample
+    information; a draw that straddles a block boundary or is longer than a
+    block comes straight from a fresh Philox.  Either way the values are the
+    same.  generator(*tags) derives an independent numpy Generator keyed by
+    (seed, tags) for bulk draws (projection matrices, inserted-equation
+    positions, ...); distinct tags give independent streams.
     """
 
-    __slots__ = ("seed",)
+    BLOCK = 1024
+
+    __slots__ = ("seed", "_block")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _U64
+        self._block = None  # (first index, read-only values of that block)
 
     def value(self, index: int) -> float:
         return float(self.values(index, 1)[0])
 
     def values(self, index: int, count: int) -> np.ndarray:
-        """value(index), ..., value(index + count - 1) from one Philox: a
-        counter step makes four 64-bit words, and value(i) is the first word
-        of step i scaled the way Generator.random() scales it."""
+        """value(index), ..., value(index + count - 1), as a new array."""
         if index < 0:
             raise ValidationError("stream index must be nonnegative")
+        first = index - index % self.BLOCK
+        if index + count > first + self.BLOCK:
+            return self._draw(index, count)
+        block = self._block
+        if block is None or block[0] != first:
+            drawn = self._draw(first, self.BLOCK)
+            drawn.flags.writeable = False
+            self._block = block = (first, drawn)
+        return block[1][index - first : index - first + count].copy()
+
+    def _draw(self, index: int, count: int) -> np.ndarray:
+        """The values from one Philox: a counter step makes four 64-bit
+        words, and value(i) is the first word of step i scaled the way
+        Generator.random() scales it."""
         bg = Philox(key=self.seed)
         bg.advance(int(index))
         return (bg.random_raw(4 * count)[::4] >> 11) * 2.0**-53
@@ -137,9 +164,29 @@ class RunStats:
             self.max_used_bits = max(state.used_bits, self.max_used_bits or 0)
 
 
+def _check_finite(index: int, sample):
+    """Raise ValidationError when sample, a number, a vector or a (vector,
+    label) pair, holds a NaN or an infinity.  Parts that are not numbers are
+    left for the algorithm to judge."""
+    parts = sample if isinstance(sample, (tuple, list)) and len(sample) == 2 else (sample,)
+    for part in parts:
+        if isinstance(part, float):  # np.float64 too
+            finite = math.isfinite(part)
+        elif isinstance(part, int):
+            continue
+        else:
+            try:
+                finite = np.logical_and.reduce(np.isfinite(part), axis=None)
+            except (TypeError, ValueError):
+                continue
+        if not finite:
+            raise ValidationError("sample %d holds a NaN or an infinity" % index)
+
+
 def _advance(alg, samples, state, shared, first_index, stats=None):
     capacity, payload, nbytes = state.capacity_bits, state.payload, len(state.payload)
     for offset, z in enumerate(samples):
+        _check_finite(first_index + offset, z)
         if alg.update(first_index + offset, z, state, shared) is not state:
             raise BudgetViolation("update must edit the run's state in place and return it")
         if state.capacity_bits != capacity or state.payload is not payload or len(payload) != nbytes:
@@ -285,6 +332,12 @@ class Layout:
     the budget a state in this format needs.  write and read address any run
     of elements of one field at any bit offset and touch only the bytes those
     elements span.
+
+    Every path stores the same bits.  A write of at most _FEW Python ints (a
+    header [count, d], a label bit) and a read of at most _FEW integer
+    elements pack and unpack them with Python int arithmetic; fields 8, 16,
+    32 or 64 bits wide move arrays with one big-endian numpy cast; other
+    widths are re-aligned bit by bit in numpy.
     """
 
     __slots__ = ("fields", "nbits")
@@ -313,7 +366,8 @@ class Layout:
         return lo
 
     def write(self, buf: bytearray, name: str, values, start: int = 0):
-        """Store values as elements start, start+1, ... of the field.
+        """Store values (one number or a sequence) as elements start,
+        start+1, ... of the field.
 
         Raises BudgetViolation when a value does not fit the field's width or
         the elements lie beyond the end of buf.
@@ -323,6 +377,20 @@ class Layout:
             raw = np.asarray(values, dtype="<f8").tobytes()
             count = len(raw) // 8
         else:
+            few = values if isinstance(values, (list, tuple)) else (values,)
+            if len(few) <= _FEW and all(isinstance(v, int) for v in few):
+                # a few Python ints are packed into one int without numpy;
+                # a negative value shifts to -1, so it fails the fit test too
+                if any(v >> width for v in few):
+                    raise BudgetViolation(
+                        "a value of field %s does not fit in %d bits" % (name, width)
+                    )
+                lo = self._span(buf, name, start, len(few))
+                packed = 0
+                for v in few:
+                    packed = packed << width | v
+                _put_int(buf, lo, packed, len(few) * width)
+                return
             ints = np.asarray(values).reshape(-1)
             if ints.dtype.kind not in "ui":  # Python ints past the int64 range
                 ints = np.asarray(values, dtype=object).reshape(-1)
@@ -332,12 +400,15 @@ class Layout:
                 int(ints.max()) >> width or ints.dtype.kind != "u" and ints.min() < 0
             ):
                 raise BudgetViolation("a value of field %s does not fit in %d bits" % (name, width))
-            words = ints.astype(">u8").view(np.uint8).reshape(-1, 8)
-            if width % 8:
-                bits = np.unpackbits(words).reshape(-1, 64)
-                raw = np.packbits(bits[:, 64 - width :]).tobytes()
-            else:  # whole bytes: the low width/8 byte columns of each word
-                raw = words[:, 8 - width // 8 :].tobytes()
+            if width in _WHOLE_BYTES:
+                raw = ints.astype(">u%d" % (width // 8)).tobytes()
+            else:
+                words = ints.astype(">u8").view(np.uint8).reshape(-1, 8)
+                if width % 8:
+                    bits = np.unpackbits(words).reshape(-1, 64)
+                    raw = np.packbits(bits[:, 64 - width :]).tobytes()
+                else:  # 24 to 56 bits: the low width/8 byte columns of each word
+                    raw = words[:, 8 - width // 8 :].tobytes()
             count = ints.size
         lo = self._span(buf, name, start, count)
         _put(buf, lo, raw, count * width)
@@ -349,9 +420,16 @@ class Layout:
         if count is None:
             count = length - start
         lo = self._span(payload, name, start, count)
-        raw = _get(payload, lo, count * width)
         if is_float:
-            return np.frombuffer(raw, dtype="<f8").copy()
+            return np.frombuffer(_get(payload, lo, count * width), dtype="<f8").copy()
+        if count <= _FEW:
+            packed = _get_int(payload, lo, count * width)
+            mask = (1 << width) - 1
+            shifts = range(width * (count - 1), -1, -width)
+            return np.array([packed >> s & mask for s in shifts], dtype=np.uint64)
+        raw = _get(payload, lo, count * width)
+        if width in _WHOLE_BYTES:
+            return np.frombuffer(raw, dtype=">u%d" % (width // 8)).astype(np.uint64)
         # right-align each element in whole bytes, then in a big-endian u64
         nbytes = (width + 7) // 8
         columns = np.frombuffer(raw, dtype=np.uint8)
@@ -380,10 +458,15 @@ def _put(buf: bytearray, lo: int, raw: bytes, nbits: int):
     first, shift = divmod(lo, 8)
     if shift == 0 and nbits % 8 == 0:
         buf[first : first + nbits // 8] = raw
-        return
+    else:
+        _put_int(buf, lo, int.from_bytes(raw, "big") >> (8 * len(raw) - nbits), nbits)
+
+
+def _put_int(buf: bytearray, lo: int, value: int, nbits: int):
+    """Store the nbits-bit integer value at bit lo of buf, MSB-first."""
+    first = lo // 8
     end = (lo + nbits + 7) // 8
     pad = 8 * end - lo - nbits  # bits after the span in its last byte
-    value = int.from_bytes(raw, "big") >> (8 * len(raw) - nbits)
     mask = ((1 << nbits) - 1) << pad
     old = int.from_bytes(buf[first:end], "big")
     buf[first:end] = ((old & ~mask) | (value << pad)).to_bytes(end - first, "big")
@@ -394,8 +477,13 @@ def _get(payload, lo: int, nbits: int) -> bytes:
     first, shift = divmod(lo, 8)
     if shift == 0 and nbits % 8 == 0:
         return bytes(payload[first : first + nbits // 8])
+    nbytes = (nbits + 7) // 8
+    return (_get_int(payload, lo, nbits) << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+
+
+def _get_int(payload, lo: int, nbits: int) -> int:
+    """The nbits-bit integer stored MSB-first at bit lo of payload."""
+    first = lo // 8
     end = (lo + nbits + 7) // 8
     pad = 8 * end - lo - nbits  # bits after the span in its last byte
-    value = (int.from_bytes(payload[first:end], "big") >> pad) & ((1 << nbits) - 1)
-    nbytes = (nbits + 7) // 8
-    return (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    return (int.from_bytes(payload[first:end], "big") >> pad) & ((1 << nbits) - 1)

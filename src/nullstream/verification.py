@@ -76,6 +76,12 @@ def _need_some(name: str, count: int):
         raise ValidationError("%s must be at least 1" % name)
 
 
+def _need_real(name: str, value: float, valid: bool, rule: str):
+    # valid is the parameter's own range test; NaN fails every comparison
+    if not (math.isfinite(value) and valid):
+        raise ValidationError("%s must be a finite number %s, got %r" % (name, rule, value))
+
+
 def _fraction(rows) -> float:
     return sum(1.0 for r in rows if r["passed"]) / len(rows) if rows else 0.0
 
@@ -103,6 +109,8 @@ def certify_no_joint_sol(
     if d % 2 or d < 8:
         raise ValidationError("need even d >= 8")
     _need_some("trials", trials)
+    _need_real("delta_threshold", delta_threshold, 0.0 <= delta_threshold < 1.0, "in [0, 1)")
+    _need_real("c_emp", c_emp, c_emp > 0.0, "above 0")
     rows = []
     threshold = 3.0 * c_emp * c_emp
     probe_dim = max(1, d // 16)
@@ -166,6 +174,7 @@ def joint_sol_lambda_min(subspaces) -> float:
 
 def sandwich_bounds(t: float) -> tuple[float, float]:
     """Bounds on the pencil ratio when each half has at most d/2 rows."""
+    _need_real("t", t, t >= 0.0, "of at least 0")
     s = (1.0 + t) * math.sqrt(0.5)
     if s >= 1.0:
         raise ValidationError("(1+t) sqrt(1/2) must be < 1 for a finite upper bound")
@@ -240,6 +249,12 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
     if N < d:
         raise ValidationError("need N >= d")
     _need_some("trials", trials)
+    _need_real(
+        "t",
+        t,
+        t >= 0.0 and 2.0 * math.exp(-t * t / 2.0) <= 1.0,
+        "of at least sqrt(2 ln 2) = 1.1774..., where the bound 2 exp(-t^2/2) is at most 1",
+    )
     lo = math.sqrt(N) - math.sqrt(d) - t
     hi = math.sqrt(N) + math.sqrt(d) + t
     taus = (0.5, 0.75, 0.9)

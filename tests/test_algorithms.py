@@ -52,8 +52,10 @@ from nullstream.instances import (
     lr_loss,
 )
 from nullstream.linalg import Subspace
+from nullstream.reductions import ReductionConfig, anv_via_lr, anv_via_lsp
 from nullstream.streaming import (
     BitState,
+    OnePassAlgorithm,
     SharedRandomness,
     one_pass_to_protocol,
     run_one_pass,
@@ -440,3 +442,76 @@ def test_registry_unknown_name():
 def test_registry_proj_separator_caps_dprime_at_d():
     alg = build_algorithm("proj-separator", d=16, seed=0)
     assert alg.dprime == 16
+
+
+# ---------------------------------------------------------------------------
+# non-finite samples
+
+
+class UpdateCounter(OnePassAlgorithm):
+    """Counts the update calls that reach the wrapped algorithm."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def update(self, i, sample, state, shared):
+        self.calls += 1
+        return self.inner.update(i, sample, state, shared)
+
+    def finalize(self, state, shared):
+        return self.inner.finalize(state, shared)
+
+
+ND = 8
+CFG = ReductionConfig.from_constants(DEFAULTS.constants)
+
+# name -> (algorithm factory, sample form, budget); a vector stream, or pairs
+# whose label the runner must check as well
+STREAM_ALGORITHMS = {
+    "zero": (lambda: build_algorithm("zero", ND, 0), "vector", 32),
+    "random-unit": (lambda: build_algorithm("random-unit", ND, 0), "vector", 8),
+    "offline-kernel": (lambda: build_algorithm("offline-kernel", ND, 0), "vector", kernel_budget_bits(ND)),
+    "offline-lstsq": (lambda: build_algorithm("offline-lstsq", ND, 0), "pair", lstsq_budget_bits(ND)),
+    "offline-separator": (
+        lambda: build_algorithm("offline-separator", ND, 0), "pair", separator_budget_bits(ND, 4)
+    ),
+    "proj-separator": (
+        lambda: build_algorithm("proj-separator", ND, 0),
+        "pair",
+        proj_state_bits(ND, DEFAULTS.separator.subsample, DEFAULTS.separator.quant_bits),
+    ),
+    "anv-via-lsp": (
+        lambda: anv_via_lsp(OfflineSeparatorSolver(), CFG), "vector", separator_budget_bits(ND, 8)
+    ),
+    "anv-via-lr": (lambda: anv_via_lr(OfflineLstsqSolver(), CFG), "vector", lstsq_budget_bits(ND)),
+}
+NONFINITE_CASES = [
+    (name, part, bad)
+    for name, (_, form, _) in STREAM_ALGORITHMS.items()
+    for part in (("vector", "label") if form == "pair" else ("vector",))
+    for bad in (math.nan, math.inf, -math.inf)
+]
+
+
+@pytest.mark.parametrize("name,part,bad", NONFINITE_CASES)
+def test_runner_rejects_nonfinite_samples_before_update(name, part, bad):
+    make, form, budget = STREAM_ALGORITHMS[name]
+    rng = np.random.default_rng(3)
+    samples = [rng.standard_normal(ND) for _ in range(4)]
+    if form == "pair":
+        samples = [(x, 1.0 if k % 2 else -1.0) for k, x in enumerate(samples)]
+    if part == "vector":
+        x = np.array(samples[2][0] if form == "pair" else samples[2])
+        x[5] = bad
+        samples[2] = (x, samples[2][1]) if form == "pair" else x
+    else:
+        samples[2] = (samples[2][0], bad)
+    counter = UpdateCounter(make())
+    with pytest.raises(ValidationError, match="sample 3 holds a NaN or an infinity"):
+        run_one_pass(counter, samples, budget, seed=1)
+    assert counter.calls == 2
+    for split in (1, 3):  # the bad sample on party 2's side, then party 1's
+        proto = one_pass_to_protocol(make(), split)
+        with pytest.raises(ValidationError, match="sample 3 holds a NaN or an infinity"):
+            run_protocol(proto, samples[:split], samples[split:], budget, seed=1)

@@ -284,6 +284,32 @@ def test_verify_without_trials_or_samples_exits_2(capsys, argv):
     assert stderr.startswith("error: ") and "must be at least 1" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv,param",
+    [
+        (("sandwich", "--t", "-3"), "t"),
+        (("sandwich", "--t", "nan"), "t"),
+        (("singular", "--t", "nan"), "t"),
+        (("singular", "--t", "1"), "t"),
+        (("singular", "--t", "inf"), "t"),
+        (("no-joint-sol", "--c-emp", "nan"), "c_emp"),
+        (("no-joint-sol", "--c-emp", "-0.5"), "c_emp"),
+        (("no-joint-sol", "--c-emp", "0"), "c_emp"),
+        (("no-joint-sol", "--delta", "-1"), "delta_threshold"),
+        (("no-joint-sol", "--delta", "1"), "delta_threshold"),
+        (("no-joint-sol", "--delta", "nan"), "delta_threshold"),
+    ],
+    ids=lambda a: "".join(a) if isinstance(a, tuple) else None,
+)
+def test_verify_rejects_bad_real_parameters(capsys, argv, param):
+    code, stdout, stderr = run_cli(
+        capsys, "verify", argv[0], "--d", "16", "--trials", "2", *argv[1:]
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: %s must be a finite number" % param)
+
+
 SWEEP = {
     "problem": "lsp-margin",
     "params": {"m": 30, "gamma": 0.25},

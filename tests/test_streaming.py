@@ -2,8 +2,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 
 from nullstream.errors import BudgetViolation, ValidationError
 from nullstream.streaming import (
@@ -111,6 +112,39 @@ def test_shared_randomness_bulk_matches_single():
     assert SharedRandomness(12345).values(0, 8)[7].hex() == pinned[12345, 7]
     assert SharedRandomness(2**63 + 5).values(990, 20)[10].hex() == pinned[2**63 + 5, 1000]
     assert shuffle(range(20), seed=5) == [17, 2, 18, 9, 5, 19, 8, 12, 7, 16, 11, 3, 10, 6, 1, 13, 0, 15, 4, 14]
+
+
+def _uncached_values(seed, index, count):
+    # the reference draw: one fresh Philox advanced to index
+    bg = Philox(key=seed)
+    bg.advance(index)
+    return (bg.random_raw(4 * count)[::4] >> 11) * 2.0**-53
+
+
+BLOCK = SharedRandomness.BLOCK
+NEAR_BLOCK_EDGES = st.builds(
+    lambda k, offset: max(0, k * BLOCK + offset), st.integers(0, 4), st.integers(-3, 3)
+)
+STREAM_INDICES = st.one_of(NEAR_BLOCK_EDGES, st.integers(0, 2**40))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    warm=STREAM_INDICES,
+    index=STREAM_INDICES,
+    count=st.integers(1, BLOCK + 100),
+)
+def test_shared_values_match_an_uncached_draw(seed, warm, index, count):
+    # whatever block an earlier draw left cached, a draw inside one block,
+    # across a boundary or longer than a block equals a fresh Philox's
+    shared = SharedRandomness(seed)
+    shared.values(warm, 1)
+    want = _uncached_values(seed, index, count).tobytes()
+    got = shared.values(index, count)
+    assert got.tobytes() == want
+    got[:] = -1.0  # the caller owns the array it gets
+    assert shared.values(index, count).tobytes() == want
 
 
 def test_shared_randomness_roughly_uniform():
@@ -268,9 +302,11 @@ def test_self_stashing_defeated_by_protocol_split():
 
 # Layout.write and Layout.read are the package's bit writer and reader.
 
+# uint runs reach past the few elements Layout packs with Python ints, so
+# both its int and its numpy paths are drawn
 FIELD_SPECS = st.lists(
     st.one_of(
-        st.builds(uint, st.integers(1, 64), st.integers(0, 6)),
+        st.builds(uint, st.integers(1, 64), st.integers(0, 12)),
         st.builds(f64, st.integers(0, 3)),
     ),
     min_size=1,
@@ -283,14 +319,18 @@ def _layout(specs):
 
 
 def _values(data, width, is_float, count):
+    # a list of Python numbers or the same values as a float64 or uint64 array
     element = st.floats(width=64) if is_float else st.integers(0, 2**width - 1)
-    return data.draw(st.lists(element, min_size=count, max_size=count))
+    values = data.draw(st.lists(element, min_size=count, max_size=count))
+    if data.draw(st.booleans()):
+        return np.array(values, dtype=float if is_float else np.uint64)
+    return values
 
 
 def _same(got, want, is_float):
     if is_float:
         return np.asarray(got, dtype="<f8").tobytes() == np.asarray(want, dtype="<f8").tobytes()
-    return [int(v) for v in got] == list(want)
+    return [int(v) for v in got] == [int(v) for v in want]
 
 
 @given(FIELD_SPECS, st.data())
@@ -300,8 +340,9 @@ def test_bit_writer_reader_roundtrip(specs, data):
     buf = bytearray((layout.nbits + 7) // 8)
     stored = {}
     for name, (_, width, length, is_float) in layout.fields.items():
-        stored[name] = _values(data, width, is_float, length)
-        layout.write(buf, name, stored[name])
+        values = _values(data, width, is_float, length)
+        layout.write(buf, name, values)
+        stored[name] = list(values)
     for name, (_, width, length, is_float) in layout.fields.items():
         start = data.draw(st.integers(0, length))
         count = data.draw(st.integers(0, length - start))
@@ -349,26 +390,44 @@ def test_bit_writer_floats_roundtrip():
 @pytest.mark.parametrize("width", range(8, 65, 8))
 def test_whole_byte_fields_are_msb_first(width, lead):
     # whole-byte widths bypass the bit re-alignment; pin their bytes, at an
-    # aligned and an unaligned offset, against the values' own bit strings
-    values = [2**width - 1, 1, 0x0123456789ABCDEF >> (64 - width)]
-    layout = Layout(pad=uint(1, lead), vals=uint(width, len(values)))
-    bits = "0" * lead + "".join(format(v, "0%db" % width) for v in values)
-    bits += "0" * (-len(bits) % 8)
-    buf = bytearray(len(bits) // 8)
-    layout.write(buf, "vals", values)
-    assert bytes(buf) == int(bits, 2).to_bytes(len(buf), "big")
-    assert [int(v) for v in layout.read(buf, "vals")] == values
+    # aligned and an unaligned offset, against the values' own bit strings,
+    # for a few Python ints and for an array too long for the int path
+    few = [2**width - 1, 1, 0x0123456789ABCDEF >> (64 - width)]
+    for values, given in ((few, few), (few * 4, np.array(few * 4, dtype=np.uint64))):
+        layout = Layout(pad=uint(1, lead), vals=uint(width, len(values)))
+        bits = "0" * lead + "".join(format(v, "0%db" % width) for v in values)
+        bits += "0" * (-len(bits) % 8)
+        buf = bytearray(len(bits) // 8)
+        layout.write(buf, "vals", given)
+        assert bytes(buf) == int(bits, 2).to_bytes(len(buf), "big")
+        assert [int(v) for v in layout.read(buf, "vals")] == values
 
 
 def test_layout_values_must_fit():
-    layout = Layout(a=uint(3), b=uint(64, 2), c=f64(1))
+    # Python ints, arrays and long lists take different paths; each checks
+    layout = Layout(a=uint(3), b=uint(64, 2), c=f64(1), many=uint(3, 9))
     buf = bytearray((layout.nbits + 7) // 8)
     layout.write(buf, "b", [2**64 - 1, 0])
-    for name, bad in (("a", 8), ("a", -1), ("b", 2**64), ("b", [-1, 2**63])):
+    for name, bad in (
+        ("a", 8),
+        ("a", -1),
+        ("b", 2**64),
+        ("b", [-1, 2**63]),
+        ("a", np.array([8])),
+        ("b", np.array([-1, 1])),
+        ("many", [1] * 8 + [8]),
+        ("many", [1] * 8 + [-1]),
+    ):
         with pytest.raises(BudgetViolation):
             layout.write(buf, name, bad)
+    for one in (1, np.array([1], dtype=np.uint64)):
+        with pytest.raises(BudgetViolation):
+            layout.write(bytearray(1), "b", one)  # beyond the end of the state
+    for three in ([1, 2, 3], np.array([1, 2, 3])):
+        with pytest.raises(ValidationError):
+            layout.write(buf, "b", three)  # more elements than the field has
     with pytest.raises(BudgetViolation):
-        layout.write(bytearray(1), "b", 1)  # beyond the end of the state
+        layout.read(bytearray(1), "b", 0, 1)
     with pytest.raises(ValidationError):
-        layout.write(buf, "b", [1, 2, 3])  # more elements than the field has
+        layout.read(buf, "b", 1, 2)
     assert list(layout.read(buf, "b")) == [2**64 - 1, 0]

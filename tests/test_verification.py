@@ -102,6 +102,24 @@ def test_sandwich_bounds_reject_large_t():
         sandwich_bounds(0.5)
 
 
+def test_real_parameters_checked_at_their_bounds():
+    # the library rejects what the CLI rejects, and accepts each bound itself
+    t_min = math.sqrt(2 * math.log(2))
+    assert singular_value_experiment(8, 8, t_min, 2, 0).statistics["prob_bound"] <= 1.0
+    assert certify_sandwich(8, 0.0, 2, 0).statistics["t"] == 0.0
+    assert certify_no_joint_sol(8, 0.0, 2, 0).statistics["delta_threshold"] == 0.0
+    bad = [
+        (r"^t ", lambda: sandwich_bounds(-1e-9)),
+        (r"^t ", lambda: singular_value_experiment(8, 8, math.nextafter(t_min, 0.0), 2, 0)),
+        (r"^t ", lambda: singular_value_experiment(8, 8, -5.0, 2, 0)),
+        (r"^delta_threshold ", lambda: certify_no_joint_sol(8, math.inf, 2, 0)),
+        (r"^c_emp ", lambda: certify_no_joint_sol(8, 0.5, 2, 0, c_emp=-math.inf)),
+    ]
+    for message, call in bad:
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
 def test_sandwich_at_calibrated_point():
     r = certify_sandwich(128, 0.2, 100, seed=0)
     assert r.pass_fraction >= 0.95
