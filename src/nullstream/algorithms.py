@@ -258,12 +258,16 @@ def separator_budget_bits(d: int, n: int) -> int:
 def _quantize(u: np.ndarray, qb: int, rng_half: float) -> np.ndarray:
     """Levels of u clipped to +-rng_half.
 
-    The clip makes the one new array and every later step runs in place on
-    it, rounding exactly as round((clip(u) + rng_half) / (2 rng_half) *
-    levels) does; u itself is left as it was.
+    The clip (np.minimum then np.maximum, which is what np.clip computes)
+    makes the one new array and every later step runs in place on it,
+    rounding exactly as round((clip(u) + rng_half) / (2 rng_half) * levels)
+    does; u itself is left as it was.  Calling the ufuncs directly skips
+    np.clip's Python layers, whose code the projection matvec just before
+    has pushed out of the CPU caches.
     """
     levels = (1 << qb) - 1
-    q = np.clip(u, -rng_half, rng_half)
+    q = np.minimum(u, rng_half)
+    np.maximum(q, -rng_half, out=q)
     q += rng_half
     q /= 2 * rng_half
     q *= levels

@@ -396,8 +396,10 @@ class Layout:
                 ints = np.asarray(values, dtype=object).reshape(-1)
                 if not all(isinstance(v, int) for v in ints):
                     raise ValidationError("field %s holds integers" % name)
+            # the reduce ufuncs directly, not ndarray.max/min's Python wrappers
             if ints.size and (
-                int(ints.max()) >> width or ints.dtype.kind != "u" and ints.min() < 0
+                int(np.maximum.reduce(ints)) >> width
+                or ints.dtype.kind != "u" and np.minimum.reduce(ints) < 0
             ):
                 raise BudgetViolation("a value of field %s does not fit in %d bits" % (name, width))
             if width in _WHOLE_BYTES:
