@@ -152,6 +152,9 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         layout = self.layout(d)
         gram = layout.read(state.payload, "gram") + np.outer(row, row).take(_upper_triangle(d))
         moment = layout.read(state.payload, "moment") + target * row
+        # finite rows near 1e200 overflow the sums, and pinv cannot take them
+        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+            raise ValidationError("least-squares sums overflowed at equation %d" % (count + 1))
         layout.write(state.payload, "header", [count + 1, d])
         layout.write(state.payload, "gram", gram)
         layout.write(state.payload, "moment", moment)

@@ -41,6 +41,9 @@ KS_NORMAL_MAX = 0.03
 KS_EXACT_MAX = 0.01
 PASS_CONSISTENCY_TOL = 1e-12
 CDF_GRID_POINTS = 200_001
+# Gaussian values the sphere marginal draws at a time (512 KiB of doubles),
+# so its working memory is O(samples) rather than O(samples * d)
+BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -326,9 +329,15 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
     if d < 4:
         raise ValidationError("need d >= 4")
     _need_some("samples", samples)
+    _need_real("c_f", c_f, 0.0 <= c_f < 1.0, "in [0, 1)")
     rng = np.random.default_rng((int(seed), 0))
-    g = rng.standard_normal((samples, d))
-    coords = g[:, 0] / np.linalg.norm(g, axis=1)
+    # the generator fills rows in order and each norm reduces one row, so
+    # blocks reproduce the whole-matrix draw bit for bit
+    rows = max(1, BLOCK_VALUES // d)
+    coords = np.empty(samples)
+    for start in range(0, samples, rows):
+        g = rng.standard_normal((min(rows, samples - start), d))
+        coords[start : start + g.shape[0]] = g[:, 0] / np.linalg.norm(g, axis=1)
     coords.sort()
     xs, cdf = first_coord_cdf_grid(d)
     ks_exact = _ks_statistic(coords, np.interp(coords, xs, cdf))

@@ -157,6 +157,17 @@ def test_lstsq_solver_clips_to_unit_ball():
     assert out[0] > 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_lstsq_solver_rejects_overflowing_sums(d):
+    # finite rows near 1e200 overflow the Gram triangle: at d = 2 pinv returned
+    # NaN, at d >= 3 it raised numpy's LinAlgError
+    rows = np.random.default_rng(0).standard_normal((d + 2, d)) * 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValidationError, match="overflowed at equation 1"
+    ):
+        run_one_pass(OfflineLstsqSolver(), [(r, 1.0) for r in rows], lstsq_budget_bits(d), seed=1)
+
+
 def test_lstsq_solver_shuffled_order_same_solution():
     inst = gen_lr_from_anv(gen_anv_conditioned(16, CF, seed=6), seed=6)
     samples = list(zip(inst.a, inst.b))

@@ -310,6 +310,40 @@ def test_verify_rejects_bad_real_parameters(capsys, argv, param):
     assert stderr.startswith("error: %s must be a finite number" % param)
 
 
+@pytest.mark.parametrize("cf", ["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_verify_marginal_rejects_bad_cf_before_drawing(capsys, monkeypatch, cf):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew samples before checking cf")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, stdout, stderr = run_cli(
+        capsys, "verify", "marginal", "--d", "64", "--samples", "100000", "--cf=" + cf
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: c_f must be a finite number in [0, 1)")
+
+
+def test_run_lstsq_on_overflowing_rows_exits_2(tmp_path, capsys):
+    # the loader's row-norm check turns such a file away before the solver
+    # sees it; the solver's own overflow check is tested in test_algorithms
+    inst_path = tmp_path / "lr.json"
+    inst_path.write_text(json.dumps({
+        "type": "lr", "d": 3, "params": {"m": 5},
+        "vectors": (np.random.default_rng(0).standard_normal((5, 3)) * 1e200).tolist(),
+        "targets": [1.0] * 5, "witness": [0.0] * 3, "seed": 0,
+    }))
+    with np.errstate(over="ignore"):
+        code, stdout, stderr = run_cli(
+            capsys,
+            "run", "--instance", str(inst_path), "--alg", "offline-lstsq",
+            "--budget", "100000", "--seed", "0",
+        )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
 SWEEP = {
     "problem": "lsp-margin",
     "params": {"m": 30, "gamma": 0.25},

@@ -7,6 +7,7 @@ quadrature grid oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ def test_exact_tail_decays_exponentially_in_dimension():
 def test_sphere_marginal_rejects_tiny_dimension():
     with pytest.raises(ValidationError):
         sphere_marginal_tests(3, 100, 0.2, seed=0)
+
+
+@pytest.mark.parametrize("d,samples", [(64, 100_000), (256, 20_000)])
+def test_sphere_marginal_working_memory_is_not_samples_times_d(d, samples):
+    # the whole samples x d matrix and its squares came to 99 MB and 78 MB
+    sphere_marginal_tests(d, 10, 0.2, seed=0)  # lazy imports before tracing
+    tracemalloc.start()
+    try:
+        sphere_marginal_tests(d, samples, 0.2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
