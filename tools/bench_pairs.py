@@ -10,7 +10,9 @@ quiet spells of the host; which side goes first alternates from seed to
 seed.  Each side is stored in the `perfbench/sweep.py --out` format
 (seconds, trace, seeds, and per workload a summary of every end-to-end
 metric plus each run's result and record line); `pairs` counts, per metric,
-the seeds on which head beat base, ties counting for neither.
+the seeds on which head beat base, ties counting for neither.  After each
+pair it prints one progress line with the base and head value of every
+end-to-end metric, so a claim can be watched while the pairs run.
 """
 
 import argparse
@@ -75,9 +77,9 @@ def main():
                 h = values["head"][metric]
                 won = h > b if better[metric] == "higher" else h < b
                 wins[metric] = wins.get(metric, 0) + int(won)
-            print("%s seed %d ops_per_s base %.3f head %.3f" % (
-                workload, seed, values["base"]["ops_per_s"], values["head"]["ops_per_s"]),
-                flush=True)
+            print("%s seed %d %s" % (workload, seed, "  ".join(
+                "%s base %.4g head %.4g" % (m, b, values["head"][m])
+                for m, b in values["base"].items())), flush=True)
         pairs[workload] = {m: "%d of %d" % (w, len(seeds)) for m, w in wins.items()}
     doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
            "pairs": pairs,
