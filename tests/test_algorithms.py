@@ -159,8 +159,8 @@ def test_lstsq_solver_clips_to_unit_ball():
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_lstsq_solver_rejects_overflowing_sums(d):
-    # finite rows near 1e200 overflow the Gram triangle: at d = 2 pinv returned
-    # NaN, at d >= 3 it raised numpy's LinAlgError
+    # finite rows near 1e200 overflow the Gram triangle; unchecked, pinv gives
+    # NaN at d = 2 and raises numpy's LinAlgError at d >= 3
     rows = np.random.default_rng(0).standard_normal((d + 2, d)) * 1e200
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         ValidationError, match="overflowed at equation 1"

@@ -221,7 +221,7 @@ def test_sphere_marginal_rejects_tiny_dimension():
 
 @pytest.mark.parametrize("d,samples", [(64, 100_000), (256, 20_000)])
 def test_sphere_marginal_working_memory_is_not_samples_times_d(d, samples):
-    # the whole samples x d matrix and its squares came to 99 MB and 78 MB
+    # one whole samples x d draw and its squares would take 99 MB and 78 MB
     sphere_marginal_tests(d, 10, 0.2, seed=0)  # lazy imports before tracing
     tracemalloc.start()
     try:
