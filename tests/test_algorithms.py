@@ -97,6 +97,23 @@ def test_random_unit_is_unit_and_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
+# (d, seed) -> sha256 of the random-unit output's float64 bytes
+RANDOM_UNIT_CASES = {
+    (1, 0): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (2, 7): "3ed907a3020e5efa235ca7feafab0e84b1f2d57887dbef119905bc704dcad5a6",
+    (16, 3): "ab1d8182874ae407905d4189b68dd785dd2aeed7ba99b5807192e8e63110250e",
+    (64, 12345): "f19598a700ad58f06423e938ed78fe4369fa0aeb5072d4f0ebad708de107914d",
+    (1000, 2**40): "cf326d0bf90cf73105c1dc7be76de261951aa4c31427218060e44e6204ff4e7d",
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(RANDOM_UNIT_CASES))
+def test_random_unit_output_bytes(d, seed):
+    w = build_algorithm("random-unit", d, seed).finalize(BitState(1), SharedRandomness(0))
+    assert w.dtype == np.float64 and w.shape == (d,)
+    assert hashlib.sha256(w.tobytes()).hexdigest() == RANDOM_UNIT_CASES[(d, seed)]
+
+
 def test_random_unit_mean_loss_matches_chi_square_oracle():
     # E (w^T theta)^2 = 1/d per vector, d-1 vectors
     d = 200
