@@ -7,7 +7,8 @@ with a perceptron, lifting the result back through the projection transpose.
 
 Each state-carrying algorithm declares its state format once, as the Layout
 its code reads and writes (see the class docstrings); its budget function is
-that layout's nbits, so the accounting and the format cannot disagree.
+that layout's nbits, and every write through the layout checks that budget
+and declares those bits, so the accounting and the format cannot disagree.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import (
-    BudgetViolation,
     DegenerateOutput,
     DimensionMismatch,
     NotSeparableInProjection,
     ValidationError,
 )
-from .linalg import Subspace, kernel_vector, orthonormalize
+from .linalg import Subspace, kernel_vector, orthonormalize, sample_uniform_sphere
 from .streaming import Layout, OnePassAlgorithm, SharedRandomness, f64, uint
 
 
@@ -55,8 +55,8 @@ class ZeroPredictor(OnePassAlgorithm):
     LAYOUT = Layout(d=uint(32))
 
     def update(self, i, sample, state, shared):
-        self.LAYOUT.write(state.payload, "d", _sample_vector(sample).shape[0])
-        return self.LAYOUT.pack(state)
+        self.LAYOUT.write(state, "d", _sample_vector(sample).shape[0])
+        return state
 
     def finalize(self, state, shared):
         return np.zeros(int(self.LAYOUT.read(state.payload, "d")[0]))
@@ -75,12 +75,7 @@ class RandomUnitPredictor(OnePassAlgorithm):
         return state
 
     def finalize(self, state, shared):
-        rng = np.random.default_rng(self.seed)
-        while True:
-            g = rng.standard_normal(self.d)
-            n = np.linalg.norm(g)
-            if n > 0:
-                return g / n
+        return sample_uniform_sphere(self.d, np.random.default_rng(self.seed))
 
 
 class OfflineKernelSolver(OnePassAlgorithm):
@@ -100,9 +95,9 @@ class OfflineKernelSolver(OnePassAlgorithm):
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         layout = self.layout(count + 1, d)
-        layout.write(state.payload, "header", [count + 1, d])
-        layout.write(state.payload, "vectors", vec, start=count * d)
-        return layout.pack(state)
+        layout.write(state, "header", [count + 1, d])
+        layout.write(state, "vectors", vec, start=count * d)
+        return state
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)
@@ -155,10 +150,10 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         # finite rows near 1e200 overflow the sums, and pinv cannot take them
         if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
             raise ValidationError("least-squares sums overflowed at equation %d" % (count + 1))
-        layout.write(state.payload, "header", [count + 1, d])
-        layout.write(state.payload, "gram", gram)
-        layout.write(state.payload, "moment", moment)
-        return layout.pack(state)
+        layout.write(state, "header", [count + 1, d])
+        layout.write(state, "gram", gram)
+        layout.write(state, "moment", moment)
+        return state
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)
@@ -242,9 +237,9 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         layout = self.layout(count + 1, d)
-        layout.write(state.payload, "header", [count + 1, d])
-        layout.write(state.payload, "rows", np.append(x, y), start=count * (d + 1))
-        return layout.pack(state)
+        layout.write(state, "header", [count + 1, d])
+        layout.write(state, "rows", np.append(x, y), start=count * (d + 1))
+        return state
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)
@@ -308,7 +303,6 @@ class ProjectionSeparator(OnePassAlgorithm):
         subsample_size: int,
         quant_bits: int = 16,
         seed: int = 0,
-        projection: Subspace | None = None,
     ):
         if dprime < 1 or subsample_size < 1:
             raise ValidationError("dprime and subsample_size must be positive")
@@ -319,16 +313,11 @@ class ProjectionSeparator(OnePassAlgorithm):
         self.quant_bits = int(quant_bits)
         self.seed = int(seed)
         self._layout = self.layout(self.dprime, self.subsample, self.quant_bits)
-        self._fixed_projection = projection
         self._proj_cache = {}
 
     # -- projection ---------------------------------------------------------
 
     def projection_for(self, d: int, shared: SharedRandomness) -> Subspace:
-        if self._fixed_projection is not None:
-            if self._fixed_projection.ambient_dim != d:
-                raise DimensionMismatch("fixed projection has wrong ambient dim")
-            return self._fixed_projection
         if self.dprime > d:
             raise DimensionMismatch("dprime exceeds ambient dimension")
         key = (shared.seed, d)
@@ -345,14 +334,14 @@ class ProjectionSeparator(OnePassAlgorithm):
         coords = uint(quant_bits, n) if quant_bits else f64(n)
         return Layout(header=_HEADER, labels=uint(1, subsample), coords=coords)
 
-    def _write_slot(self, buf: bytearray, j: int, proj: Subspace, x: np.ndarray, y: float):
+    def _write_slot(self, state, j: int, proj: Subspace, x: np.ndarray, y: float):
         """Store (x, y) in slot j; only kept samples pay for the projection."""
-        self._layout.write(buf, "labels", int(y > 0), start=j)
+        self._layout.write(state, "labels", int(y > 0), start=j)
         u = proj.basis @ x
         u *= math.sqrt(x.shape[0] / self.dprime)
         if self.quant_bits:
             u = _quantize(u, self.quant_bits, self.quant_range)
-        self._layout.write(buf, "coords", u, start=j * self.dprime)
+        self._layout.write(state, "coords", u, start=j * self.dprime)
 
     # -- streaming interface ------------------------------------------------
 
@@ -362,24 +351,19 @@ class ProjectionSeparator(OnePassAlgorithm):
         x = np.asarray(sample[0], dtype=float)
         y = float(sample[1])
         d = x.shape[0]
-        if self._layout.nbits > state.capacity_bits:
-            raise BudgetViolation(
-                "separator state needs %d bits, budget is %d"
-                % (self._layout.nbits, state.capacity_bits)
-            )
         proj = self.projection_for(d, shared)
         count, dim = _header(state.payload)
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         count += 1
-        self._layout.write(state.payload, "header", [count, d])
+        self._layout.write(state, "header", [count, d])
         if count <= self.subsample:
-            self._write_slot(state.payload, count - 1, proj, x, y)
+            self._write_slot(state, count - 1, proj, x, y)
         else:
             keep, slot = shared.values(2 * i, 2)
             if keep < self.subsample / count:
-                self._write_slot(state.payload, int(slot * self.subsample), proj, x, y)
-        return self._layout.pack(state)
+                self._write_slot(state, int(slot * self.subsample), proj, x, y)
+        return state
 
     def finalize(self, state, shared):
         count, d = _header(state.payload)

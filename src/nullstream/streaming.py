@@ -50,9 +50,10 @@ class BitState:
     ceil(b/8) bytes whose bits past b are zero.
 
     BitState(b) is the all-zero state; BitState(b, payload) copies payload.
-    used_bits is accounting metadata, 0 on a new state and set by
-    Layout.pack(); the runner records it after each step and then clears it.
-    It is never information available to the algorithm.
+    used_bits is accounting metadata, 0 on a new state and raised to the
+    writing layout's nbits by every Layout.write(); the runner records it
+    after each step and then clears it to None, so it never carries
+    information from one step to the next.
     """
 
     __slots__ = ("capacity_bits", "payload", "used_bits")
@@ -138,7 +139,8 @@ class OnePassAlgorithm:
     """Behavioral interface for streaming algorithms.
 
     update(i, sample, state, shared) -> state: edit state.payload in place
-    (same bytearray, same length, bits past capacity_bits left zero) and
+    (same bytearray, same length, bits past capacity_bits left zero),
+    normally through Layout.write, which also declares the bits used, and
     return the same state object; finalize(state, shared) -> output.  Step
     indices are 1-based.  Anything an implementation wants to remember
     between samples must live in state.payload; the protocol split carries
@@ -259,12 +261,6 @@ class ProtocolTranscript:
     output: Any
     budget_bits: int
 
-    def __post_init__(self):
-        if self.message.nbits > self.budget_bits:
-            raise BudgetViolation(
-                "message is %d bits, budget %d" % (self.message.nbits, self.budget_bits)
-            )
-
 
 def run_protocol(p: Protocol, input1, input2, budget_bits: int, seed: int) -> ProtocolTranscript:
     if budget_bits < 1:
@@ -331,7 +327,10 @@ class Layout:
     bits 0..63 and n float64 values after them; nbits is the total, which is
     the budget a state in this format needs.  write and read address any run
     of elements of one field at any bit offset and touch only the bytes those
-    elements span.
+    elements span.  write takes the run's BitState, checks nbits against its
+    capacity and declares nbits as used, so an update that writes through a
+    layout needs no other call for its bits to be counted; read takes the
+    bare payload, since reads are not accounted.
 
     Every path stores the same bits.  A write of at most _FEW Python ints (a
     header [count, d], a label bit) and a read of at most _FEW integer
@@ -365,13 +364,21 @@ class Layout:
             )
         return lo
 
-    def write(self, buf: bytearray, name: str, values, start: int = 0):
+    def write(self, state: BitState, name: str, values, start: int = 0):
         """Store values (one number or a sequence) as elements start,
-        start+1, ... of the field.
+        start+1, ... of the field in state.payload, and declare the layout's
+        nbits as used by this step.
 
-        Raises BudgetViolation when a value does not fit the field's width or
-        the elements lie beyond the end of buf.
+        Raises BudgetViolation, before any byte changes, when the layout does
+        not fit state.capacity_bits; and when a value does not fit the
+        field's width.
         """
+        if self.nbits > state.capacity_bits:
+            raise BudgetViolation(
+                "state needs %d bits, budget is %d" % (self.nbits, state.capacity_bits)
+            )
+        state.used_bits = max(state.used_bits or 0, self.nbits)
+        buf = state.payload
         _, width, _, is_float = self.fields[name]
         if is_float:
             raw = np.asarray(values, dtype="<f8").tobytes()
@@ -443,16 +450,6 @@ class Layout:
         words = np.zeros((count, 8), dtype=np.uint8)
         words[:, 8 - nbytes :] = columns.reshape(count, nbytes)
         return words.view(">u8").reshape(count).astype(np.uint64)
-
-    def pack(self, state: BitState) -> BitState:
-        """Set state.used_bits = nbits and return state; raises
-        BudgetViolation when the layout does not fit state.capacity_bits."""
-        if self.nbits > state.capacity_bits:
-            raise BudgetViolation(
-                "state needs %d bits, budget is %d" % (self.nbits, state.capacity_bits)
-            )
-        state.used_bits = self.nbits
-        return state
 
 
 def _put(buf: bytearray, lo: int, raw: bytes, nbits: int):

@@ -51,7 +51,6 @@ from nullstream.instances import (
     gen_lsp_margin,
     lr_loss,
 )
-from nullstream.linalg import Subspace
 from nullstream.reductions import ReductionConfig, anv_via_lr, anv_via_lsp
 from nullstream.streaming import (
     BitState,
@@ -293,7 +292,7 @@ def test_quantize_clips_to_range():
 
 
 def test_lossless_projection_fixture_separates():
-    # dataset lives in the first 6 coordinates; fix the projection to those
+    # dataset lives in the first 6 coordinates, with a margin along the third
     d, dp = 20, 6
     rng = np.random.default_rng(7)
     w = np.zeros(d)
@@ -305,11 +304,9 @@ def test_lossless_projection_fixture_separates():
         y = 1.0 if x @ w > 0 else -1.0
         x += 0.3 * y * w  # give it a real margin
         pts.append((x, y))
-    proj = Subspace(ambient_dim=d, dim=dp, basis=np.eye(d)[:dp])
-    alg = ProjectionSeparator(
-        dprime=dp, subsample_size=30, quant_bits=0, seed=0, projection=proj
-    )
-    out = run_one_pass(alg, pts, proj_state_bits(dp, 30, 0), seed=3)
+    # dprime = d: the projection is a rotation, so nothing is lost
+    alg = ProjectionSeparator(dprime=d, subsample_size=30, quant_bits=0, seed=0)
+    out = run_one_pass(alg, pts, proj_state_bits(d, 30, 0), seed=3)
     assert all(y * (out @ x) > 0 for x, y in pts)
 
 

@@ -13,7 +13,6 @@ from nullstream.streaming import (
     Message,
     OnePassAlgorithm,
     Protocol,
-    ProtocolTranscript,
     SharedRandomness,
     f64,
     one_pass_to_protocol,
@@ -31,8 +30,8 @@ class Counting(OnePassAlgorithm):
     LAYOUT = Layout(n=uint(64))
 
     def update(self, i, sample, state, shared):
-        self.LAYOUT.write(state.payload, "n", int(self.LAYOUT.read(state.payload, "n")[0]) + 1)
-        return self.LAYOUT.pack(state)
+        self.LAYOUT.write(state, "n", int(self.LAYOUT.read(state.payload, "n")[0]) + 1)
+        return state
 
     def finalize(self, state, shared):
         return int(self.LAYOUT.read(state.payload, "n")[0])
@@ -77,13 +76,40 @@ def test_bitstate_shape_and_trailing_bits():
 def test_bitstate_pack_budget():
     layout = Layout(a=uint(8), b=uint(8))
     s = BitState(64)
-    layout.write(s.payload, "a", 1)
-    layout.write(s.payload, "b", 2)
-    assert layout.pack(s) is s
+    layout.write(s, "a", 1)
+    layout.write(s, "b", 2)
     assert s.used_bits == 16
     assert s.payload[:2] == b"\x01\x02" and s.payload[2:] == bytes(6)
     with pytest.raises(BudgetViolation):
-        layout.pack(BitState(8))
+        layout.write(BitState(8), "a", 1)
+
+
+class Flagged(OnePassAlgorithm):
+    """Writes a 12-bit layout and returns the state: no other call."""
+
+    LAYOUT = Layout(flag=uint(3), n=uint(9))
+
+    def update(self, i, sample, state, shared):
+        self.LAYOUT.write(state, "n", i)
+        return state
+
+    def finalize(self, state, shared):
+        return int(self.LAYOUT.read(state.payload, "n")[0])
+
+
+def test_layout_write_declares_its_bits():
+    out, stats = run_one_pass_stats(Flagged(), range(5), 40, seed=0)
+    assert out == 5
+    assert stats.max_used_bits == Flagged.LAYOUT.nbits == 12
+
+
+def test_layout_write_checks_budget_not_buffer():
+    # BitState(12) has a 2-byte buffer that holds 16 bits, but its budget is 12
+    layout = Layout(a=uint(8), b=uint(8))
+    s = BitState(12)
+    with pytest.raises(BudgetViolation):
+        layout.write(s, "a", 1)
+    assert s.payload == bytearray(2) and s.used_bits == 0
 
 
 def test_shared_randomness_deterministic_and_bounded():
@@ -218,8 +244,6 @@ def test_run_protocol_budget_enforced():
     p = Protocol(send=lambda z1, b, sh: Message(16, bytes(2)), output=lambda z2, m, b, sh: 0)
     with pytest.raises(BudgetViolation):
         run_protocol(p, None, None, 8, seed=0)
-    with pytest.raises(BudgetViolation):
-        ProtocolTranscript(message=Message(16, bytes(2)), output=0, budget_bits=8)
 
 
 def test_simulation_matches_one_pass_counting():
@@ -318,6 +342,13 @@ def _layout(specs):
     return Layout(**{"f%d" % k: spec for k, spec in enumerate(specs)})
 
 
+def _state(buf):
+    # a BitState whose payload is buf itself, with room for all of its bits
+    state = BitState(max(1, 8 * len(buf)))
+    state.payload = buf
+    return state
+
+
 def _values(data, width, is_float, count):
     # a list of Python numbers or the same values as a float64 or uint64 array
     element = st.floats(width=64) if is_float else st.integers(0, 2**width - 1)
@@ -338,16 +369,17 @@ def test_bit_writer_reader_roundtrip(specs, data):
     # read returns what write stored, for whole fields and any run inside one
     layout = _layout(specs)
     buf = bytearray((layout.nbits + 7) // 8)
+    state = _state(buf)
     stored = {}
     for name, (_, width, length, is_float) in layout.fields.items():
         values = _values(data, width, is_float, length)
-        layout.write(buf, name, values)
+        layout.write(state, name, values)
         stored[name] = list(values)
     for name, (_, width, length, is_float) in layout.fields.items():
         start = data.draw(st.integers(0, length))
         count = data.draw(st.integers(0, length - start))
         new = _values(data, width, is_float, count)
-        layout.write(buf, name, new, start=start)
+        layout.write(state, name, new, start=start)
         stored[name][start : start + count] = new
         assert _same(layout.read(buf, name, start, count), new, is_float)
     for name, (_, _, _, is_float) in layout.fields.items():
@@ -360,12 +392,13 @@ def test_bit_writer_alignment_guard(specs, data):
     layout = _layout(specs)
     nbytes = (layout.nbits + 7) // 8
     buf = bytearray(data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    state = _state(buf)
     before = np.unpackbits(np.frombuffer(bytes(buf), dtype=np.uint8))
     name = data.draw(st.sampled_from(sorted(layout.fields)))
     offset, width, length, is_float = layout.fields[name]
     start = data.draw(st.integers(0, length))
     values = _values(data, width, is_float, data.draw(st.integers(0, length - start)))
-    layout.write(buf, name, values, start=start)
+    layout.write(state, name, values, start=start)
     after = np.unpackbits(np.frombuffer(bytes(buf), dtype=np.uint8))
     lo, hi = offset + start * width, offset + (start + len(values)) * width
     assert np.array_equal(before[:lo], after[:lo])
@@ -377,9 +410,10 @@ def test_bit_writer_floats_roundtrip():
     assert layout.nbits == 32 + 3 + 4 * 64
     arr = np.array([1.5, -2.25, 1e-300, 3.14159])
     buf = bytearray((layout.nbits + 7) // 8)
-    layout.write(buf, "head", 7)
-    layout.write(buf, "flag", 5)
-    layout.write(buf, "vals", arr)
+    state = _state(buf)
+    layout.write(state, "head", 7)
+    layout.write(state, "flag", 5)
+    layout.write(state, "vals", arr)
     assert layout.read(buf, "head")[0] == 7
     assert layout.read(buf, "flag")[0] == 5
     assert np.array_equal(layout.read(buf, "vals"), arr)
@@ -398,7 +432,8 @@ def test_whole_byte_fields_are_msb_first(width, lead):
         bits = "0" * lead + "".join(format(v, "0%db" % width) for v in values)
         bits += "0" * (-len(bits) % 8)
         buf = bytearray(len(bits) // 8)
-        layout.write(buf, "vals", given)
+        state = _state(buf)
+        layout.write(state, "vals", given)
         assert bytes(buf) == int(bits, 2).to_bytes(len(buf), "big")
         assert [int(v) for v in layout.read(buf, "vals")] == values
 
@@ -407,7 +442,8 @@ def test_layout_values_must_fit():
     # Python ints, arrays and long lists take different paths; each checks
     layout = Layout(a=uint(3), b=uint(64, 2), c=f64(1), many=uint(3, 9))
     buf = bytearray((layout.nbits + 7) // 8)
-    layout.write(buf, "b", [2**64 - 1, 0])
+    state = _state(buf)
+    layout.write(state, "b", [2**64 - 1, 0])
     for name, bad in (
         ("a", 8),
         ("a", -1),
@@ -419,13 +455,13 @@ def test_layout_values_must_fit():
         ("many", [1] * 8 + [-1]),
     ):
         with pytest.raises(BudgetViolation):
-            layout.write(buf, name, bad)
+            layout.write(state, name, bad)
     for one in (1, np.array([1], dtype=np.uint64)):
         with pytest.raises(BudgetViolation):
-            layout.write(bytearray(1), "b", one)  # beyond the end of the state
+            layout.write(_state(bytearray(1)), "b", one)  # beyond the end of the state
     for three in ([1, 2, 3], np.array([1, 2, 3])):
         with pytest.raises(ValidationError):
-            layout.write(buf, "b", three)  # more elements than the field has
+            layout.write(state, "b", three)  # more elements than the field has
     with pytest.raises(BudgetViolation):
         layout.read(bytearray(1), "b", 0, 1)
     with pytest.raises(ValidationError):
