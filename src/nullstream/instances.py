@@ -122,11 +122,14 @@ class LspDataset:
             raise ValidationError("labels must be +/-1")
         if self.margin <= 0:
             raise ValidationError("margin must be positive")
-        norms = np.linalg.norm(xs, axis=1)
-        if np.any(norms == 0):
-            raise DegenerateInput("zero data point")
-        if np.min((xs @ w) * ys / norms) < self.margin - 1e-12:
-            raise ValidationError("witness does not achieve the claimed margin")
+        # norms of points near 1e200 overflow to inf, and near 1e308 their
+        # scores too, so a margin is 0 or NaN: both fail, with no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(xs, axis=1)
+            if np.any(norms == 0):
+                raise DegenerateInput("zero data point")
+            if not np.min((xs @ w) * ys / norms) >= self.margin - 1e-12:
+                raise ValidationError("witness does not achieve the claimed margin")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "witness", w)
@@ -157,12 +160,15 @@ class LrInstance:
         w = _finite("witness", self.witness)
         if a.ndim != 2 or b.shape != (a.shape[0],) or w.shape != (a.shape[1],):
             raise DimensionMismatch("matrix, target and witness shapes disagree")
-        if np.linalg.norm(a, axis=1).max() > 1 + 1e-12:
-            raise ValidationError("row norms must be at most 1")
-        if np.linalg.norm(b) > 1 + 1e-12:
-            raise ValidationError("target norm must be at most 1")
-        if np.linalg.norm(w) > 1 + 1e-12:
-            raise ValidationError("witness norm must be at most 1")
+        # squares of finite values near 1e200 overflow to inf, which fails
+        # these checks as it should; numpy's warning about it is not printed
+        with np.errstate(over="ignore"):
+            if np.linalg.norm(a, axis=1).max() > 1 + 1e-12:
+                raise ValidationError("row norms must be at most 1")
+            if np.linalg.norm(b) > 1 + 1e-12:
+                raise ValidationError("target norm must be at most 1")
+            if np.linalg.norm(w) > 1 + 1e-12:
+                raise ValidationError("witness norm must be at most 1")
         if np.linalg.norm(a @ w - b) > 1e-10:
             raise ValidationError("witness does not solve the system")
         object.__setattr__(self, "a", a)

@@ -5,6 +5,7 @@ stdout/stderr split are part of the contract, so tests assert on both.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,33 @@ def test_run_lstsq_on_overflowing_rows_exits_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, key, alg, message", [
+    ("lr", "vectors", "offline-lstsq", "row norms must be at most 1"),
+    ("lsp", "points", "offline-separator", "witness does not achieve the claimed margin"),
+])
+def test_run_on_huge_rows_prints_one_error_line(tmp_path, capsys, kind, key, alg, message):
+    # their norms overflow; stderr carries the error line and no numpy warning
+    inst = {
+        "lr": {"type": "lr", "d": 3, "params": {"m": 2}, "targets": [0.0, 0.0],
+               "witness": [0.0] * 3},
+        "lsp": {"type": "lsp", "d": 3, "params": {"m": 2, "margin": 0.5},
+                "labels": [1.0, 1.0], "witness": [1.0, 0.0, 0.0]},
+    }[kind]
+    inst.update({key: [[1e200] * 3, [1e200] * 3], "seed": 0})
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(inst))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(
+            capsys,
+            "run", "--instance", str(inst_path), "--alg", alg,
+            "--budget", "100000", "--seed", "0",
+        )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == ["error: " + message]
 
 
 SWEEP = {

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,19 @@ def test_instances_reject_non_finite_values(case):
     # every comparison with NaN is false, so no other check catches these
     with pytest.raises(ValidationError):
         NON_FINITE[case]()
+
+
+def test_lsp_rejects_nan_margin_of_huge_point():
+    # near 1e308 both the norm and the score overflow, and the margin inf/inf
+    # is NaN, which once passed the check; this point's true margin is 0.14
+    xs = np.zeros((2, 100))
+    xs[0], xs[1, 0] = 1.7e308, 1.0
+    w = np.zeros(100)
+    w[:2] = 2**-0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="margin"):
+            LspDataset(xs, np.ones(2), w, 0.5)
 
 
 @pytest.mark.parametrize("d", [8, 16, 64])

@@ -57,10 +57,13 @@ def main():
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
+    seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        # the summary's quartiles need two runs a side; fail before any run
+        parser.error("--seeds names %d seed(s), the summary needs at least 2" % len(seeds))
 
     with open(os.path.join(args.head, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    seeds = parse_seeds(args.seeds)
     runs = {"base": {}, "head": {}}
     pairs = {}
     for workload in args.workloads.split(","):
