@@ -25,7 +25,7 @@ from .errors import (
     NotSeparableInProjection,
     ValidationError,
 )
-from .linalg import Subspace, kernel_vector, orthonormalize, sample_uniform_sphere
+from .linalg import Subspace, check_seed, kernel_vector, orthonormalize, sample_uniform_sphere
 from .streaming import Layout, OnePassAlgorithm, SharedRandomness, f64, uint
 
 
@@ -69,7 +69,7 @@ class RandomUnitPredictor(OnePassAlgorithm):
         if d < 1:
             raise ValidationError("need d >= 1")
         self.d = int(d)
-        self.seed = int(seed)
+        self.seed = check_seed(int(seed))
 
     def update(self, i, sample, state, shared):
         return state

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from scipy.linalg import lapack
 
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .linalg import (
     SIGN_SCAN_TOL,
+    check_seed,
     kernel_vector,
     sample_grassmannian,
     sample_uniform_sphere,
@@ -67,7 +67,7 @@ def _finite(name: str, value) -> np.ndarray:
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_seed(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +203,8 @@ def first_coord_tail(d: int, cf: float) -> float:
     """
     if d < 2 or not (0.0 <= cf < 1.0):
         raise ValidationError("need d >= 2 and 0 <= cf < 1")
+    # loaded on first call, so importing the package does not pay for it
+    import scipy.integrate
 
     def integrand(phi):
         return math.cos(phi) ** (d - 2)

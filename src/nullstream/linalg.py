@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptyList,
     RankDeficient,
+    ValidationError,
     ZeroDimensional,
 )
 
@@ -92,15 +93,6 @@ def orthonormalize(vectors) -> Subspace:
     return Subspace(ambient_dim=d, dim=rank, basis=q[:, :rank].T)
 
 
-def project(s: Subspace, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (s.ambient_dim,):
-        raise DimensionMismatch("vector length %s, ambient %d" % (v.shape, s.ambient_dim))
-    if s.dim == 0:
-        return np.zeros_like(v)
-    return s.basis.T @ (s.basis @ v)
-
-
 def complement(s: Subspace) -> Subspace:
     """The orthogonal complement (dim d - k)."""
     d, k = s.ambient_dim, s.dim
@@ -134,23 +126,6 @@ def kernel_vector(vectors) -> np.ndarray:
                 w = -w
             break
     return w
-
-
-def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
-    """Principal angles between equal-dimensional subspaces, largest first.
-
-    arccos of the singular values of B_u B_v^T, clamped into [0,1] before the
-    arccos so roundoff cannot produce NaN.
-    """
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    if u.dim != v.dim:
-        raise DimensionMismatch("principal angles need equal dims (%d vs %d)" % (u.dim, v.dim))
-    if u.dim == 0:
-        return np.zeros(0)
-    cosines = np.linalg.svd(u.basis @ v.basis.T, compute_uv=False)
-    cosines = np.clip(cosines, 0.0, 1.0)
-    return np.arccos(cosines)[::-1]
 
 
 def chordal_distance(u: Subspace, v: Subspace) -> float:
@@ -192,6 +167,14 @@ def min_eig_projector_sum(subspaces) -> EigCertificate:
     lam = max(float(evals[0]), 0.0)
     w = evecs[:, 0]
     return EigCertificate(lambda_min=lam, witness=w / np.linalg.norm(w))
+
+
+def check_seed(seed):
+    """The seed, unchanged, if numpy's default_rng takes it; a negative seed
+    is a ValidationError rather than numpy's bare ValueError."""
+    if seed < 0:
+        raise ValidationError("seed must be a non-negative integer, got %d" % seed)
+    return seed
 
 
 def sample_uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
 from .errors import ValidationError
 from .instances import first_coord_tail
 from .linalg import (
-    Subspace,
+    check_seed,
     chordal_distance,
     complement,
     min_eig_projector_sum,
@@ -70,7 +69,7 @@ class LemmaReport:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(trial)))
+    return np.random.default_rng((check_seed(int(seed)), int(trial)))
 
 
 def _need_some(name: str, count: int):
@@ -330,7 +329,7 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
         raise ValidationError("need d >= 4")
     _need_some("samples", samples)
     _need_real("c_f", c_f, 0.0 <= c_f < 1.0, "in [0, 1)")
-    rng = np.random.default_rng((int(seed), 0))
+    rng = _trial_rng(seed, 0)
     # the generator fills rows in order and each norm reduces one row, so
     # blocks reproduce the whole-matrix draw bit for bit
     rows = max(1, BLOCK_VALUES // d)
@@ -341,7 +340,12 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
     coords.sort()
     xs, cdf = first_coord_cdf_grid(d)
     ks_exact = _ks_statistic(coords, np.interp(coords, xs, cdf))
-    ks_normal = float(scipy.stats.kstest(math.sqrt(d) * coords, "norm").statistic)
+    # kstest(z, "norm") takes the same D from ndtr on sorted z; scipy.special
+    # is loaded here so that importing the package does not pay for it
+    import scipy.special
+
+    z = math.sqrt(d) * coords
+    ks_normal = _ks_statistic(z, scipy.special.ndtr(z))
     exact_tail = first_coord_tail(d, c_f)
     emp_tail = float(np.mean(coords >= c_f))
     alpha = -math.log(exact_tail) / d if exact_tail > 0 else float("inf")
@@ -373,8 +377,8 @@ def sphere_concentration_test(d: int, trials: int, seed: int) -> LemmaReport:
     if d % 2 or d < 4:
         raise ValidationError("need even d >= 4")
     _need_some("trials", trials)
-    u2 = sample_grassmannian(d // 2, d, np.random.default_rng((int(seed), 0)))
-    rng = np.random.default_rng((int(seed), 1))
+    u2 = sample_grassmannian(d // 2, d, _trial_rng(seed, 0))
+    rng = _trial_rng(seed, 1)
     g = rng.standard_normal((trials, d))
     ys = g / np.linalg.norm(g, axis=1, keepdims=True)
     f = np.linalg.norm(ys @ u2.basis.T, axis=1)
@@ -400,49 +404,7 @@ def sphere_concentration_test(d: int, trials: int, seed: int) -> LemmaReport:
 
 
 # ---------------------------------------------------------------------------
-# packing probe and complement symmetry
-
-
-def greedy_packing(
-    k: int, d: int, radius: float, candidate_budget: int, seed: int
-) -> tuple[list[Subspace], LemmaReport]:
-    """Greedy chordal-distance packing probe on a small Grassmannian.
-
-    Distances against the retained set use the Frobenius identity
-    chordal^2 = k - ||B_b A_b^T||_F^2, which avoids per-pair SVDs.
-    """
-    if not 1 <= k <= d:
-        raise ValidationError("need 1 <= k <= d")
-    if d > 24:
-        raise ValidationError("packing probe is capped at d <= 24")
-    if radius < 0:
-        raise ValidationError("radius must be nonnegative")
-    rng = np.random.default_rng((int(seed), 0))
-    kept: list[Subspace] = []
-    stack = np.zeros((0, k, d))
-    rows = []
-    for trial in range(candidate_budget):
-        cand = sample_grassmannian(k, d, rng)
-        if stack.shape[0]:
-            cross = stack @ cand.basis.T
-            dist = np.sqrt(np.clip(k - (cross**2).sum(axis=(1, 2)), 0.0, None))
-            ok = bool(np.all(dist >= radius))
-        else:
-            ok = True
-        if ok:
-            kept.append(cand)
-            stack = np.concatenate([stack, cand.basis[None]], axis=0)
-        rows.append({"trial": trial, "kept": ok})
-    report = LemmaReport(
-        lemma_id="sep-packing",
-        d=d,
-        trials=candidate_budget,
-        pass_fraction=1.0,
-        statistics={"retained": float(len(kept)), "radius": float(radius), "k": float(k)},
-        seed=seed,
-        trial_rows=tuple(rows),
-    )
-    return kept, report
+# complement symmetry
 
 
 def comorth_check(d: int, trials: int, seed: int) -> LemmaReport:

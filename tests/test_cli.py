@@ -372,6 +372,51 @@ def test_run_on_huge_rows_prints_one_error_line(tmp_path, capsys, kind, key, alg
     assert stderr.splitlines() == ["error: " + message]
 
 
+# every command whose seed reaches a numpy generator; {anv} is a conditioned
+# instance file and {out} a path that must stay unwritten
+NEGATIVE_SEED_ARGV = [
+    ["gen", "anv-gaussian", "--d", "8"],
+    ["gen", "anv-conditioned", "--d", "8"],
+    ["gen", "lsp-margin", "--d", "8", "--m", "4", "--gamma", "0.3"],
+    ["gen", "lsp-hard", "--d", "8", "--m", "8"],
+    ["gen", "lr-from-anv", "--instance", "{anv}"],
+    ["verify", "no-joint-sol", "--d", "8", "--trials", "1"],
+    ["verify", "sandwich", "--d", "8", "--trials", "1"],
+    ["verify", "singular", "--d", "8", "--trials", "1"],
+    ["verify", "marginal", "--d", "8", "--samples", "10"],
+    ["verify", "concentration", "--d", "8", "--trials", "10"],
+    ["verify", "comorth", "--d", "8", "--trials", "1"],
+    ["run", "--instance", "{anv}", "--alg", "random-unit", "--budget", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_ARGV,
+                         ids=lambda a: "-".join(a[:2] if a[0] != "run" else ("run", a[4])))
+def test_negative_seed_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    anv = str(gen_anv(capsys, tmp_path / "anv.json"))
+    out = tmp_path / "out.json"
+    argv = [a.format(anv=anv) for a in argv] + ["--seed", "-1"]
+    if argv[0] == "gen":
+        argv += ["--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "Traceback" not in stderr
+    assert stderr.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+    assert not out.exists()
+
+
+def test_negative_seed_still_runs_where_no_generator_takes_it(tmp_path, capsys):
+    # run seeds shared randomness, which masks the seed to 64 bits
+    anv = str(gen_anv(capsys, tmp_path / "anv.json"))
+    code, stdout, _ = run_cli(
+        capsys, "run", "--instance", anv, "--alg", "offline-kernel",
+        "--budget", "300000", "--seed", "-1",
+    )
+    assert code == 0
+    assert json.loads(stdout)["seed"] == -1
+
+
 SWEEP = {
     "problem": "lsp-margin",
     "params": {"m": 30, "gamma": 0.25},

@@ -23,7 +23,8 @@ def test_orthonormalize_already_orthonormal():
     e2 = np.array([0.0, 1.0, 0.0])
     s = linalg.orthonormalize([e1, e2])
     assert s.dim == 2
-    assert_allclose(linalg.project(s, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 0.0], atol=ATOL)
+    v = np.array([1.0, 2.0, 3.0])
+    assert_allclose(s.basis.T @ (s.basis @ v), [1.0, 2.0, 0.0], atol=ATOL)
 
 
 def test_orthonormalize_rank_deficient_input():
@@ -52,16 +53,11 @@ def test_orthonormalize_rejects_zero_input():
 
 def test_project_trivial_cases():
     s = linalg.orthonormalize([np.array([1.0, 0.0])])
-    assert_allclose(linalg.project(s, np.array([3.0, 4.0])), [3.0, 0.0], atol=ATOL)
+    v = np.array([3.0, 4.0])
+    assert_allclose(s.basis.T @ (s.basis @ v), [3.0, 0.0], atol=ATOL)
     full = linalg.orthonormalize(np.eye(5))
     v = np.arange(5.0)
-    assert_allclose(linalg.project(full, v), v, atol=ATOL)
-
-
-def test_project_dimension_mismatch():
-    s = linalg.orthonormalize([np.array([1.0, 0.0])])
-    with pytest.raises(DimensionMismatch):
-        linalg.project(s, np.zeros(3))
+    assert_allclose(full.basis.T @ (full.basis @ v), v, atol=ATOL)
 
 
 def test_complement_small():
@@ -123,33 +119,19 @@ def test_kernel_vector_rank_deficient():
         linalg.kernel_vector(m)
 
 
-def test_principal_angles_identical_and_orthogonal():
-    u = linalg.orthonormalize([np.array([1.0, 0.0])])
-    v = linalg.orthonormalize([np.array([0.0, 1.0])])
-    assert_allclose(linalg.principal_angles(u, u), [0.0], atol=ATOL)
-    assert_allclose(linalg.principal_angles(u, v), [np.pi / 2], atol=ATOL)
-
-
-def test_principal_angle_matches_planted_rotation():
+def test_chordal_distance_matches_planted_rotation():
+    # one principal angle alpha, so the distance is sin(alpha)
     alpha = 0.3
     u = linalg.orthonormalize([np.array([1.0, 0.0, 0.0])])
     v = linalg.orthonormalize([np.array([np.cos(alpha), np.sin(alpha), 0.0])])
-    assert_allclose(linalg.principal_angles(u, v), [alpha], atol=1e-12)
+    assert_allclose(linalg.chordal_distance(u, v), np.sin(alpha), atol=1e-12)
 
 
-def test_principal_angles_ordering_largest_first():
-    rng = np.random.default_rng(2)
-    u = linalg.sample_grassmannian(4, 12, rng)
-    v = linalg.sample_grassmannian(4, 12, rng)
-    ang = linalg.principal_angles(u, v)
-    assert np.all(np.diff(ang) <= 1e-15)
-
-
-def test_principal_angles_dim_mismatch():
+def test_chordal_distance_dim_mismatch():
     u = linalg.orthonormalize([np.array([1.0, 0.0, 0.0])])
     v = linalg.orthonormalize(np.eye(3)[:2])
     with pytest.raises(DimensionMismatch):
-        linalg.principal_angles(u, v)
+        linalg.chordal_distance(u, v)
 
 
 def test_chordal_distance_small_cases():
@@ -203,7 +185,7 @@ def test_min_eig_projector_sum_singleton_is_zero():
     cert = linalg.min_eig_projector_sum([s])
     assert cert.lambda_min <= 1e-10
     # witness lies in the complement
-    assert np.linalg.norm(linalg.project(s, cert.witness)) < 1e-6
+    assert np.linalg.norm(s.basis.T @ (s.basis @ cert.witness)) < 1e-6
 
 
 def test_min_eig_projector_sum_identity():
@@ -291,7 +273,7 @@ def test_sample_grassmannian_line_angle_uniform():
     rng = np.random.default_rng(59)
     e1 = linalg.orthonormalize([np.array([1.0, 0.0])])
     angles = [
-        linalg.principal_angles(linalg.sample_grassmannian(1, 2, rng), e1)[0]
+        np.arccos(min(1.0, abs(linalg.sample_grassmannian(1, 2, rng).basis[0] @ e1.basis[0])))
         for _ in range(2000)
     ]
     stat = scipy.stats.kstest(angles, scipy.stats.uniform(loc=0.0, scale=np.pi / 2).cdf).statistic
@@ -305,8 +287,9 @@ def test_projection_idempotent_and_pythagoras(seed, d):
     k = int(rng.integers(1, d + 1))
     s = linalg.sample_grassmannian(k, d, rng)
     v = rng.standard_normal(d)
-    p = linalg.project(s, v)
-    assert_allclose(linalg.project(s, p), p, atol=1e-10)
-    q = linalg.project(linalg.complement(s), v)
+    c = linalg.complement(s)
+    p = s.basis.T @ (s.basis @ v)
+    assert_allclose(s.basis.T @ (s.basis @ p), p, atol=1e-10)
+    q = c.basis.T @ (c.basis @ v)
     assert abs(np.dot(p, p) + np.dot(q, q) - np.dot(v, v)) <= 1e-9
     assert np.linalg.norm(p) <= np.linalg.norm(v) + 1e-12

@@ -1,5 +1,7 @@
-"""Argument checks of the scripts under tools/."""
+"""Checks of the scripts under tools/."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +25,29 @@ def test_bench_pairs_refuses_fewer_than_two_seeds(tmp_path, seeds):
     assert "at least 2" in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_bench_pairs_records_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base, head = tmp_path / "base", tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+
+    def run_once(root, workload, seed, seconds):
+        # head's bytes differ on seed 2 of certify only
+        changed = root == str(head) and workload == "certify" and seed == 2
+        return {"seed": seed, "record": {"output_sha256": "b" if changed else "a"},
+                "result": {"metrics": {"ops_per_s": {"unit": "1/s", "value": float(seed)}}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--workloads",
+                      "reduce-d64,certify", "--seeds", "1-3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["digest_mismatch"] == {"reduce-d64": [], "certify": [2]}
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith("DIGEST MISMATCH") for line in lines] == [False] * 4 + [True, False]

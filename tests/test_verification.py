@@ -12,18 +12,18 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import betainc
+from scipy.special import betainc, ndtr
 
 from nullstream.errors import ValidationError
 from nullstream.instances import first_coord_tail
-from nullstream.linalg import chordal_distance, orthonormalize, sample_grassmannian
+from nullstream.linalg import orthonormalize, sample_grassmannian
 from nullstream.verification import (
     LemmaReport,
+    _ks_statistic,
     certify_no_joint_sol,
     certify_sandwich,
     comorth_check,
     first_coord_cdf_grid,
-    greedy_packing,
     joint_sol_lambda_min,
     sandwich_bounds,
     sandwich_extremes,
@@ -208,6 +208,21 @@ def test_sphere_marginal_at_calibrated_point():
     assert abs(r.statistics["emp_tail"] - p) <= 4 * sigma
 
 
+def test_ks_statistic_matches_scipy_kstest_bit_for_bit():
+    # ks_normal is _ks_statistic on ndtr; scipy.stats is only the oracle here
+    import scipy.stats
+
+    rng = np.random.default_rng(17)
+    sizes = [1, 1, 2, 3] + [int(n) for n in rng.integers(4, 5000, 196)]
+    for case, n in enumerate(sizes):
+        z = rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-0.5, 0.5)
+        if case % 3 == 0:
+            z = np.round(z, 1)  # ties
+        z.sort()
+        expected = scipy.stats.kstest(z, "norm").statistic
+        assert _ks_statistic(z, ndtr(z)) == expected, (case, n)
+
+
 def test_exact_tail_decays_exponentially_in_dimension():
     tails = [first_coord_tail(d, 0.2) for d in (16, 32, 64, 128, 256)]
     logs = np.log(tails)
@@ -251,45 +266,6 @@ def test_concentration_std_halving_ratios():
     stds = [sphere_concentration_test(d, 10_000, seed=2).statistics["std"] for d in (64, 128, 256)]
     for a, b in zip(stds, stds[1:]):
         assert 0.5 <= b / a <= 0.9
-
-
-# ---------------------------------------------------------------------------
-# packing probe
-
-
-def test_packing_zero_radius_retains_all():
-    kept, r = greedy_packing(3, 8, 0.0, 100, seed=0)
-    assert len(kept) == 100
-    assert r.statistics["retained"] == 100
-
-
-def test_packing_above_diameter_retains_one():
-    # chordal distance on Gr(4, 8) never exceeds sqrt(4) = 2
-    kept, _ = greedy_packing(4, 8, 3.0, 100, seed=0)
-    assert len(kept) == 1
-
-
-def test_packing_monotone_in_radius():
-    sizes = [len(greedy_packing(4, 8, rad, 400, seed=1)[0]) for rad in (0.0, 1.0, 1.2, 1.41)]
-    assert sizes[0] >= sizes[1] >= sizes[2] >= sizes[3]
-    assert sizes[3] >= 1
-
-
-def test_packing_calibrated_example_exceeds_fifty():
-    kept, _ = greedy_packing(4, 8, 0.5 * math.sqrt(8) * 0.3, 2000, seed=0)
-    assert len(kept) > 50
-
-
-def test_packing_pairwise_distances_respect_radius():
-    kept, _ = greedy_packing(4, 8, 1.2, 400, seed=1)
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            assert chordal_distance(kept[i], kept[j]) >= 1.2 - 1e-9
-
-
-def test_packing_cost_guard():
-    with pytest.raises(ValidationError):
-        greedy_packing(4, 32, 1.0, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------

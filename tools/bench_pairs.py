@@ -10,9 +10,12 @@ quiet spells of the host; which side goes first alternates from seed to
 seed.  Each side is stored in the `perfbench/sweep.py --out` format
 (seconds, trace, seeds, and per workload a summary of every end-to-end
 metric plus each run's result and record line); `pairs` counts, per metric,
-the seeds on which head beat base, ties counting for neither.  After each
-pair it prints one progress line with the base and head value of every
-end-to-end metric, so a claim can be watched while the pairs run.
+the seeds on which head beat base, ties counting for neither, and
+`digest_mismatch` lists, per workload, the seeds whose base and head output
+digests (`output_sha256`) differ.  After each pair it prints one progress
+line with the base and head value of every end-to-end metric, ending in
+"DIGEST MISMATCH" when the digests differ, so a claim and its bytes can be
+watched while the pairs run.
 """
 
 import argparse
@@ -48,7 +51,7 @@ def side(runs, seconds, seeds):
     return doc
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--head", required=True)
@@ -56,7 +59,7 @@ def main():
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--out", required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         # the summary's quartiles need two runs a side; fail before any run
@@ -66,8 +69,10 @@ def main():
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     runs = {"base": {}, "head": {}}
     pairs = {}
+    mismatch = {}
     for workload in args.workloads.split(","):
         wins = {}
+        mismatch[workload] = []
         for i, seed in enumerate(seeds):
             pair = {}
             order = (("base", args.base), ("head", args.head))
@@ -80,12 +85,17 @@ def main():
                 h = values["head"][metric]
                 won = h > b if better[metric] == "higher" else h < b
                 wins[metric] = wins.get(metric, 0) + int(won)
-            print("%s seed %d %s" % (workload, seed, "  ".join(
+            same = pair["base"]["record"]["output_sha256"] == pair["head"]["record"]["output_sha256"]
+            if not same:
+                mismatch[workload].append(seed)
+            print("%s seed %d %s%s" % (workload, seed, "  ".join(
                 "%s base %.4g head %.4g" % (m, b, values["head"][m])
-                for m, b in values["base"].items())), flush=True)
+                for m, b in values["base"].items()), "" if same else "  DIGEST MISMATCH"),
+                flush=True)
         pairs[workload] = {m: "%d of %d" % (w, len(seeds)) for m, w in wins.items()}
     doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
            "pairs": pairs,
+           "digest_mismatch": mismatch,
            "base": side(runs["base"], args.seconds, seeds),
            "head": side(runs["head"], args.seconds, seeds)}
     with open(args.out, "w", encoding="utf-8") as fh:
