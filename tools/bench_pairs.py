@@ -85,7 +85,7 @@ def main(argv=None):
                 h = values["head"][metric]
                 won = h > b if better[metric] == "higher" else h < b
                 wins[metric] = wins.get(metric, 0) + int(won)
-            same = pair["base"]["record"]["output_sha256"] == pair["head"]["record"]["output_sha256"]
+            same = len({r["record"]["output_sha256"] for r in pair.values()}) == 1
             if not same:
                 mismatch[workload].append(seed)
             print("%s seed %d %s%s" % (workload, seed, "  ".join(
