@@ -25,7 +25,10 @@ from .errors import (
     NotSeparableInProjection,
     ValidationError,
 )
-from .linalg import Subspace, check_seed, kernel_vector, orthonormalize, sample_uniform_sphere
+from .linalg import Subspace, check_seed, kernel_vector, sample_uniform_sphere
+# the projection hands its fresh draw over to be factored in place; it is
+# called through this module-level name, which a profiler may rebind
+from .linalg import _orthonormalize_columns as orthonormalize
 from .streaming import Layout, OnePassAlgorithm, SharedRandomness, f64, uint
 
 
@@ -323,7 +326,7 @@ class ProjectionSeparator(OnePassAlgorithm):
         key = (shared.seed, d)
         if key not in self._proj_cache:
             rng = shared.generator("proj-separator", self.seed, d)
-            self._proj_cache[key] = orthonormalize(rng.standard_normal((self.dprime, d)))
+            self._proj_cache[key] = orthonormalize(rng.standard_normal((self.dprime, d)).T)
         return self._proj_cache[key]
 
     # -- state codec --------------------------------------------------------

@@ -81,8 +81,7 @@ def _anv_diagnostics(inst) -> list:
 
 
 def _lsp_diagnostics(inst) -> list:
-    norms = np.linalg.norm(inst.xs, axis=1)
-    achieved = float(np.min((inst.xs @ inst.witness) * inst.ys / norms))
+    achieved = margin_of(inst.witness, inst)
     return ["margin = %.6g" % inst.margin, "achieved_margin = %.6g" % achieved]
 
 

@@ -36,9 +36,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    BLOCK_VALUES,
     SIGN_SCAN_TOL,
     check_seed,
     kernel_vector,
+    row_norms,
     sample_grassmannian,
     sample_uniform_sphere,
     sample_uniform_subsphere,
@@ -93,8 +95,7 @@ class AnvInstance:
             if self.cf is None:
                 raise ValidationError("conditioned instances carry cf")
             _finite("cf", self.cf)
-            norms = np.linalg.norm(v, axis=1)
-            if np.abs(norms - 1.0).max() > UNIT_TOL:
+            if np.abs(row_norms(v) - 1.0).max() > UNIT_TOL:
                 raise NotUnit("conditioned vectors must be unit")
             if w[0] < self.cf:
                 raise ValidationError("witness first coordinate below cf")
@@ -125,7 +126,7 @@ class LspDataset:
         # norms of points near 1e200 overflow to inf, and near 1e308 their
         # scores too, so a margin is 0 or NaN: both fail, with no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(xs, axis=1)
+            norms = row_norms(xs)
             if np.any(norms == 0):
                 raise DegenerateInput("zero data point")
             if not np.min((xs @ w) * ys / norms) >= self.margin - 1e-12:
@@ -163,7 +164,7 @@ class LrInstance:
         # squares of finite values near 1e200 overflow to inf, which fails
         # these checks as it should; numpy's warning about it is not printed
         with np.errstate(over="ignore"):
-            if np.linalg.norm(a, axis=1).max() > 1 + 1e-12:
+            if row_norms(a).max() > 1 + 1e-12:
                 raise ValidationError("row norms must be at most 1")
             if np.linalg.norm(b) > 1 + 1e-12:
                 raise ValidationError("target norm must be at most 1")
@@ -300,8 +301,8 @@ def _conditioned_attempt(d: int, cf: float, rng: np.random.Generator):
     sign is randomized, so the acceptance probability is exactly the one-sided
     tail reported by first_coord_tail.
     """
-    g = rng.standard_normal((d - 1, d))
-    thetas = g / np.linalg.norm(g, axis=1, keepdims=True)
+    thetas = rng.standard_normal((d - 1, d))
+    thetas /= row_norms(thetas)[:, None]
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return thetas, _accepted_witness(thetas, sign, cf)
 
@@ -374,7 +375,7 @@ def gen_lsp_from_anv(inst: AnvInstance, c4: float) -> LspDataset:
     xs[1::2] = inst.vectors - shift
     ys[0::2] = 1.0
     ys[1::2] = -1.0
-    margin = inst.cf * c4 / math.sqrt(d) / np.linalg.norm(xs, axis=1).max()
+    margin = inst.cf * c4 / math.sqrt(d) / row_norms(xs).max()
     return LspDataset(xs=xs, ys=ys, witness=inst.witness, margin=margin)
 
 
@@ -384,6 +385,10 @@ def gen_lsp_margin(d: int, m: int, gamma: float, seed) -> LspDataset:
     Each point is y*gamma*w + sqrt(1-gamma^2)*z with z a uniform unit vector
     orthogonal to the witness w, so margin_of(w, ds) == gamma exactly and the
     dataset is as hard as its stated margin allows.
+
+    The one m x d draw becomes the points in place, each outer product taken
+    BLOCK_VALUES values at a time; every step is the elementwise operation
+    of the whole-matrix formula, so the bytes are the same.
     """
     if d < 2 or m < 1:
         raise ValidationError("need d >= 2 and m >= 1")
@@ -392,11 +397,17 @@ def gen_lsp_margin(d: int, m: int, gamma: float, seed) -> LspDataset:
     rng = _as_rng(seed)
     w = sample_uniform_sphere(d, rng)
     g = rng.standard_normal((m, d))
-    g -= np.outer(g @ w, w)
-    z = g / np.linalg.norm(g, axis=1, keepdims=True)
+    rows = max(1, BLOCK_VALUES // d)
+    blocks = [slice(start, start + rows) for start in range(0, m, rows)]
+    gw = g @ w
+    for blk in blocks:
+        g[blk] -= np.outer(gw[blk], w)
+    g /= row_norms(g)[:, None]
     ys = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-    xs = gamma * np.outer(ys, w) + math.sqrt(1.0 - gamma * gamma) * z
-    return LspDataset(xs=xs, ys=ys, witness=w, margin=gamma)
+    g *= math.sqrt(1.0 - gamma * gamma)
+    for blk in blocks:
+        g[blk] += gamma * np.outer(ys[blk], w)
+    return LspDataset(xs=g, ys=ys, witness=w, margin=gamma)
 
 
 def sample_dv(s: Subspace, c: float, seed) -> tuple[np.ndarray, float]:
@@ -442,7 +453,7 @@ def gen_lsp_hard(
         ]
         xs = np.array([x for x, _ in draws])
         ys = np.array([y for _, y in draws])
-        margin = float(np.min((xs @ w) * ys / np.linalg.norm(xs, axis=1)))
+        margin = float(np.min((xs @ w) * ys / row_norms(xs)))
         return LspDataset(xs=xs, ys=ys, witness=w, margin=margin), v, u
     raise _too_rare(d, cf, max_attempts)
 
@@ -476,7 +487,7 @@ def margin_of(w, ds: LspDataset) -> float:
     w = np.asarray(w, dtype=float)
     if w.shape != (ds.d,):
         raise DimensionMismatch("separator has wrong dimension")
-    return float(np.min((ds.xs @ w) * ds.ys / np.linalg.norm(ds.xs, axis=1)))
+    return float(np.min((ds.xs @ w) * ds.ys / row_norms(ds.xs)))
 
 
 def classification_error(w, ds: LspDataset) -> float:

@@ -24,6 +24,9 @@ from .errors import (
 ORTHO_TOL = 1e-10
 RANK_REL_TOL = 1e-10
 SIGN_SCAN_TOL = 1e-12
+# values a large array is reduced or edited at a time (512 KiB of doubles),
+# so a pass over an m x d array holds O(m) beyond it rather than O(m * d)
+BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class Subspace:
             raise DimensionMismatch("need 0 <= dim <= ambient_dim")
         if self.dim > 0:
             gram = b @ b.T
-            if np.abs(gram - np.eye(self.dim)).max() > ORTHO_TOL:
+            gram[np.diag_indices(self.dim)] -= 1.0
+            if np.abs(gram, out=gram).max() > ORTHO_TOL:
                 raise DegenerateInput("basis rows are not orthonormal to 1e-10")
         object.__setattr__(self, "basis", b)
 
@@ -75,8 +79,35 @@ def _as_matrix(vectors) -> np.ndarray:
     return m
 
 
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real 2-D array, BLOCK_VALUES values
+    at a time.  For real input np.linalg.norm(m, axis=1) computes the same
+    sqrt(add.reduce(m * m, axis=1)) and reduces each row on its own, so the
+    bits match while the squares never take a second m x d array."""
+    rows = max(1, BLOCK_VALUES // max(1, m.shape[1]))
+    out = np.empty(m.shape[0])
+    for start in range(0, m.shape[0], rows):
+        blk = m[start : start + rows]
+        np.sqrt(np.add.reduce(blk * blk, axis=1), out=out[start : start + rows])
+    return out
+
+
+def _orthonormalize_columns(a: np.ndarray) -> Subspace:
+    """Span of the columns of a d x n Fortran-ordered array that the caller
+    hands over: the pivoted QR factors it in place, so the basis is a's own
+    memory and a must not be used afterwards."""
+    d = a.shape[0]
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, overwrite_a=True)
+    diag = np.abs(np.diag(r))
+    del r
+    if diag.size == 0 or diag[0] <= 0.0:
+        raise DegenerateInput("all input vectors are numerically zero")
+    rank = int(np.sum(diag > RANK_REL_TOL * diag[0]))
+    return Subspace(ambient_dim=d, dim=rank, basis=q[:, :rank].T)
+
+
 def orthonormalize(vectors) -> Subspace:
-    """Span of the given vectors as a Subspace.
+    """Span of the given vectors as a Subspace; the argument is not written.
 
     Rank is detected by Householder QR with column pivoting: diagonal entries
     of R below 1e-10 relative to the largest are treated as zero.
@@ -85,12 +116,7 @@ def orthonormalize(vectors) -> Subspace:
     n, d = m.shape
     if n > d:
         raise DimensionMismatch("more vectors (%d) than ambient dimension (%d)" % (n, d))
-    q, r, _ = scipy.linalg.qr(m.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= 0.0:
-        raise DegenerateInput("all input vectors are numerically zero")
-    rank = int(np.sum(diag > RANK_REL_TOL * diag[0]))
-    return Subspace(ambient_dim=d, dim=rank, basis=q[:, :rank].T)
+    return _orthonormalize_columns(np.array(m.T, order="F"))
 
 
 def complement(s: Subspace) -> Subspace:
@@ -202,9 +228,8 @@ def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
     if not (1 <= k <= d):
         raise DimensionMismatch("need 1 <= k <= d")
     for _ in range(16):
-        g = rng.standard_normal((k, d))
         try:
-            s = orthonormalize(g)
+            s = _orthonormalize_columns(rng.standard_normal((k, d)).T)
         except DegenerateInput:
             continue
         if s.dim == k:

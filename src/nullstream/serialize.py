@@ -30,15 +30,43 @@ __all__ = [
 ]
 
 
+def _non_finite(v: float) -> ValidationError:
+    return ValidationError("cannot serialize non-finite value %r" % (v,))
+
+
+def _float_text(v: float) -> str:
+    s = format(v, ".17g")
+    # keep a decimal marker so json parses the value back as a float
+    return s if "." in s or "e" in s else s + ".0"
+
+
 def format_float(x) -> str:
     v = float(x)
     if not math.isfinite(v):
-        raise ValidationError("cannot serialize non-finite value %r" % (v,))
-    s = format(v, ".17g")
-    # keep a decimal marker so json parses the value back as a float
-    if "." not in s and "e" not in s:
-        s += ".0"
-    return s
+        raise _non_finite(v)
+    return _float_text(v)
+
+
+def _float_list(values) -> str:
+    return "[%s]" % ", ".join(map(_float_text, values))
+
+
+def _emit_float_array(a: np.ndarray, out):
+    """A 1-D or 2-D float64 array, the same text as format_float on each
+    value, with one finiteness check for the whole array."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        # boolean indexing walks in row order, as the element-wise path does
+        raise _non_finite(float(a[~finite][0]))
+    if a.ndim == 1:
+        out.write(_float_list(a.tolist()))
+        return
+    out.write("[")
+    for i, row in enumerate(a.tolist()):
+        if i:
+            out.write(", ")
+        out.write(_float_list(row))
+    out.write("]")
 
 
 def _emit(obj, out):
@@ -63,6 +91,8 @@ def _emit(obj, out):
             out.write(": ")
             _emit(v, out)
         out.write("}")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        _emit_float_array(obj, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray):
             obj = obj.tolist()

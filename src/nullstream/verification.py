@@ -21,11 +21,13 @@ import scipy.linalg
 from .errors import ValidationError
 from .instances import first_coord_tail
 from .linalg import (
+    BLOCK_VALUES,
     check_seed,
     chordal_distance,
     complement,
     min_eig_projector_sum,
     orthonormalize,
+    row_norms,
     sample_grassmannian,
 )
 
@@ -40,9 +42,6 @@ KS_NORMAL_MAX = 0.03
 KS_EXACT_MAX = 0.01
 PASS_CONSISTENCY_TOL = 1e-12
 CDF_GRID_POINTS = 200_001
-# Gaussian values the sphere marginal draws at a time (512 KiB of doubles),
-# so its working memory is O(samples) rather than O(samples * d)
-BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -331,12 +330,13 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
     _need_real("c_f", c_f, 0.0 <= c_f < 1.0, "in [0, 1)")
     rng = _trial_rng(seed, 0)
     # the generator fills rows in order and each norm reduces one row, so
-    # blocks reproduce the whole-matrix draw bit for bit
+    # blocks of BLOCK_VALUES Gaussians reproduce the whole-matrix draw bit for
+    # bit while the working memory stays O(samples) rather than O(samples * d)
     rows = max(1, BLOCK_VALUES // d)
     coords = np.empty(samples)
     for start in range(0, samples, rows):
         g = rng.standard_normal((min(rows, samples - start), d))
-        coords[start : start + g.shape[0]] = g[:, 0] / np.linalg.norm(g, axis=1)
+        coords[start : start + g.shape[0]] = g[:, 0] / row_norms(g)
     coords.sort()
     xs, cdf = first_coord_cdf_grid(d)
     ks_exact = _ks_statistic(coords, np.interp(coords, xs, cdf))
@@ -377,11 +377,15 @@ def sphere_concentration_test(d: int, trials: int, seed: int) -> LemmaReport:
     if d % 2 or d < 4:
         raise ValidationError("need even d >= 4")
     _need_some("trials", trials)
+    if trials == 1:
+        # the cap bounds a std, and one sample's std is 0 whatever it is
+        raise ValidationError("trials must be at least 2: the std of one sample is 0")
     u2 = sample_grassmannian(d // 2, d, _trial_rng(seed, 0))
     rng = _trial_rng(seed, 1)
-    g = rng.standard_normal((trials, d))
-    ys = g / np.linalg.norm(g, axis=1, keepdims=True)
-    f = np.linalg.norm(ys @ u2.basis.T, axis=1)
+    ys = rng.standard_normal((trials, d))
+    ys /= row_norms(ys)[:, None]
+    # one gemm: a blocked product may round differently
+    f = row_norms(ys @ u2.basis.T)
     std = float(np.std(f))
     mean = float(np.mean(f))
     passed = std <= STD_CAP / math.sqrt(d)

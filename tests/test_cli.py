@@ -285,6 +285,16 @@ def test_verify_without_trials_or_samples_exits_2(capsys, argv):
     assert stderr.startswith("error: ") and "must be at least 1" in stderr
 
 
+def test_verify_concentration_with_one_trial_exits_2(capsys):
+    # one sample's std is 0, so its cap would pass without measuring anything
+    code, stdout, stderr = run_cli(capsys, "verify", "concentration", "--d", "8", "--trials", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error: trials must be at least 2")
+    assert "std of one sample is 0" in stderr
+
+
 @pytest.mark.parametrize(
     "argv,param",
     [

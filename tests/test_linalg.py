@@ -293,3 +293,95 @@ def test_projection_idempotent_and_pythagoras(seed, d):
     q = c.basis.T @ (c.basis @ v)
     assert abs(np.dot(p, p) + np.dot(q, q) - np.dot(v, v)) <= 1e-9
     assert np.linalg.norm(p) <= np.linalg.norm(v) + 1e-12
+
+
+def _wide_range_matrix(rows, d, seed):
+    # Gaussians scaled over 200 decades, so the sums of squares round often
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-100, 100, (rows, d))
+
+
+@pytest.mark.parametrize("d", [1, 3, 64, 1000, 1024])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_row_norms_match_numpy_norm_at_block_edges(d, offset):
+    rows = max(1, linalg.BLOCK_VALUES // d) + offset
+    m = _wide_range_matrix(rows, d, seed=d)
+    assert np.array_equal(linalg.row_norms(m), np.linalg.norm(m, axis=1))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_row_norms_match_numpy_norm_past_one_block_per_row(rows):
+    m = _wide_range_matrix(rows, linalg.BLOCK_VALUES + 3, seed=rows)
+    assert np.array_equal(linalg.row_norms(m), np.linalg.norm(m, axis=1))
+
+
+def test_row_norms_of_several_blocks_and_views():
+    m = _wide_range_matrix(7 * (linalg.BLOCK_VALUES // 64) // 2, 64, seed=11)
+    assert np.array_equal(linalg.row_norms(m), np.linalg.norm(m, axis=1))
+    assert np.array_equal(linalg.row_norms(m[::3, 1:]), np.linalg.norm(m[::3, 1:], axis=1))
+    assert np.array_equal(linalg.row_norms(m.T), np.linalg.norm(m.T, axis=1))
+    assert linalg.row_norms(np.zeros((0, 4))).shape == (0,)
+
+
+def _qr_oracle(m):
+    """The basis a plain pivoted QR of a copy gives: Q's leading rank columns."""
+    q, r, _ = scipy.linalg.qr(m.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > linalg.RANK_REL_TOL * diag[0]))
+    return q[:, :rank].T
+
+
+def _qr_inputs():
+    rng = np.random.default_rng(5)
+    low = rng.standard_normal((40, 7)) @ rng.standard_normal((7, 90))
+    return {
+        "random": rng.standard_normal((30, 80)),
+        "square": rng.standard_normal((50, 50)),
+        "rank-deficient": low,
+        "repeated-rows": np.vstack([low[:5], low[:5], 3.0 * low[:2]]),
+        "one-row": rng.standard_normal((1, 20)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_qr_inputs()))
+def test_orthonormalize_bases_equal_pivoted_qr_bits(name):
+    m = _qr_inputs()[name]
+    expected = _qr_oracle(m)
+    public = linalg.orthonormalize(m)
+    owned = linalg._orthonormalize_columns(np.array(m.T, order="F"))
+    for s in (public, owned):
+        assert s.dim == expected.shape[0]
+        assert np.array_equal(s.basis, expected)
+    if name.startswith(("rank", "repeated")):
+        assert public.dim < m.shape[0]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_orthonormalize_leaves_its_argument_unchanged(order):
+    m = np.array(_qr_inputs()["random"], order=order)
+    before = m.copy()
+    linalg.orthonormalize(m)
+    assert np.array_equal(m, before)
+    rows = m.tolist()
+    linalg.orthonormalize(rows)
+    assert rows == before.tolist()
+
+
+def test_sample_grassmannian_matches_orthonormalize_of_its_draw():
+    # the sampler hands its draw to the owned-array helper; the bits are those
+    # of the public function on the same draw
+    s = linalg.sample_grassmannian(7, 40, np.random.default_rng(3))
+    g = np.random.default_rng(3).standard_normal((7, 40))
+    assert np.array_equal(s.basis, linalg.orthonormalize(g).basis)
+
+
+def test_subspace_rejects_a_basis_off_orthonormal_by_more_than_tolerance():
+    basis = np.eye(3)[:2].copy()
+    linalg.Subspace(ambient_dim=3, dim=2, basis=basis)
+    basis[1, 1] = 1.0 + 1e-9
+    with pytest.raises(DegenerateInput):
+        linalg.Subspace(ambient_dim=3, dim=2, basis=basis)
+    basis[1, 1] = 1.0
+    basis[0, 1] = -1e-9
+    with pytest.raises(DegenerateInput):
+        linalg.Subspace(ambient_dim=3, dim=2, basis=basis)

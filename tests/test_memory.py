@@ -1,0 +1,52 @@
+"""Traced-allocation guards for the large-array paths at benchmark size.
+
+Each path holds its m x d (or d' x d) array once: the array is edited in
+place or reduced in fixed row blocks, so the traced peak stays a small
+multiple of the output.  The whole-matrix formulas these replaced peaked at
+about 4.0x (gen_lsp_margin), 4.3x (projection_for) and 1.8x the bound below
+(sphere_concentration_test).
+"""
+
+import tracemalloc
+
+from nullstream.algorithms import build_algorithm
+from nullstream.instances import gen_lsp_margin
+from nullstream.streaming import SharedRandomness
+from nullstream.verification import sphere_concentration_test
+
+MIB = 2**20
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes its numpy and Python allocations held at once)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_lsp_margin_peak_is_its_points_plus_a_quarter():
+    gen_lsp_margin(64, 10, 0.3, 1)  # first-call caches
+    ds, peak = traced_peak(lambda: gen_lsp_margin(1024, 1000, 0.3, 8))
+    assert peak <= 1.25 * ds.xs.nbytes
+
+
+def test_fresh_projection_peak_is_at_most_twice_its_basis():
+    shared = SharedRandomness(3)
+    build_algorithm("proj-separator", 64, 0).projection_for(64, shared)  # first-call caches
+    alg = build_algorithm("proj-separator", 1024, 0)
+    proj, peak = traced_peak(lambda: alg.projection_for(1024, shared))
+    assert proj.basis.shape == (600, 1024)
+    assert peak <= 2 * proj.basis.nbytes
+
+
+def test_concentration_peak_is_its_draw_and_projection():
+    d, trials = 64, 10_000
+    sphere_concentration_test(8, 10, 1)  # first-call caches
+    _, peak = traced_peak(lambda: sphere_concentration_test(d, trials, 3))
+    draw, projection = trials * d * 8, trials * (d // 2) * 8
+    assert peak <= draw + projection + MIB

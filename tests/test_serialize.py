@@ -57,6 +57,53 @@ def test_dumps_rejects_unknown_types():
         dumps({"x": object()})
 
 
+def _elementwise(values) -> str:
+    # the generic path: one format_float per value, nested lists joined by ", "
+    if isinstance(values, list):
+        return "[%s]" % ", ".join(_elementwise(v) for v in values)
+    return format_float(values)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1.0, -3.0, 1e16, -1e16, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 5), (5, 2), (0,), (0, 3), (3, 0)])
+def test_dumps_float_arrays_match_elementwise_format(shape):
+    n = math.prod(shape)
+    values = np.resize(np.array(EDGE_FLOATS), n).reshape(shape)
+    doc = {"a": values, "b": [values, values.T]}
+    text, transposed = _elementwise(values.tolist()), _elementwise(values.T.tolist())
+    expected = '{"a": %s, "b": [%s, %s]}' % (text, text, transposed)
+    assert dumps(doc) == expected
+
+
+def test_dumps_float_array_keeps_decimal_markers():
+    assert dumps(np.array([-0.0, 1.0, 1e16, 5e-324, 1.7976931348623157e308])) == (
+        "[-0.0, 1.0, 10000000000000000.0, 4.9406564584124654e-324, 1.7976931348623157e+308]"
+    )
+
+
+def test_dumps_random_float_matrix_matches_elementwise_format():
+    rng = np.random.default_rng(1)
+    values = np.frombuffer(rng.bytes(8 * 4096), dtype="<f8").reshape(64, 64).copy()
+    values[~np.isfinite(values)] = 0.5
+    assert dumps(values) == _elementwise(values.tolist())
+
+
+@pytest.mark.parametrize(
+    "first,later,name",
+    [(math.nan, math.inf, "nan"), (-math.inf, math.nan, "-inf"), (math.inf, -math.inf, "inf")],
+)
+def test_dumps_float_array_names_first_non_finite_value_in_row_order(first, later, name):
+    values = np.zeros((3, 4))
+    values[1, 3] = first
+    values[2, 0] = later
+    with pytest.raises(ValidationError, match="^cannot serialize non-finite value %s$" % name):
+        dumps({"points": values})
+    with pytest.raises(ValidationError, match="^cannot serialize non-finite value %s$" % name):
+        dumps(values.T.copy().T)  # the same values in Fortran order
+
+
 def test_anv_gaussian_round_trip():
     inst = gen_anv_gaussian(12, seed=3)
     back, seed = instance_from_json(instance_to_json(inst, 3))

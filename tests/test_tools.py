@@ -51,3 +51,37 @@ def test_bench_pairs_records_seeds_whose_digests_differ(tmp_path, monkeypatch, c
     assert doc["digest_mismatch"] == {"reduce-d64": [], "certify": [2]}
     lines = capsys.readouterr().out.splitlines()
     assert [line.endswith("DIGEST MISMATCH") for line in lines] == [False] * 4 + [True, False]
+
+
+def test_bench_pairs_writes_win_counts_and_median_changes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base, head = tmp_path / "base", tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "peak_rss_mb", "better": "lower"},
+        {"name": "ops_per_s", "better": "higher"},
+    ]}))
+    # base rss 100, 101, 102, 103; head is 12% lower except on seed 4, where
+    # it loses; head ops/s are equal to base's on every seed
+    values = {"base": {1: 100.0, 2: 101.0, 3: 102.0, 4: 103.0},
+              "head": {1: 88.0, 2: 88.88, 3: 89.76, 4: 200.0}}
+
+    def run_once(root, workload, seed, seconds):
+        side = "head" if root == str(head) else "base"
+        metrics = {"peak_rss_mb": {"unit": "MB", "value": values[side][seed]},
+                   "ops_per_s": {"unit": "1/s", "value": 2.0}}
+        return {"seed": seed, "record": {"output_sha256": "a"}, "result": {"metrics": metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--workloads", "sweep-proj",
+                      "--seeds", "1-4", "--out", str(out)])
+    capsys.readouterr()
+    pairs = json.loads(out.read_text())["pairs"]["sweep-proj"]
+    assert pairs["peak_rss_mb"]["won"] == "3 of 4"
+    # medians: base 101.5, head (88.88 + 89.76) / 2 = 89.32
+    assert pairs["peak_rss_mb"]["median_change"] == pytest.approx(89.32 / 101.5 - 1)
+    assert pairs["ops_per_s"] == {"won": "0 of 4", "median_change": 0.0}

@@ -9,8 +9,10 @@ head checkout back to back, one at a time, so both see the same slow and
 quiet spells of the host; which side goes first alternates from seed to
 seed.  Each side is stored in the `perfbench/sweep.py --out` format
 (seconds, trace, seeds, and per workload a summary of every end-to-end
-metric plus each run's result and record line); `pairs` counts, per metric,
-the seeds on which head beat base, ties counting for neither, and
+metric plus each run's result and record line); `pairs` gives, per workload
+and metric, `won`, the count of seeds on which head beat base (ties count
+for neither), and `median_change`, head's median over base's median minus 1
+(negative when head's median is lower), so a claim reads straight off it;
 `digest_mismatch` lists, per workload, the seeds whose base and head output
 digests (`output_sha256`) differ.  After each pair it prints one progress
 line with the base and head value of every end-to-end metric, ending in
@@ -21,6 +23,7 @@ watched while the pairs run.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -92,7 +95,12 @@ def main(argv=None):
                 "%s base %.4g head %.4g" % (m, b, values["head"][m])
                 for m, b in values["base"].items()), "" if same else "  DIGEST MISMATCH"),
                 flush=True)
-        pairs[workload] = {m: "%d of %d" % (w, len(seeds)) for m, w in wins.items()}
+        pairs[workload] = {}
+        for metric, w in wins.items():
+            b, h = (statistics.median(r["result"]["metrics"][metric]["value"]
+                                      for r in runs[name][workload]) for name in ("base", "head"))
+            pairs[workload][metric] = {"won": "%d of %d" % (w, len(seeds)),
+                                       "median_change": h / b - 1 if b else None}
     doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
            "pairs": pairs,
            "digest_mismatch": mismatch,
