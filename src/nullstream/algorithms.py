@@ -25,7 +25,7 @@ from .errors import (
     NotSeparableInProjection,
     ValidationError,
 )
-from .linalg import Subspace, check_seed, kernel_vector, sample_uniform_sphere
+from .linalg import BLOCK_VALUES, Subspace, check_seed, kernel_vector, sample_uniform_sphere
 # the projection hands its fresh draw over to be factored in place; it is
 # called through this module-level name, which a profiler may rebind
 from .linalg import _orthonormalize_columns as orthonormalize
@@ -178,22 +178,23 @@ def lstsq_budget_bits(d: int) -> int:
     return OfflineLstsqSolver.layout(d).nbits
 
 
-def perceptron_with_stats(points, max_passes: int) -> tuple[np.ndarray, int]:
-    """Perceptron returning (unit separator, total update count)."""
-    points = list(points)
-    if not points:
+def perceptron_with_stats(signed, max_passes: int) -> tuple[np.ndarray, int]:
+    """Perceptron over the rows y * x of signed, returning (unit separator,
+    total update count)."""
+    signed = np.ascontiguousarray(signed, dtype=float)
+    if signed.ndim != 2:
+        raise ValidationError("perceptron takes an (n, d) array of signed points")
+    if signed.shape[0] == 0:
         raise ValidationError("perceptron needs at least one point")
-    xs = np.array([np.asarray(x, dtype=float) for x, _ in points])
-    ys = np.array([float(y) for _, y in points])
-    rows = [(x, y, y * x) for x, y in zip(xs, ys)]
-    w = np.zeros(xs.shape[1])
+    rows = list(signed)  # views, not copies: the loop skips numpy's row indexing
+    w = np.zeros(signed.shape[1])
     score = w.dot  # stays bound to w: mistakes update w in place
     total = 0
     for _ in range(max_passes):
         mistakes = 0
-        for x, y, yx in rows:
-            if score(x) * y <= 0:
-                w += yx
+        for row in rows:
+            if score(row) <= 0:
+                w += row
                 mistakes += 1
         total += mistakes
         if mistakes == 0:
@@ -201,20 +202,30 @@ def perceptron_with_stats(points, max_passes: int) -> tuple[np.ndarray, int]:
     raise NotSeparableInProjection("no separator after %d passes" % max_passes)
 
 
-def perceptron(points, max_passes: int) -> np.ndarray:
+def perceptron(signed, max_passes: int) -> np.ndarray:
     """Classic mistake-driven separator with deterministic cycling order.
 
-    Returns a unit vector scoring every point strictly positive, or raises
+    signed is an (n, d) array whose rows are y * x for labels y = +-1.
+    Returns a unit vector scoring every row strictly positive, or raises
     NotSeparableInProjection once max_passes full cycles fail to converge.
 
-    Each point is scored with w.dot(x): on contiguous float64 vectors that is
-    the same ddot kernel as w @ x with less dispatch around it, so every
-    mistake decision is unchanged.  Scoring must stay that one ddot per point;
-    a blocked matrix product sums in another order, and a single flipped sign
-    changes the separator.  A mistake adds the precomputed y * x in place,
-    the same rounded values w + y * x would add.
+    Each row is scored with w.dot(row): on contiguous float64 vectors that
+    is the same ddot kernel as w @ x with less dispatch around it.  Scoring
+    must stay that one ddot per row; a blocked matrix product sums in
+    another order, and a single flipped sign changes the separator.
+
+    Folding the label into the row decides every mistake exactly as scoring
+    x and testing score(x) * y <= 0 does.  Negating a double is exact, and
+    round-to-nearest rounds -a exactly as it rounds a, so every product,
+    fused multiply-add and partial sum of ddot(w, -x) is the negation of the
+    one in ddot(w, x), summed in the same order: ddot(w, -x) == -ddot(w, x)
+    bit for bit.  The
+    test therefore flips with y just as the product does, for +-0 (both
+    pass) and NaN (neither passes) too.  A mistake adds the row itself, the
+    same rounded values y * x adds.  This holds only for y = +-1; any other
+    factor rounds the row.
     """
-    return perceptron_with_stats(points, max_passes)[0]
+    return perceptron_with_stats(signed, max_passes)[0]
 
 
 class OfflineSeparatorSolver(OnePassAlgorithm):
@@ -235,6 +246,9 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
             raise ValidationError("labeled samples are (x, y) pairs")
         x = np.asarray(sample[0], dtype=float)
         y = float(sample[1])
+        if y not in (1.0, -1.0):
+            # finalize folds the label into the point, exact only for +-1
+            raise ValidationError("labels must be +/-1")
         d = x.shape[0]
         count, dim = _header(state.payload)
         if count and dim != d:
@@ -249,7 +263,7 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         if count == 0:
             raise DegenerateOutput("no points seen")
         flat = self.layout(count, d).read(state.payload, "rows").reshape(count, d + 1)
-        return perceptron([(row[:d], row[d]) for row in flat], self.max_passes)
+        return perceptron(flat[:, :d] * flat[:, d:], self.max_passes)
 
 
 def separator_budget_bits(d: int, n: int) -> int:
@@ -346,6 +360,22 @@ class ProjectionSeparator(OnePassAlgorithm):
             u = _quantize(u, self.quant_bits, self.quant_range)
         self._layout.write(state, "coords", u, start=j * self.dprime)
 
+    def _signed_points(self, payload, kept: int) -> np.ndarray:
+        """y * x for the first kept slots, dequantized, as one (kept, dprime)
+        array: the rows finalize's perceptron reads.  coords are read and
+        dequantized BLOCK_VALUES values' worth of rows at a time, so no
+        whole-field integer copy is held next to it."""
+        points = np.empty((kept, self.dprime))
+        rows = max(1, BLOCK_VALUES // self.dprime)
+        for lo in range(0, kept, rows):
+            block = points[lo : lo + rows]
+            q = self._layout.read(payload, "coords", lo * self.dprime, block.size)
+            if self.quant_bits:
+                q = _dequantize(q, self.quant_bits, self.quant_range)
+            block[...] = q.reshape(block.shape)
+        points *= np.where(self._layout.read(payload, "labels", 0, kept), 1.0, -1.0)[:, None]
+        return points
+
     # -- streaming interface ------------------------------------------------
 
     def update(self, i, sample, state, shared):
@@ -373,11 +403,7 @@ class ProjectionSeparator(OnePassAlgorithm):
         if count == 0:
             raise DegenerateOutput("no points seen")
         kept = min(count, self.subsample)
-        labels = np.where(self._layout.read(state.payload, "labels", 0, kept), 1.0, -1.0)
-        coords = self._layout.read(state.payload, "coords", 0, kept * self.dprime)
-        if self.quant_bits:
-            coords = _dequantize(coords, self.quant_bits, self.quant_range)
-        w_p = perceptron(list(zip(coords.reshape(kept, self.dprime), labels)), self.max_passes)
+        w_p = perceptron(self._signed_points(state.payload, kept), self.max_passes)
         proj = self.projection_for(d, shared)
         w = proj.basis.T @ w_p
         return w / np.linalg.norm(w)

@@ -51,6 +51,7 @@ from nullstream.instances import (
     gen_lsp_margin,
     lr_loss,
 )
+from nullstream.linalg import BLOCK_VALUES
 from nullstream.reductions import ReductionConfig, anv_via_lr, anv_via_lsp
 from nullstream.streaming import (
     BitState,
@@ -201,6 +202,16 @@ def test_offline_separator_separates_pair_dataset():
     assert_allclose(np.linalg.norm(out), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("label", [0.0, 3.0, 0.5, -2.0])
+def test_offline_separator_rejects_labels_other_than_plus_minus_one(label):
+    # finalize folds each label into its point, which is exact only for +-1
+    x = np.ones(4)
+    with pytest.raises(ValidationError, match="labels must be"):
+        run_one_pass(
+            OfflineSeparatorSolver(), [(x, 1.0), (x, label)], separator_budget_bits(4, 2), seed=1
+        )
+
+
 def test_offline_solvers_empty_stream_degenerate():
     with pytest.raises(DegenerateOutput):
         run_one_pass(OfflineSeparatorSolver(), [], 1024, seed=1)
@@ -224,28 +235,34 @@ def test_offline_solvers_budget_below_header_is_budget_violation():
 # perceptron
 
 
+def signed_points(ds):
+    """The rows y * x the perceptron reads."""
+    return ds.xs * ds.ys[:, None]
+
+
 def test_perceptron_axis_pair_one_pass():
     e1 = np.array([1.0, 0.0])
-    w = perceptron([(e1, 1.0), (-e1, -1.0)], max_passes=10)
+    # (e1, +1) and (-e1, -1), both signed to e1
+    w = perceptron(np.array([e1, e1]), max_passes=10)
     assert_allclose(w, e1, atol=1e-12)
 
 
 def test_perceptron_contradictory_labels_raise():
     e1 = np.array([1.0, 0.0])
     with pytest.raises(NotSeparableInProjection):
-        perceptron([(e1, 1.0), (e1, -1.0)], max_passes=50)
+        perceptron(np.array([e1, -e1]), max_passes=50)
 
 
 def test_perceptron_empty_raises():
     with pytest.raises(ValidationError):
-        perceptron([], max_passes=5)
+        perceptron(np.empty((0, 2)), max_passes=5)
 
 
 def test_perceptron_mistake_bound_on_margin_dataset():
     # classical bound: updates <= (max ||x|| / gamma)^2
     for seed in range(5):
         ds = gen_lsp_margin(32, 60, 0.25, seed=seed)
-        w, updates = perceptron_with_stats(ds.points(), max_passes=1000)
+        w, updates = perceptron_with_stats(signed_points(ds), max_passes=1000)
         bound = (np.linalg.norm(ds.xs, axis=1).max() / 0.25) ** 2
         assert updates <= bound
         assert classification_error(w, ds) == 0.0
@@ -268,8 +285,77 @@ def test_perceptron_output_pinned(source, seed):
         ds = gen_lsp_from_anv(gen_anv_conditioned(64, CF, seed=seed), C4)
     else:
         ds = gen_lsp_margin(600, 600, 0.3, seed=seed)
-    w, updates = perceptron_with_stats(ds.points(), max_passes=OfflineSeparatorSolver().max_passes)
+    w, updates = perceptron_with_stats(
+        signed_points(ds), max_passes=OfflineSeparatorSolver().max_passes
+    )
     assert (updates, hashlib.sha256(w.tobytes()).hexdigest()) == PERCEPTRON_GOLDEN[source, seed]
+
+
+def pair_perceptron(points, max_passes):
+    """The perceptron as it was over (x, y) pairs, kept as the oracle for the
+    signed-row one: it scores x and tests score(x) * y <= 0."""
+    points = list(points)
+    xs = np.array([np.asarray(x, dtype=float) for x, _ in points])
+    ys = np.array([float(y) for _, y in points])
+    rows = [(x, y, y * x) for x, y in zip(xs, ys)]
+    w = np.zeros(xs.shape[1])
+    score = w.dot
+    total = 0
+    for _ in range(max_passes):
+        mistakes = 0
+        for x, y, yx in rows:
+            if score(x) * y <= 0:
+                w += yx
+                mistakes += 1
+        total += mistakes
+        if mistakes == 0:
+            return w / np.linalg.norm(w), total
+    raise NotSeparableInProjection("no separator after %d passes" % max_passes)
+
+
+def _pair_sets(d, seed):
+    """(xs, ys) sets at dimension d: Gaussian points under labels from a
+    witness, and under random labels (separable while n <= d, mostly not
+    past it); and small-integer points whose scores tie at exactly 0, with
+    -0.0 for half their zeros."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((80, d))
+    yield xs, np.where(xs @ rng.standard_normal(d) > 0, 1.0, -1.0)
+    yield xs[:d], rng.choice([-1.0, 1.0], size=min(d, 80))
+    yield xs, rng.choice([-1.0, 1.0], size=80)
+    ints = rng.integers(-2, 3, size=(320, d)).astype(float)
+    ints[(ints == 0) & (rng.random(ints.shape) < 0.5)] = -0.0
+    w = rng.integers(-2, 3, size=d).astype(float)
+    w[0] = 1.0
+    scores = ints @ w
+    keep = scores != 0
+    yield ints[keep], np.where(scores[keep] > 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("d", [2, 64, 600])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_signed_perceptron_matches_pair_loop_bit_for_bit(d, seed):
+    for xs, ys in _pair_sets(d, seed):
+        try:
+            expected = pair_perceptron(zip(xs, ys), 300)
+        except NotSeparableInProjection:
+            with pytest.raises(NotSeparableInProjection):
+                perceptron_with_stats(xs * ys[:, None], 300)
+            continue
+        w, updates = perceptron_with_stats(xs * ys[:, None], 300)
+        assert updates == expected[1]
+        assert w.tobytes() == expected[0].tobytes()
+
+
+def test_signed_perceptron_ties_at_zero_are_mistakes():
+    # integer rows keep every score exact.  w = 0 scores row 1 at 0, and in
+    # pass 2 w = (0, 1) scores rows 1 and 2 at 0 (row 1 through its -0.0):
+    # each tie is a mistake, as score(x) * y = 0 was for the pairs (-row, -1)
+    signed = np.array([[1.0, -0.0], [-1.0, 1.0], [0.0, 1.0]])
+    expected = pair_perceptron(zip(-signed, [-1.0, -1.0, -1.0]), 10)
+    w, updates = perceptron_with_stats(signed, 10)
+    assert (updates, w.tobytes()) == (expected[1], expected[0].tobytes())
+    assert updates == 5
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +375,30 @@ def test_quantize_clips_to_range():
     q = _quantize(v, 8, 4.0)
     assert q[0] == 0 and q[1] == 255
     assert_allclose(_dequantize(q, 8, 4.0), [-4.0, 4.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("quant_bits", [0, 1, 5, 8, 16, 32])
+def test_finalize_block_read_matches_whole_field_read(quant_bits):
+    # kept one below, at and one past a row block of BLOCK_VALUES values
+    dprime = 600
+    rows = BLOCK_VALUES // dprime
+    alg = ProjectionSeparator(dprime, 2 * rows + 1, quant_bits, seed=0)
+    layout = alg.layout(dprime, alg.subsample, quant_bits)
+    rng = np.random.default_rng(quant_bits)
+    payload = bytearray(rng.bytes((layout.nbits + 7) // 8))
+    payload[-1] &= 0xFF << (-layout.nbits % 8) & 0xFF  # bits past nbits stay 0
+    state = BitState(layout.nbits, payload)
+    if not quant_bits:  # finite coordinates; the random bytes hold NaNs
+        layout.write(state, "coords", rng.standard_normal(alg.subsample * dprime))
+    for kept in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        whole = layout.read(state.payload, "coords", 0, kept * dprime)
+        if quant_bits:
+            whole = _dequantize(whole, quant_bits, alg.quant_range)
+        labels = np.where(layout.read(state.payload, "labels", 0, kept), 1.0, -1.0)
+        expected = whole.reshape(kept, dprime) * labels[:, None]
+        got = alg._signed_points(state.payload, kept)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_lossless_projection_fixture_separates():
@@ -323,7 +433,7 @@ def test_preimage_identity_quantization_off():
     stored = layout.read(state.payload, "coords").reshape(40, 24)
     labels = np.where(layout.read(state.payload, "labels"), 1.0, -1.0)
     proj = alg.projection_for(48, shared)
-    w_p = perceptron(list(zip(stored, labels)), 500)
+    w_p = perceptron(stored * labels[:, None], 500)
     w_hat = proj.basis.T @ w_p
     scale = math.sqrt(48 / 24)
     for x, _ in ds.points():

@@ -4,14 +4,17 @@ Each path holds its m x d (or d' x d) array once: the array is edited in
 place or reduced in fixed row blocks, so the traced peak stays a small
 multiple of the output.  The whole-matrix formulas these replaced peaked at
 about 4.0x (gen_lsp_margin), 4.3x (projection_for) and 1.8x the bound below
-(sphere_concentration_test).
+(sphere_concentration_test).  proj-separator's finalize peaked 8.5 MiB
+above its inputs when the perceptron took (x, y) pairs: the kept points
+were held three times over (dequantized, copied, signed row by row) next
+to the whole-field integer read of coords.
 """
 
 import tracemalloc
 
-from nullstream.algorithms import build_algorithm
+from nullstream.algorithms import build_algorithm, proj_state_bits
 from nullstream.instances import gen_lsp_margin
-from nullstream.streaming import SharedRandomness
+from nullstream.streaming import BitState, SharedRandomness
 from nullstream.verification import sphere_concentration_test
 
 MIB = 2**20
@@ -50,3 +53,17 @@ def test_concentration_peak_is_its_draw_and_projection():
     _, peak = traced_peak(lambda: sphere_concentration_test(d, trials, 3))
     draw, projection = trials * d * 8, trials * (d // 2) * 8
     assert peak <= draw + projection + MIB
+
+
+def test_proj_finalize_peak_is_its_signed_points_plus_two_mib():
+    d = 1024
+    alg = build_algorithm("proj-separator", d, 0)
+    shared = SharedRandomness(3)
+    state = BitState(proj_state_bits(alg.dprime, alg.subsample, alg.quant_bits))
+    for i, sample in enumerate(gen_lsp_margin(d, alg.subsample, 0.3, 2).points(), start=1):
+        alg.update(i, sample, state, shared)
+    alg.finalize(state, shared)  # first-call caches; the basis stays cached
+    w, peak = traced_peak(lambda: alg.finalize(state, shared))
+    assert w.shape == (d,)
+    signed_points = alg.subsample * alg.dprime * 8
+    assert peak <= signed_points + 2 * MIB
