@@ -501,6 +501,36 @@ def test_experiment_single_cell_matches_run_command(tmp_path, capsys):
     assert int(cells["state_bits"]) == report["max_used_bits"]
 
 
+def test_experiment_calls_the_module_names_a_profiler_rebinds(tmp_path, capsys, monkeypatch):
+    # perfbench times a sweep by rebinding these names on nullstream.cli; a
+    # table that captured the functions at import would bypass the spans
+    called = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    names = ("gen_lsp_margin", "build_algorithm", "run_one_pass_stats", "shuffle",
+             "classification_error", "margin_of")
+    for name in names:
+        spy(name)
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({
+        "problem": "lsp-margin",
+        "params": {"d": 8, "m": 12, "gamma": 0.25, "algorithm": "zero", "budget_bits": 64},
+        "trials": 1, "seed": 4, "order": "shuffled",
+    }))
+    out = tmp_path / "one.csv"
+    assert run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(out))[0] == 0
+    assert sorted(set(called)) == sorted(names)
+    assert ",ok," in out.read_text()
+
+
 def test_experiment_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps(SWEEP))

@@ -5,7 +5,10 @@ two separator algorithms.
 it was judged against (c_emp, the sandwich bounds, the spectral envelope
 fractions, the KS and std caps), so the stdout digest of each lemma pins
 those values along with the verdict; at d = 16 and 2000 samples the marginal
-test misses its KS cap, so that case pins a FAIL.  The separator outputs pin the
+test misses its KS cap, so that case pins a FAIL.  Three cases change a
+threshold: at delta 0.99 every no-joint-sol trial is skipped, so its pass
+fraction is 0.0 and it fails; sandwich at t = 0.01 passes 13 of 20 trials and
+fails, and at t = 0.13 passes 19 of 20 and meets its 0.95 rule.  The separator outputs pin the
 quantization range and pass limits through the separator each run returns.
 """
 
@@ -34,10 +37,22 @@ VERIFY_CASES = {
         (0, "7b7d81e5635cac8e7264fdb5c04096c286ccc203f5d985366e401c85b8772813"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
         (0, "9e79b13e7402337c30ae9b3316a0aa3d5d998364b2b58a9bfd31d6bd5cc7dc91"),
+    ("no-joint-sol", "--d", "8", "--delta", "0.99", "--trials", "3"):
+        (1, "0e4787f926e5d5b059c7d54b64e0544be3f492bd780908b794e11e72e4ed43c7"),
+    ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20"):
+        (1, "f68ea0aebb389b504eb1db674edd721dda59511ff5d6f2185a9d8a6ffcc35f22"),
+    ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "3"):
+        (0, "656755acd3f3785f3faa8ed5465056ff5cec4f56d0851327ca8de509e28fd812"),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(VERIFY_CASES), ids=lambda a: a[0])
+def _case_id(argv):
+    # a case at the default thresholds is named by its lemma alone
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return " ".join([argv[0]] + ["%s %s" % (k, flags[k]) for k in ("--delta", "--t") if k in flags])
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_CASES), ids=_case_id)
 def test_verify_stdout_at_default_thresholds(argv, capsys):
     code = main(["verify", *argv])
     out = capsys.readouterr().out
