@@ -228,6 +228,18 @@ def perceptron(signed, max_passes: int) -> np.ndarray:
     return perceptron_with_stats(signed, max_passes)[0]
 
 
+def _labeled(sample) -> tuple:
+    """The point and label of a separator's sample, checked before any write."""
+    if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
+        raise ValidationError("labeled samples are (x, y) pairs")
+    x = np.asarray(sample[0], dtype=float)
+    y = float(sample[1])
+    if y not in (1.0, -1.0):
+        # finalize folds the label into the point, exact only for +-1
+        raise ValidationError("labels must be +/-1")
+    return x, y
+
+
 class OfflineSeparatorSolver(OnePassAlgorithm):
     """Stores every labeled point and separates them offline by perceptron.
 
@@ -242,13 +254,7 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         return Layout(header=_HEADER, rows=f64(count * (d + 1)))
 
     def update(self, i, sample, state, shared):
-        if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
-            raise ValidationError("labeled samples are (x, y) pairs")
-        x = np.asarray(sample[0], dtype=float)
-        y = float(sample[1])
-        if y not in (1.0, -1.0):
-            # finalize folds the label into the point, exact only for +-1
-            raise ValidationError("labels must be +/-1")
+        x, y = _labeled(sample)
         d = x.shape[0]
         count, dim = _header(state.payload)
         if count and dim != d:
@@ -379,10 +385,7 @@ class ProjectionSeparator(OnePassAlgorithm):
     # -- streaming interface ------------------------------------------------
 
     def update(self, i, sample, state, shared):
-        if not (isinstance(sample, (tuple, list)) and len(sample) == 2):
-            raise ValidationError("labeled samples are (x, y) pairs")
-        x = np.asarray(sample[0], dtype=float)
-        y = float(sample[1])
+        x, y = _labeled(sample)
         d = x.shape[0]
         proj = self.projection_for(d, shared)
         count, dim = _header(state.payload)

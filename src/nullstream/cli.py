@@ -30,7 +30,6 @@ from .errors import (
 )
 from .instances import (
     AnvInstance,
-    DEFAULT_MAX_ATTEMPTS,
     LrInstance,
     LspDataset,
     anv_loss,
@@ -210,6 +209,42 @@ def _shuffle_seed(seed: int) -> int:
 # gen
 
 
+class Generator(NamedTuple):
+    """What `gen` and a sweep know of one seeded generator."""
+
+    make: Callable  # keyword parameters -> instance
+    params: tuple  # (name, cast) in the order `gen` lists its flags
+    help: str
+
+
+# A generator may be given no max_attempts, and then takes its own default;
+# every other parameter is required. The lambdas look the generators up when
+# they run, so a rebound module name reaches every sweep.
+OPTIONAL = {"max_attempts"}
+GENERATORS = {
+    "anv-gaussian": Generator(
+        lambda **kw: gen_anv_gaussian(**kw), (("d", json_int), ("seed", json_int)),
+        "gaussian rows with unit kernel witness",
+    ),
+    "anv-conditioned": Generator(
+        lambda **kw: gen_anv_conditioned(**kw),
+        (("d", json_int), ("seed", json_int), ("cf", json_float), ("max_attempts", json_int)),
+        "unit rows whose kernel has first coordinate >= cf",
+    ),
+    "lsp-margin": Generator(
+        lambda **kw: gen_lsp_margin(**kw),
+        (("d", json_int), ("seed", json_int), ("m", json_int), ("gamma", json_float)),
+        "unit points at an exact margin",
+    ),
+    "lsp-hard": Generator(
+        lambda **kw: gen_lsp_hard(**kw)[0],
+        (("d", json_int), ("seed", json_int), ("m", json_int), ("cf", json_float),
+         ("c", json_float), ("max_attempts", json_int)),
+        "separable points from a planted subspace",
+    ),
+}
+
+
 def _generate(problem: str, opts: dict):
     """Build an instance from a generator name and a flat option dict.
 
@@ -218,45 +253,20 @@ def _generate(problem: str, opts: dict):
     integers, so a fractional or boolean value is rejected, not truncated;
     real parameters take only finite numbers, not strings or booleans.
     """
+    gen = GENERATORS.get(problem) if isinstance(problem, str) else None
+    if gen is None:
+        raise ValidationError("unknown problem %r" % (problem,))
     opts = dict(opts)
-
-    def take(key, cast, default=KeyError):
+    kwargs = {}
+    for key, cast in gen.params:
         if key in opts:
             try:
-                return cast(opts.pop(key))
+                kwargs[key] = cast(opts.pop(key))
             except (TypeError, ValueError) as exc:
                 raise ValidationError("%s parameter %r: %s" % (problem, key, exc)) from exc
-        if default is KeyError:
+        elif key not in OPTIONAL:
             raise ValidationError("%s requires parameter %r" % (problem, key))
-        return default
-
-    if problem == "anv-gaussian":
-        inst = gen_anv_gaussian(take("d", json_int), take("seed", json_int))
-    elif problem == "anv-conditioned":
-        inst = gen_anv_conditioned(
-            take("d", json_int),
-            take("cf", json_float),
-            take("seed", json_int),
-            max_attempts=take("max_attempts", json_int, DEFAULT_MAX_ATTEMPTS),
-        )
-    elif problem == "lsp-margin":
-        inst = gen_lsp_margin(
-            take("d", json_int),
-            take("m", json_int),
-            take("gamma", json_float),
-            take("seed", json_int),
-        )
-    elif problem == "lsp-hard":
-        inst, _, _ = gen_lsp_hard(
-            take("d", json_int),
-            take("m", json_int),
-            take("cf", json_float),
-            take("c", json_float),
-            take("seed", json_int),
-            max_attempts=take("max_attempts", json_int, DEFAULT_MAX_ATTEMPTS),
-        )
-    else:
-        raise ValidationError("unknown problem %r" % (problem,))
+    inst = gen.make(**kwargs)
     if opts:
         raise ValidationError(
             "unknown parameters for %s: %s" % (problem, ", ".join(sorted(opts)))
@@ -265,25 +275,18 @@ def _generate(problem: str, opts: dict):
 
 
 def cmd_gen(args) -> int:
-    if args.problem == "lsp-from-anv":
-        inner, _ = instance_from_json(_read_text(args.instance))
-        if not isinstance(inner, AnvInstance):
-            raise ValidationError("lsp-from-anv needs a null-vector instance file")
-        inst = gen_lsp_from_anv(inner, args.c4)
-        seed = 0
-    elif args.problem == "lr-from-anv":
-        inner, _ = instance_from_json(_read_text(args.instance))
-        if not isinstance(inner, AnvInstance):
-            raise ValidationError("lr-from-anv needs a null-vector instance file")
-        inst = gen_lr_from_anv(inner, args.seed)
-        seed = args.seed
+    if args.problem in GENERATORS:
+        params = GENERATORS[args.problem].params
+        opts = {key: getattr(args, key) for key, _ in params if getattr(args, key) is not None}
+        inst, seed = _generate(args.problem, opts), args.seed
     else:
-        opts = {"d": args.d, "seed": args.seed}
-        for key in ("cf", "c", "m", "gamma", "max_attempts"):
-            if getattr(args, key, None) is not None:
-                opts[key] = getattr(args, key)
-        inst = _generate(args.problem, opts)
-        seed = args.seed
+        inner, _ = instance_from_json(_read_text(args.instance))
+        if not isinstance(inner, AnvInstance):
+            raise ValidationError("%s needs a null-vector instance file" % args.problem)
+        if args.problem == "lsp-from-anv":
+            inst, seed = gen_lsp_from_anv(inner, args.c4), 0
+        else:
+            inst, seed = gen_lr_from_anv(inner, args.seed), args.seed
     _write_text(args.out, instance_to_json(inst, seed))
     kind = KINDS[type(inst)]
     print("wrote %s" % args.out)
@@ -349,51 +352,17 @@ def cmd_run(args) -> int:
 # verify
 
 
-def _verify_no_joint_sol(args):
-    report = certify_no_joint_sol(
-        args.d, args.delta, args.trials, args.seed, c_emp=args.c_emp
-    )
-    return report, report.pass_fraction == 1.0
-
-
-def _verify_sandwich(args):
-    report = certify_sandwich(args.d, args.t, args.trials, args.seed)
-    return report, report.pass_fraction >= 0.95
-
-
-def _verify_singular(args):
-    n = args.d if args.n is None else args.n
-    report = singular_value_experiment(n, args.d, args.t, args.trials, args.seed)
-    s = report.statistics
-    return report, s["violation_rate"] <= s["prob_bound"] + 3 * s["sigma_binomial"]
-
-
-def _verify_marginal(args):
-    report = sphere_marginal_tests(args.d, args.samples, args.cf, args.seed)
-    return report, report.pass_fraction == 1.0
-
-
-def _verify_concentration(args):
-    report = sphere_concentration_test(args.d, args.trials, args.seed)
-    return report, report.pass_fraction == 1.0
-
-
-def _verify_comorth(args):
-    report = comorth_check(args.d, args.trials, args.seed)
-    return report, report.pass_fraction == 1.0
-
-
 def cmd_verify(args) -> int:
-    report, passed = args.verify_fn(args)
+    report = args.certify(args)
     print(report_to_json(report), end="")
     if args.out_csv:
         _write_text(args.out_csv, report_to_csv(report))
     print(
         "%s: %s (pass_fraction = %s)"
-        % (report.lemma_id, "PASS" if passed else "FAIL", report.pass_fraction),
+        % (report.lemma_id, "PASS" if report.passed else "FAIL", report.pass_fraction),
         file=sys.stderr,
     )
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -541,46 +510,32 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance file")
     gen_sub = gen.add_subparsers(dest="problem", required=True)
 
-    def gen_common(p, chain=False):
+    # gen defaults cf and c to the calibrated constants; a sweep names them
+    gen_defaults = {"cf": DEFAULTS.constants.cf, "c": DEFAULTS.constants.c}
+    for problem, generator in GENERATORS.items():
+        p = gen_sub.add_parser(problem, help=generator.help)
         p.add_argument("--out", required=True, help="output JSON path")
-        if chain:
-            p.add_argument("--instance", required=True, help="input instance JSON")
-        else:
-            p.add_argument("--d", type=int, required=True)
+        for key, cast in generator.params:
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=int if cast is json_int else float,
+                required=key not in gen_defaults and key not in OPTIONAL,
+                default=gen_defaults.get(key),
+            )
         p.set_defaults(func=cmd_gen)
 
-    p = gen_sub.add_parser("anv-gaussian", help="gaussian rows with unit kernel witness")
-    gen_common(p)
-    p.add_argument("--seed", type=int, required=True)
+    def gen_chain(problem, help):
+        p = gen_sub.add_parser(problem, help=help)
+        p.add_argument("--out", required=True, help="output JSON path")
+        p.add_argument("--instance", required=True, help="input instance JSON")
+        p.set_defaults(func=cmd_gen)
+        return p
 
-    p = gen_sub.add_parser(
-        "anv-conditioned", help="unit rows whose kernel has first coordinate >= cf"
-    )
-    gen_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cf", type=float, default=DEFAULTS.constants.cf)
-    p.add_argument("--max-attempts", dest="max_attempts", type=int, default=None)
-
-    p = gen_sub.add_parser("lsp-margin", help="unit points at an exact margin")
-    gen_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-
-    p = gen_sub.add_parser("lsp-hard", help="separable points from a planted subspace")
-    gen_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cf", type=float, default=DEFAULTS.constants.cf)
-    p.add_argument("--c", type=float, default=DEFAULTS.constants.c)
-    p.add_argument("--max-attempts", dest="max_attempts", type=int, default=None)
-
-    p = gen_sub.add_parser("lsp-from-anv", help="labeled pairs around kernel rows")
-    gen_common(p, chain=True)
+    p = gen_chain("lsp-from-anv", "labeled pairs around kernel rows")
     p.add_argument("--c4", type=float, default=DEFAULTS.constants.c4)
 
-    p = gen_sub.add_parser("lr-from-anv", help="equation system hiding one pinned row")
-    gen_common(p, chain=True)
+    p = gen_chain("lr-from-anv", "equation system hiding one pinned row")
     p.add_argument("--seed", type=int, required=True)
 
     run = sub.add_parser("run", help="run an algorithm under a bit budget")
@@ -595,37 +550,41 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a lemma certificate")
     verify_sub = verify.add_subparsers(dest="lemma", required=True)
 
-    def verify_common(p, fn, trials_default):
+    def verify_common(lemma, help, trials, certify):
+        # marginal draws one sample set, so it takes no --trials
+        p = verify_sub.add_parser(lemma, help=help)
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--trials", type=int, default=trials_default)
+        if trials:
+            p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-csv", dest="out_csv", default=None)
-        p.set_defaults(func=cmd_verify, verify_fn=fn)
+        p.set_defaults(func=cmd_verify, certify=certify)
+        return p
 
-    p = verify_sub.add_parser("no-joint-sol", help="joint eigenvalue certificate")
-    verify_common(p, _verify_no_joint_sol, 50)
+    p = verify_common("no-joint-sol", "joint eigenvalue certificate", 50, lambda a:
+                      certify_no_joint_sol(a.d, a.delta, a.trials, a.seed, c_emp=a.c_emp))
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--c-emp", dest="c_emp", type=float, default=JOINT_C_EMP)
 
-    p = verify_sub.add_parser("sandwich", help="projector pencil sandwich bounds")
-    verify_common(p, _verify_sandwich, 100)
+    p = verify_common("sandwich", "projector pencil sandwich bounds", 100, lambda a:
+                      certify_sandwich(a.d, a.t, a.trials, a.seed))
     p.add_argument("--t", type=float, default=0.2)
 
-    p = verify_sub.add_parser("singular", help="gaussian singular value bounds")
-    verify_common(p, _verify_singular, 1000)
+    p = verify_common("singular", "gaussian singular value bounds", 1000, lambda a:
+                      singular_value_experiment(a.d if a.n is None else a.n, a.d, a.t,
+                                                a.trials, a.seed))
     p.add_argument("--n", type=int, default=None, help="rows (defaults to d)")
     p.add_argument("--t", type=float, default=3.0)
 
-    p = verify_sub.add_parser("marginal", help="first sphere coordinate law")
-    verify_common(p, _verify_marginal, 1)
+    p = verify_common("marginal", "first sphere coordinate law", None, lambda a:
+                      sphere_marginal_tests(a.d, a.samples, a.cf, a.seed))
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--cf", type=float, default=DEFAULTS.constants.cf)
 
-    p = verify_sub.add_parser("concentration", help="projection norm concentration")
-    verify_common(p, _verify_concentration, 10_000)
-
-    p = verify_sub.add_parser("comorth", help="complement distance symmetry")
-    verify_common(p, _verify_comorth, 100)
+    verify_common("concentration", "projection norm concentration", 10_000, lambda a:
+                  sphere_concentration_test(a.d, a.trials, a.seed))
+    verify_common("comorth", "complement distance symmetry", 100, lambda a:
+                  comorth_check(a.d, a.trials, a.seed))
 
     exp = sub.add_parser("experiment", help="run a parameter-grid sweep to CSV")
     exp.add_argument("--spec", required=True, help="JSON sweep description")

@@ -364,8 +364,8 @@ def gen_lsp_from_anv(inst: AnvInstance, c4: float) -> LspDataset:
     """
     if inst.variant != SPHERE_CONDITIONED:
         raise ValidationError("labeled-pair reduction needs a conditioned instance")
-    if c4 <= 0:
-        raise ValidationError("c4 must be positive")
+    if not 0 < c4 < math.inf:
+        raise ValidationError("c4 must be a finite positive number, got %r" % (c4,))
     d = inst.d
     shift = np.zeros(d)
     shift[0] = c4 / math.sqrt(d)

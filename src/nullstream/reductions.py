@@ -29,8 +29,9 @@ class ReductionConfig:
     cf: float
 
     def __post_init__(self):
-        if self.c4 <= 0 or self.cf <= 0:
-            raise ValidationError("c4 and cf must be positive")
+        # NaN fails every comparison, so test for the valid range
+        if not (0 < self.c4 < math.inf and 0 < self.cf < math.inf):
+            raise ValidationError("c4 and cf must be finite and positive")
 
     @property
     def norm_floor(self) -> float:

@@ -212,6 +212,19 @@ def test_offline_separator_rejects_labels_other_than_plus_minus_one(label):
         )
 
 
+@pytest.mark.parametrize("label", [0.0, 3.0, 0.5, -2.0])
+def test_proj_separator_rejects_labels_other_than_plus_minus_one(label):
+    # the label bit stores y > 0, so any other label would be silently recast
+    x = np.ones(4)
+    budget = proj_state_bits(2, 3, 8)
+    with pytest.raises(ValidationError, match="labels must be"):
+        run_one_pass(ProjectionSeparator(2, 3, 8), [(x, 1.0), (-x, label)], budget, seed=1)
+    state = BitState(budget)
+    with pytest.raises(ValidationError, match="labels must be"):
+        ProjectionSeparator(2, 3, 8).update(1, (x, label), state, SharedRandomness(0))
+    assert state.payload == bytearray(len(state.payload)) and state.used_bits == 0
+
+
 def test_offline_solvers_empty_stream_degenerate():
     with pytest.raises(DegenerateOutput):
         run_one_pass(OfflineSeparatorSolver(), [], 1024, seed=1)

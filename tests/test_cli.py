@@ -91,6 +91,18 @@ def test_gen_invalid_parameters_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("c4", ["nan", "inf", "0"])
+def test_gen_lsp_from_anv_rejects_non_finite_c4(tmp_path, capsys, c4):
+    inst_path = gen_anv(capsys, tmp_path / "anv.json", d=8)
+    out = tmp_path / "lsp.json"
+    code, stdout, stderr = run_cli(
+        capsys, "gen", "lsp-from-anv", "--instance", str(inst_path), "--c4", c4, "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: c4 must be a finite positive number")
+    assert not out.exists()
+
+
 def test_run_kernel_solver_reaches_budget_and_solves(tmp_path, capsys):
     inst_path = gen_anv(capsys, tmp_path / "anv.json")
     code, stdout, _ = run_cli(
@@ -283,6 +295,17 @@ def test_verify_without_trials_or_samples_exits_2(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and "must be at least 1" in stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "5"])
+def test_verify_marginal_takes_no_trials(capsys, trials):
+    # the marginal draws one sample set; a --trials it ignored would pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "marginal", "--d", "16", "--samples", "20", "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --trials" in captured.err
 
 
 def test_verify_concentration_with_one_trial_exits_2(capsys):

@@ -221,6 +221,13 @@ def test_gen_lsp_from_anv_hand_case():
     assert_allclose(ds.margin, s / math.sqrt(1 + s**2), atol=1e-15)
 
 
+@pytest.mark.parametrize("c4", [math.nan, math.inf, 0.0, -0.3])
+def test_gen_lsp_from_anv_requires_finite_positive_c4(c4):
+    inst = gen_anv_conditioned(8, 0.2, seed=3)
+    with pytest.raises(ValidationError, match="c4 must be a finite positive number"):
+        gen_lsp_from_anv(inst, c4)
+
+
 def test_gen_lsp_from_anv_witness_margin():
     d, cf, c4 = 100, 0.2, 0.3
     inst = gen_anv_conditioned(d, cf, seed=21)

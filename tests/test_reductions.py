@@ -71,6 +71,15 @@ def test_reduction_config_defaults_and_validation():
         ReductionConfig(c4=-1.0, cf=0.2)
 
 
+@pytest.mark.parametrize("field", ["c4", "cf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_reduction_config_requires_finite_positive_constants(field, value):
+    # a NaN c4 once made anv_via_lsp return an all-NaN vector through the
+    # offline separator and a BudgetViolation through the proj-separator
+    with pytest.raises(ValidationError, match="finite and positive"):
+        ReductionConfig(**{"c4": 0.3, "cf": 0.2, field: value})
+
+
 # ---------------------------------------------------------------------------
 # separation route
 

@@ -233,7 +233,8 @@ def test_csv_floats_use_17_digits():
     from nullstream.verification import LemmaReport
 
     rows = ({"trial": 0, "passed": True, "value": 0.1},)
-    r = LemmaReport("demo", 4, 1, 1.0, {}, 0, trial_rows=rows)
+    r = LemmaReport(lemma_id="demo", d=4, trials=1, passed=True, statistics={}, seed=0,
+                    trial_rows=rows)
     text = report_to_csv(r)
     assert "0.10000000000000001" in text
     assert text.split("\n")[1].split(",")[-2] == "true"

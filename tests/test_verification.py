@@ -6,6 +6,7 @@ ratio exactly one, and the closed-form incomplete-beta CDF cross-checks the
 quadrature grid oracle.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -35,17 +36,50 @@ from nullstream.verification import (
 DEGENERATE_TOL = 1e-10
 
 
-def test_report_validates_pass_fraction_range():
-    with pytest.raises(ValidationError):
-        LemmaReport("x", 8, 1, 1.5, {}, 0)
+# case -> (certifier call, trial rows, rows judged, rows passed, verdict);
+# the sandwich pair straddles its 0.95 rule, every trial of the second
+# no-joint-sol case is skipped, and the marginal misses its KS cap
+CERTIFIER_CASES = {
+    "no-joint-sol": (lambda: certify_no_joint_sol(16, 0.5, 6, seed=3), 6, 2, 2, True),
+    "no-joint-sol-all-skipped":
+        (lambda: certify_no_joint_sol(8, 0.99, 3, seed=0), 3, 0, 0, False),
+    "sandwich-19-of-20": (lambda: certify_sandwich(16, 0.13, 20, seed=3), 20, 20, 19, True),
+    "sandwich-13-of-20": (lambda: certify_sandwich(16, 0.01, 20, seed=0), 20, 20, 13, False),
+    "singular": (lambda: singular_value_experiment(8, 8, 1.2, 40, seed=0), 40, 40, 40, True),
+    "marginal": (lambda: sphere_marginal_tests(16, 2000, 0.2, seed=3), 1, 1, 0, False),
+    "concentration": (lambda: sphere_concentration_test(16, 500, seed=3), 1, 1, 1, True),
+    "comorth": (lambda: comorth_check(12, 10, seed=3), 10, 10, 10, True),
+}
 
 
-def test_report_validates_row_consistency():
-    rows = ({"trial": 0, "passed": True}, {"trial": 1, "passed": False})
-    with pytest.raises(ValidationError):
-        LemmaReport("x", 8, 2, 1.0, {}, 0, trial_rows=rows)
-    ok = LemmaReport("x", 8, 2, 0.5, {}, 0, trial_rows=rows)
-    assert ok.pass_fraction == 0.5
+@pytest.mark.parametrize("case", list(CERTIFIER_CASES))
+def test_pass_fraction_is_the_share_of_judged_rows_that_passed(case):
+    certify, rows, judged, passes, verdict = CERTIFIER_CASES[case]
+    r = certify()
+    assert len(r.trial_rows) == rows
+    assert sum("passed" in row for row in r.trial_rows) == judged
+    assert sum(bool(row.get("passed")) for row in r.trial_rows) == passes
+    assert r.pass_fraction == (passes / judged if judged else 0.0)
+    assert r.passed is verdict
+
+
+def test_singular_verdict_is_the_violation_rate_within_three_sigma():
+    r = singular_value_experiment(8, 8, 1.2, 40, seed=0)
+    s = r.statistics
+    assert s["violation_rate"] == 1.0 - r.pass_fraction
+    assert r.passed == (s["violation_rate"] <= s["prob_bound"] + 3 * s["sigma_binomial"])
+
+
+def test_report_holds_its_verdict_and_derives_its_pass_fraction():
+    rows = ({"trial": 0, "passed": True}, {"trial": 1, "skipped": True},
+            {"trial": 2, "passed": False}, {"trial": 3, "passed": True})
+    r = LemmaReport(lemma_id="x", d=8, trials=4, passed=False, statistics={}, seed=0,
+                    trial_rows=rows)
+    assert r.pass_fraction == 2 / 3
+    assert r.passed is False
+    assert LemmaReport(lemma_id="x", d=8, trials=1, passed=False, statistics={},
+                       seed=0).pass_fraction == 0.0
+    assert "pass_fraction" not in {f.name for f in dataclasses.fields(LemmaReport)}
 
 
 # ---------------------------------------------------------------------------
