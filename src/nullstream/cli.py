@@ -248,10 +248,11 @@ GENERATORS = {
 def _generate(problem: str, opts: dict):
     """Build an instance from a generator name and a flat option dict.
 
-    Every option must be consumed; leftovers are a validation error so that
-    misspelled experiment-grid keys fail loudly. Integer parameters take only
-    integers, so a fractional or boolean value is rejected, not truncated;
-    real parameters take only finite numbers, not strings or booleans.
+    Every option must be consumed; leftovers are a validation error, raised
+    before anything is built, so that misspelled experiment-grid keys fail
+    loudly and at once. Integer parameters take only integers, so a
+    fractional or boolean value is rejected, not truncated; real parameters
+    take only finite numbers, not strings or booleans.
     """
     gen = GENERATORS.get(problem) if isinstance(problem, str) else None
     if gen is None:
@@ -266,12 +267,11 @@ def _generate(problem: str, opts: dict):
                 raise ValidationError("%s parameter %r: %s" % (problem, key, exc)) from exc
         elif key not in OPTIONAL:
             raise ValidationError("%s requires parameter %r" % (problem, key))
-    inst = gen.make(**kwargs)
     if opts:
         raise ValidationError(
             "unknown parameters for %s: %s" % (problem, ", ".join(sorted(opts)))
         )
-    return inst
+    return gen.make(**kwargs)
 
 
 def cmd_gen(args) -> int:

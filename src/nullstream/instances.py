@@ -196,23 +196,19 @@ def gen_anv_gaussian(d: int, seed) -> AnvInstance:
 
 
 def first_coord_tail(d: int, cf: float) -> float:
-    """P(first coordinate of a uniform unit vector >= cf), integrated exactly.
+    """P(first coordinate of a uniform unit vector >= cf), in closed form.
 
-    The marginal density is proportional to (1-t^2)^((d-3)/2); substituting
-    t = sin(phi) gives a smooth cos^(d-2) integrand for adaptive quadrature
-    even at d = 2 where the raw density blows up at the endpoints.
+    The square T^2 of the first coordinate is Beta(1/2, (d-1)/2), so for
+    cf >= 0 the tail is (1/2) I_{1-cf^2}((d-1)/2, 1/2), the regularized
+    incomplete beta function (DLMF 8.17); 1 - cf^2 is formed as
+    (1 - cf)(1 + cf) to keep its bits as cf nears 1.
     """
     if d < 2 or not (0.0 <= cf < 1.0):
         raise ValidationError("need d >= 2 and 0 <= cf < 1")
     # loaded on first call, so importing the package does not pay for it
-    import scipy.integrate
+    import scipy.special
 
-    def integrand(phi):
-        return math.cos(phi) ** (d - 2)
-
-    num, _ = scipy.integrate.quad(integrand, math.asin(cf), math.pi / 2)
-    den, _ = scipy.integrate.quad(integrand, -math.pi / 2, math.pi / 2)
-    return num / den
+    return 0.5 * float(scipy.special.betainc((d - 1) / 2, 0.5, (1.0 - cf) * (1.0 + cf)))
 
 
 def _check_conditioning(d: int, cf: float) -> None:

@@ -300,18 +300,36 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
 def first_coord_cdf_grid(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerically integrated CDF of the first coordinate of a uniform unit
     vector, on a dense grid; the quadrature-based independent oracle."""
+    # the trapezoid rule cdf = [0, cumsum(diff(xs) * 0.5 * (pdf[1:] + pdf[:-1]))]
+    # / total, one in-place ufunc per operation (products swap their operands,
+    # which IEEE multiplication allows bit for bit), so three grid arrays are
+    # held at once: xs, pdf (which becomes the cdf) and the steps
     xs = np.linspace(-1.0, 1.0, CDF_GRID_POINTS)
-    pdf = np.power(np.clip(1.0 - xs * xs, 0.0, None), (d - 3) / 2.0)
-    steps = np.diff(xs) * 0.5 * (pdf[1:] + pdf[:-1])
-    cdf = np.concatenate([[0.0], np.cumsum(steps)])
+    pdf = np.multiply(xs, xs)
+    np.subtract(1.0, pdf, out=pdf)
+    np.clip(pdf, 0.0, None, out=pdf)
+    np.power(pdf, (d - 3) / 2.0, out=pdf)
+    steps = np.add(pdf[1:], pdf[:-1])
+    width = np.subtract(xs[1:], xs[:-1], out=pdf[:-1])
+    width *= 0.5
+    steps *= width
+    cdf = pdf
+    cdf[0] = 0.0
+    np.cumsum(steps, out=cdf[1:])
     cdf /= cdf[-1]
     return xs, cdf
 
 
 def _ks_statistic(sample: np.ndarray, cdf_at: np.ndarray) -> float:
+    # max |F - i/n| and |F - (i-1)/n| over blocks of BLOCK_VALUES values: a
+    # max is exact, so the blocks give the whole-array D
     n = sample.shape[0]
-    i = np.arange(1, n + 1)
-    return float(np.maximum(np.abs(cdf_at - i / n), np.abs(cdf_at - (i - 1) / n)).max())
+    peaks = []
+    for start in range(0, n, BLOCK_VALUES):
+        f = cdf_at[start : start + BLOCK_VALUES]
+        i = np.arange(start + 1, start + f.shape[0] + 1)
+        peaks.append(np.maximum(np.abs(f - i / n), np.abs(f - (i - 1) / n)).max())
+    return float(np.max(peaks))
 
 
 def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaReport:
@@ -321,6 +339,13 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
         raise ValidationError("need d >= 4")
     _need_some("samples", samples)
     _need_real("c_f", c_f, 0.0 <= c_f < 1.0, "in [0, 1)")
+    # alpha = -log(tail) / d needs a tail above 0, so an underflow is refused
+    # before any sample is drawn
+    exact_tail = first_coord_tail(d, c_f)
+    if exact_tail == 0.0:
+        raise ValidationError(
+            "c_f %r: the exact tail at d = %d underflows to 0, so alpha is not finite" % (c_f, d)
+        )
     rng = _trial_rng(seed, 0)
     # the generator fills rows in order and each norm reduces one row, so
     # blocks of BLOCK_VALUES Gaussians reproduce the whole-matrix draw bit for
@@ -331,17 +356,16 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
         g = rng.standard_normal((min(rows, samples - start), d))
         coords[start : start + g.shape[0]] = g[:, 0] / row_norms(g)
     coords.sort()
-    xs, cdf = first_coord_cdf_grid(d)
-    ks_exact = _ks_statistic(coords, np.interp(coords, xs, cdf))
+    # the grid is dropped once interpolated, before the KS blocks run
+    ks_exact = _ks_statistic(coords, np.interp(coords, *first_coord_cdf_grid(d)))
     # kstest(z, "norm") takes the same D from ndtr on sorted z; scipy.special
     # is loaded here so that importing the package does not pay for it
     import scipy.special
 
     z = math.sqrt(d) * coords
     ks_normal = _ks_statistic(z, scipy.special.ndtr(z))
-    exact_tail = first_coord_tail(d, c_f)
     emp_tail = float(np.mean(coords >= c_f))
-    alpha = -math.log(exact_tail) / d if exact_tail > 0 else float("inf")
+    alpha = -math.log(exact_tail) / d
     passed = ks_exact <= KS_EXACT_MAX and ks_normal <= KS_NORMAL_MAX
     stats = {
         "ks_exact": ks_exact,

@@ -358,6 +358,21 @@ def test_verify_marginal_rejects_bad_cf_before_drawing(capsys, monkeypatch, cf):
     assert stderr.startswith("error: c_f must be a finite number in [0, 1)")
 
 
+def test_verify_marginal_rejects_an_underflowing_tail_before_drawing(capsys, monkeypatch):
+    # at d 2048 the tail above 0.9 is below the smallest float, so alpha =
+    # -log(tail) / d would be inf and the report could not be written
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew samples before checking the tail")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, stdout, stderr = run_cli(
+        capsys, "verify", "marginal", "--d", "2048", "--samples", "2000", "--cf", "0.9"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: c_f 0.9: the exact tail at d = 2048 underflows to 0")
+
+
 def test_run_lstsq_on_overflowing_rows_exits_2(tmp_path, capsys):
     # the loader's row-norm check turns such a file away before the solver
     # sees it; the solver's own overflow check is tested in test_algorithms
@@ -601,6 +616,25 @@ def test_experiment_malformed_spec_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps({**SWEEP, "problem": "lsp-hard", "params": params}))
         code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
         assert code == 2 and "%r" % key in err
+    assert not out.exists()
+
+
+def test_experiment_unknown_parameter_fails_before_generation(tmp_path, capsys, monkeypatch):
+    # cf 0.9 at d 64 never accepts in 2 attempts, so a generation would end in
+    # an acceptance-too-rare row; the misspelled key must be named first
+    built = []
+    monkeypatch.setattr(cli, "gen_anv_conditioned", lambda **kw: built.append(kw))
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "out.csv"
+    spec.write_text(json.dumps({
+        "problem": "anv-conditioned",
+        "params": {"d": 64, "cf": 0.9, "max_attempts": 2, "zzz": 1,
+                   "algorithm": "offline-kernel", "budget_bits": 300000},
+        "trials": 1, "seed": 1,
+    }))
+    code, _, err = run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(out))
+    assert code == 2 and "zzz" in err
+    assert built == []
     assert not out.exists()
 
 

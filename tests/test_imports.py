@@ -1,9 +1,12 @@
-"""What `import nullstream` loads.
+"""What `import nullstream` loads, and what its tail and marginal calls add.
 
-scipy.stats, scipy.integrate and scipy.special hold about 40 MB between them
-and serve only the sphere-marginal certificate and the conditioned tail
-quadrature, so they are imported inside those calls.  The check runs in a
-fresh interpreter, since this one has imported them already.
+Of scipy, the package and its CLI load only scipy.linalg.  scipy.special
+serves the sphere-marginal certificate (ndtr) and the closed-form
+first-coordinate tail (betainc), so it is imported inside those calls.
+Nothing loads scipy.stats or scipy.integrate, which would add about 20 MB:
+not the tail, not the marginal certificate, and not the AcceptanceTooRare
+error, whose message reports the tail.  The check runs in a fresh
+interpreter, since this one has imported them already.
 """
 
 import os
@@ -17,8 +20,21 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(nullstream.__file__)))
 PROBE = """
 import sys
 import nullstream, nullstream.cli
-print(sorted(m for m in ("scipy.stats", "scipy.integrate", "scipy.special") if m in sys.modules))
+from nullstream.verification import sphere_marginal_tests
+
+def loaded():
+    print(sorted(m for m in ("scipy.stats", "scipy.integrate", "scipy.special")
+                 if m in sys.modules))
+
+loaded()
 print(repr(nullstream.first_coord_tail(64, 0.2)))
+loaded()
+sphere_marginal_tests(16, 200, 0.2, 1)
+loaded()
+try:
+    nullstream.gen_anv_conditioned(64, 0.9, seed=0, max_attempts=2)
+except nullstream.AcceptanceTooRare:
+    loaded()
 """
 
 
@@ -28,7 +44,9 @@ def test_import_loads_no_stats_integrate_or_special():
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, tail = proc.stdout.splitlines()
-    assert loaded == "[]"
-    # the quadrature loads scipy.integrate on its first call, same value as before
-    assert tail == "0.05509390125429454"
+    at_import, tail, after_tail, after_marginal, after_too_rare = proc.stdout.splitlines()
+    assert at_import == "[]"
+    # the closed form loads scipy.special on its first call
+    assert tail == "0.05509390125429455"
+    for after in (after_tail, after_marginal, after_too_rare):
+        assert after == "['scipy.special']"

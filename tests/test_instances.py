@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -75,6 +76,37 @@ def test_gen_anv_gaussian_witness_residual():
 def test_first_coord_tail_matches_closed_form():
     for d, cf in [(2, 0.3), (10, 0.2), (64, 0.2), (64, 0.5), (256, 0.1)]:
         assert_allclose(first_coord_tail(d, cf), exact_tail(d, cf), rtol=1e-10)
+
+
+def quadrature_tail(d, cf):
+    # independent reference: the density (1 - t^2)^((d-3)/2) with t = sin(phi),
+    # integrated to a relative 1e-13 with no absolute floor, so a tiny tail
+    # is not swamped; a missed tolerance warns, and the warning fails the test
+    import scipy.integrate
+
+    def integrand(phi):
+        return math.cos(phi) ** (d - 2)
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        num, _ = scipy.integrate.quad(integrand, math.asin(cf), math.pi / 2, **opts)
+        den, _ = scipy.integrate.quad(integrand, -math.pi / 2, math.pi / 2, **opts)
+    return num / den
+
+
+@pytest.mark.parametrize("d", [2, 16, 64, 256, 1024, 2048])
+def test_first_coord_tail_matches_tight_quadrature(d):
+    # quadrature at its default absolute tolerance (1.5e-8) loses small tails:
+    # 2e-10 relative at (64, 0.9), 1e-4 at (1024, 0.2), 5e-2 at (2048, 0.5);
+    # tails that are not normal floats (cf = 0.9 at d >= 1024) are left out
+    checked = 0
+    for cf in (0.0, 0.1, 0.2, 0.3, 0.5, 0.9):
+        ref = quadrature_tail(d, cf)
+        if ref >= sys.float_info.min:
+            assert_allclose(first_coord_tail(d, cf), ref, rtol=1e-12, atol=0.0)
+            checked += 1
+    assert checked >= 5
 
 
 def test_first_coord_tail_monotone_in_cf():

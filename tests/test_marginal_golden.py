@@ -5,13 +5,14 @@ is 16384 rows at d = 4, 1024 at d = 64 and 65 at d = 1000.  For each d the
 cases sit one row below a block, at exactly one block, one row past it, and
 three and a half blocks (several blocks ending in a partial one); d = 64 with
 100 000 samples is the benchmark size, the one case that passes its KS caps.
-The hashes were computed by drawing the whole samples x d matrix at once, so
-any blocked draw must reproduce them exactly.
 
-A second digest per case covers only what the samples decide (the two KS
-statistics, the empirical tail, the sample count and the trial rows), and
-the grid digests cover the quadrature oracle's bytes, so a change to the
-exact tail alone moves the whole-report digest and neither of these.  The
+Each case has two digests.  The whole-report digest covers every byte the
+certificate prints, the closed-form exact tail and alpha included.  The
+sample digest covers only what the samples decide (the two KS statistics,
+the empirical tail, the sample count and the trial rows); its values are
+those of a draw of the whole samples x d matrix at once, so any blocked draw
+must reproduce them exactly, and a change to the exact tail alone leaves
+them as they are.  The grid digests pin the quadrature oracle's bytes.  The
 verify-marginal case is the `nullstream verify marginal` golden run.
 """
 
@@ -27,19 +28,19 @@ CF, SEED = 0.2, 3
 
 # (d, samples) -> sha256 of report_to_json(sphere_marginal_tests(d, samples, CF, SEED))
 MARGINAL_CASES = {
-    (4, 16383): "e345a52fdc235bc57dca23a8479dd7204f41c843a871c182d3961ec873c1b550",
-    (4, 16384): "5a77ea87254bdca04f51c92dd6ee6898f8d39294f6406fe379ed3082b4380ed9",
-    (4, 16385): "da6446c968dd5431e666da611344ba5451fa08561720ef25fd2c966d566f3c2e",
-    (4, 57344): "d91cc96de7c1b879c016391abca78f4a6c8231a7819548477cb95edaddbb501a",
-    (64, 1023): "4922979b9e7d8da582f941d7fda008361d238bd65e3f342ee485edc325a78722",
-    (64, 1024): "9742ff51d517d9db9783ddb3364c1c012ce96503bd9ca266c09c1b29b44889fc",
-    (64, 1025): "0681ba133c523db2c1a7bdc03ab79b7c54050d786673e9fd71eee465e3934815",
-    (64, 3584): "9f356ff245e9988b76a2312af69135b0bdd69ebd319b66cc1b798ca5c133d0cd",
-    (64, 100000): "81a815570a2d2fe0414243f25b47dd675a131142250612ddf1a62ee41bde8572",
-    (1000, 64): "2ed64dc4c02c23211e1261a17b086f6e2292988c16786561b36e014599f3ee56",
-    (1000, 65): "0758589a5c1756ceb5c1fdf1ff682caa268f92b2b2a0e864102c6f9249023228",
-    (1000, 66): "ecf4f31611771b262bc86c9ee07bb6153848cf4c353b57f5c8a132ce14b7c7ac",
-    (1000, 227): "b676ae684ad36ca952d55b558e1fb2d4c94e3bd6e36ec7c9d72e0bf4dd145ed7",
+    (4, 16383): "5429f1293e08e7c7c7129cc8f06d03ebf30abd2c18c8cb58a3cc466ddde4c4ab",
+    (4, 16384): "7f257a8b367153b9b76e42b15d50f04e123dd5626044998f081b2583588f4cc9",
+    (4, 16385): "9aa62906483f0b10a1dd9bded2c3bad8434d0aedcc7c4dbf64c515b2a24a58b4",
+    (4, 57344): "07274371a3dad454633e64519e483649f65028f6a00d8228697f75989bc26f95",
+    (64, 1023): "3206775171e03c700a9ac2ae293ff31e7db73cd6106a33a37354ea0d06ac6376",
+    (64, 1024): "60507679dc5d47e0df29b2251a81c7027dc8c8c9af71c1a681a6bc3767664408",
+    (64, 1025): "c8970fe41d447741745307293ac63f966e3f35650e442b6f4eef40def1d80cb1",
+    (64, 3584): "cc9813d656d05c4c2b81324cda5b58c9274351393bbfc670c2f490b56a5631a7",
+    (64, 100000): "57cb6e93d55da6ae70b41a23928a84c264e9ffe00b46e423a690f95606d47857",
+    (1000, 64): "a499fd9e7b987d206a504360141573fb62f4e8a2a8f55a982378c075b0910828",
+    (1000, 65): "729b6f19adfbfbcea12f45ff86c4509833312c8d252b2c7879d6ec8cd4d2ee48",
+    (1000, 66): "abd0e2579a1349b2642301fce4a5d592d40fc6e5f925608cab33dcace8568496",
+    (1000, 227): "6d7f4b9197eb64c96cdf0a130c8a790e921bc033db888faa76f6acb073166763",
 }
 
 

@@ -15,7 +15,11 @@ import tracemalloc
 from nullstream.algorithms import build_algorithm, proj_state_bits
 from nullstream.instances import gen_lsp_margin
 from nullstream.streaming import BitState, SharedRandomness
-from nullstream.verification import sphere_concentration_test
+from nullstream.verification import (
+    CDF_GRID_POINTS,
+    sphere_concentration_test,
+    sphere_marginal_tests,
+)
 
 MIB = 2**20
 
@@ -67,3 +71,12 @@ def test_proj_finalize_peak_is_its_signed_points_plus_two_mib():
     assert w.shape == (d,)
     signed_points = alg.subsample * alg.dprime * 8
     assert peak <= signed_points + 2 * MIB
+
+
+def test_marginal_peak_is_under_four_grids_and_its_samples():
+    d, samples = 64, 100_000
+    sphere_marginal_tests(8, 10, 0.2, 1)  # first-call imports
+    _, peak = traced_peak(lambda: sphere_marginal_tests(d, samples, 0.2, 3))
+    # the grid is built with three arrays (xs, pdf that becomes the cdf, the
+    # steps) and dropped before the KS blocks run
+    assert peak <= 4 * CDF_GRID_POINTS * 8 + samples * 8

@@ -236,7 +236,7 @@ def test_sphere_marginal_at_calibrated_point():
     assert r.pass_fraction == 1.0
     assert r.statistics["ks_exact"] <= 0.01
     assert r.statistics["ks_normal"] <= 0.03
-    # empirical tail within 4 sigma of the quadrature oracle
+    # empirical tail within 4 sigma of the exact (closed-form) tail
     p = r.statistics["exact_tail"]
     sigma = math.sqrt(p * (1 - p) / 100_000)
     assert abs(r.statistics["emp_tail"] - p) <= 4 * sigma
