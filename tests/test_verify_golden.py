@@ -13,6 +13,7 @@ quantization range and pass limits through the separator each run returns.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nullstream.cli import main
 from nullstream.config import DEFAULTS
 from nullstream.instances import gen_lsp_margin
 from nullstream.streaming import run_one_pass
+from nullstream.verification import certify_sandwich
 
 # argv after "verify" -> (exit code, sha256 of stdout)
 VERIFY_CASES = {
@@ -57,6 +59,32 @@ def test_verify_stdout_at_default_thresholds(argv, capsys):
     code = main(["verify", *argv])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == VERIFY_CASES[argv]
+
+
+# the sandwich verdicts on their own, apart from the rho bytes the digests
+# above also cover: argv after "verify" -> (exit code, trials that failed)
+SANDWICH_VERDICTS = {
+    ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"): (0, ()),
+    ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20"): (1, (1, 4, 12, 13, 14, 15, 18)),
+    ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "3"): (0, (7,)),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SANDWICH_VERDICTS), ids=_case_id)
+def test_sandwich_verdict_per_trial(argv, capsys):
+    code = main(["verify", *argv])
+    rows = json.loads(capsys.readouterr().out)["trial_rows"]
+    expected_code, failed = SANDWICH_VERDICTS[argv]
+    trials = int(argv[argv.index("--trials") + 1])
+    assert code == expected_code
+    assert [r["passed"] for r in rows] == [t not in failed for t in range(trials)]
+
+
+def test_sandwich_verdict_per_trial_at_acceptance_size():
+    # criterion 7's run: every one of its 100 trials passes
+    r = certify_sandwich(128, 0.2, 100, seed=0)
+    assert r.passed
+    assert [row["passed"] for row in r.trial_rows] == [True] * 100
 
 
 D, M, GAMMA = 16, 40, 0.25
