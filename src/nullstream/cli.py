@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--c-emp", dest="c_emp", type=float, default=JOINT_C_EMP)
 
-    p = verify_common("sandwich", "projector pencil sandwich bounds", 100, lambda a:
+    p = verify_common("sandwich", "singular-value sandwich bounds on each half", 100, lambda a:
                       certify_sandwich(a.d, a.t, a.trials, a.seed))
     p.add_argument("--t", type=float, default=0.2)
 

@@ -64,11 +64,6 @@ class EigCertificate:
     lambda_min: float
     witness: np.ndarray
 
-    def residual(self, matrix: np.ndarray) -> float:
-        """|w^T M w - lambda_min| for the certified matrix."""
-        q = float(self.witness @ np.asarray(matrix, dtype=float) @ self.witness)
-        return abs(q - self.lambda_min)
-
 
 def _as_matrix(vectors) -> np.ndarray:
     m = np.asarray(vectors, dtype=float)

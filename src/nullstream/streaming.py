@@ -412,12 +412,8 @@ class Layout:
             if width in _WHOLE_BYTES:
                 raw = ints.astype(">u%d" % (width // 8)).tobytes()
             else:
-                words = ints.astype(">u8").view(np.uint8).reshape(-1, 8)
-                if width % 8:
-                    bits = np.unpackbits(words).reshape(-1, 64)
-                    raw = np.packbits(bits[:, 64 - width :]).tobytes()
-                else:  # 24 to 56 bits: the low width/8 byte columns of each word
-                    raw = words[:, 8 - width // 8 :].tobytes()
+                bits = np.unpackbits(ints.astype(">u8").view(np.uint8)).reshape(-1, 64)
+                raw = np.packbits(bits[:, 64 - width :]).tobytes()
             count = ints.size
         lo = self._span(buf, name, start, count)
         _put(buf, lo, raw, count * width)

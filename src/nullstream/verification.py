@@ -1,10 +1,11 @@
 """Numerical certificates for the geometric facts behind the lower bounds.
 
-Every "for all unit v" claim is certified through an eigenvalue reduction
-(smallest eigenvalue of a projector sum, or generalized eigenvalues of a
-pencil restricted to a row space), never through sampling over v, so a pass
-is exact up to the eigensolver.  Monte-Carlo enters only where the claims
-themselves are probabilistic (violation frequencies, sampling distributions).
+Every "for all unit v" claim is certified through a spectral reduction
+(smallest eigenvalue of a projector sum, or the extreme singular values of
+each half of a Gaussian matrix), never through sampling over v, so a pass is
+exact up to the eigen- or singular-value solver.  Monte-Carlo enters only
+where the claims themselves are probabilistic (violation frequencies,
+sampling distributions).
 
 Each certifier returns a LemmaReport carrying its verdict; per-trial rows
 ride along for CSV export, and the pass fraction is derived from them.
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .instances import first_coord_tail
@@ -167,7 +167,9 @@ def joint_sol_lambda_min(subspaces) -> float:
 
 
 def sandwich_bounds(t: float) -> tuple[float, float]:
-    """Bounds on the pencil ratio when each half has at most d/2 rows."""
+    """Bounds on the sandwich ratio when each half of G has at most d/2 rows:
+    1/(1 + s)^2 and 1/(1 - s)^2 with s = (1 + t) sqrt(1/2), the reciprocal
+    squares of the Gaussian singular-value bounds 1 -+ s on each half."""
     _need_real("t", t, t >= 0.0, "of at least 0")
     s = (1.0 + t) * math.sqrt(0.5)
     if s >= 1.0:
@@ -176,23 +178,20 @@ def sandwich_bounds(t: float) -> tuple[float, float]:
 
 
 def sandwich_extremes(g: np.ndarray, rows_v: int) -> tuple[float, float]:
-    """Extremal ratios of ||P_V v||^2 + ||P_U v||^2 over ||G v||^2 on the row
-    space of G, where V spans the first rows_v rows and U the rest.
+    """Extremal ratios of ||P_V x||^2 + ||P_U x||^2 over ||G x||^2 on the row
+    space of G, where V spans the first rows_v rows G1 and U the rest G2.
 
-    Both forms vanish on the kernel of G, so the pencil is reduced to an
-    orthonormal row-space basis before the generalized eigensolve.
+    G has full row rank, so it maps its row space onto the space of y = G x,
+    and with y = (y1, y2) the ratio is
+    (y1^T (G1 G1^T)^-1 y1 + y2^T (G2 G2^T)^-1 y2) / ||y||^2.  Its extremes are
+    those of blockdiag((G1 G1^T)^-1, (G2 G2^T)^-1): 1 / max sigma_max(Gi)^2
+    and 1 / min sigma_min(Gi)^2.  The certificate thus checks a two-sided
+    singular-value bound on each half (Vershynin 2012, Cor. 5.35).
     """
     g = np.asarray(g, dtype=float)
-    v = orthonormalize(g[:rows_v])
-    u = orthonormalize(g[rows_v:])
-    rowspace = orthonormalize(g)
-    vb = v.basis @ rowspace.basis.T
-    ub = u.basis @ rowspace.basis.T
-    gb = g @ rowspace.basis.T
-    a = vb.T @ vb + ub.T @ ub
-    b = gb.T @ gb
-    eigs = scipy.linalg.eigh(a, b, eigvals_only=True)
-    return float(eigs[0]), float(eigs[-1])
+    s1 = np.linalg.svd(g[:rows_v], compute_uv=False)
+    s2 = np.linalg.svd(g[rows_v:], compute_uv=False)
+    return float(max(s1[0], s2[0]) ** -2), float(min(s1[-1], s2[-1]) ** -2)
 
 
 def certify_sandwich(d: int, t: float, trials: int, seed: int) -> LemmaReport:

@@ -263,7 +263,7 @@ def test_verify_marginal_passes(capsys):
 
 
 def test_verify_failing_certificate_exits_1(capsys):
-    # loose concentration at tiny d cannot meet the tight pencil bounds
+    # loose concentration at tiny d cannot meet the tight sandwich bounds
     code, stdout, stderr = run_cli(
         capsys, "verify", "sandwich", "--d", "16", "--t", "0.01", "--trials", "20",
     )

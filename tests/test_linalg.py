@@ -216,7 +216,8 @@ def test_min_eig_projector_sum_certificate_residual():
     m = np.zeros((12, 12))
     for s in subs:
         m += s.basis.T @ s.basis
-    assert cert.residual(m) <= 1e-8 * max(1.0, cert.lambda_min)
+    residual = abs(cert.witness @ m @ cert.witness - cert.lambda_min)
+    assert residual <= 1e-8 * max(1.0, cert.lambda_min)
     assert abs(np.linalg.norm(cert.witness) - 1.0) <= 1e-10
 
 

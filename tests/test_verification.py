@@ -2,8 +2,9 @@
 
 Controls are chosen so the analytics force the outcome: identical subspace
 pairs must produce a zero eigenvalue, orthonormal-row matrices must give
-ratio exactly one, and the closed-form incomplete-beta CDF cross-checks the
-quadrature grid oracle.
+ratio exactly one, the sandwich's singular values match a generalized
+eigensolve of its two quadratic forms, and the closed-form incomplete-beta
+CDF cross-checks the quadrature grid oracle.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.special import betainc, ndtr
 
@@ -170,8 +172,42 @@ def test_sandwich_orthonormal_rows_give_unit_ratio():
     assert_allclose([rho_min, rho_max], [1.0, 1.0], atol=1e-9)
 
 
+def _pencil_extremes(g, rows_v):
+    # the reference: the generalized eigenproblem of the two quadratic forms,
+    # reduced to an orthonormal basis of the row space, where both are definite
+    v = orthonormalize(g[:rows_v])
+    u = orthonormalize(g[rows_v:])
+    rowspace = orthonormalize(g)
+    vb = v.basis @ rowspace.basis.T
+    ub = u.basis @ rowspace.basis.T
+    gb = g @ rowspace.basis.T
+    eigs = scipy.linalg.eigh(vb.T @ vb + ub.T @ ub, gb.T @ gb, eigvals_only=True)
+    return float(eigs[0]), float(eigs[-1])
+
+
+def _first_half_only(g, rows_v):
+    # planted defect: the singular values of V's rows alone
+    s = np.linalg.svd(g[:rows_v], compute_uv=False)
+    return float(s[0] ** -2), float(s[-1] ** -2)
+
+
+def _matches_pencil(extremes):
+    for d in (8, 16, 32, 128):
+        for seed in range(5):
+            g = np.random.default_rng((seed, d)).standard_normal((d - 1, d)) / math.sqrt(d)
+            expected = _pencil_extremes(g, d // 2)
+            if not np.allclose(extremes(g, d // 2), expected, rtol=1e-12, atol=0):
+                return False
+    return True
+
+
+def test_sandwich_extremes_match_the_pencil_reference():
+    assert _matches_pencil(sandwich_extremes)
+    assert not _matches_pencil(_first_half_only)
+
+
 def test_sandwich_extremes_bound_random_directions():
-    # Monte-Carlo over the row space never escapes the pencil extremes
+    # Monte-Carlo over the row space never escapes the closed-form extremes
     d = 32
     rng = np.random.default_rng(11)
     g = rng.standard_normal((d - 1, d)) / math.sqrt(d)
