@@ -12,14 +12,18 @@ sample digest covers only what the samples decide (the two KS statistics,
 the empirical tail, the sample count and the trial rows); its values are
 those of a draw of the whole samples x d matrix at once, so any blocked draw
 must reproduce them exactly, and a change to the exact tail alone leaves
-them as they are.  The grid digests pin the quadrature oracle's bytes.  The
-verify-marginal case is the `nullstream verify marginal` golden run.
+them as they are.  The verdict digest covers the whole report except
+ks_exact, the one statistic the exact-CDF oracle decides, with the verdict
+itself added, so a change of oracle that keeps every verdict leaves it as it
+is.  The grid digests pin the quadrature oracle's bytes.  The verify-marginal
+case is the `nullstream verify marginal` golden run.
 """
 
 import hashlib
 
 import pytest
 
+from nullstream.cli import main
 from nullstream.config import DEFAULTS
 from nullstream.serialize import dumps, report_to_json
 from nullstream.verification import first_coord_cdf_grid, sphere_marginal_tests
@@ -101,3 +105,45 @@ def test_verify_marginal_sample_bytes():
 def test_cdf_grid_bytes(d):
     xs, cdf = first_coord_cdf_grid(d)
     assert hashlib.sha256(xs.tobytes() + cdf.tobytes()).hexdigest() == GRID_CASES[d]
+
+
+# (d, samples) -> sha256 of the verdict and of the same report without ks_exact
+VERDICT_CASES = {
+    (4, 16383): "459ed07a2c609af4352166e388db1d563ef8e97158b66b26bfc7cd6d908870de",
+    (4, 16384): "5a810f2a7859c783d7274f2f1278bd8eb712d3c04f2054984c2864f8debb8c87",
+    (4, 16385): "f12838785a630239d4ea648e4f5d233bfc181e91d17891719e54c8c8dea41a80",
+    (4, 57344): "39d906c39e2057cb0a1d3d789cceb34887d582b3fe054bcec4047c431fe84fc3",
+    (64, 1023): "d7562a2ca59b8e6c123765f31bc626995a414e249a91b687ba6031af3fc86cc0",
+    (64, 1024): "30a448f10f6eece7553eab8add4457e275b7d4b2a630fd1745ea58cd7ab78255",
+    (64, 1025): "e95cb628537dbee87e3410960cc324575067a53b9b4320c8387f640211b9b4f9",
+    (64, 3584): "c98ffd40b41f63ddc3e4330d61eb89bd58c1906a513ff6c2e9e08207d10125ec",
+    (64, 100000): "9575b6a7610a3d8e7cb7a0e7bcf8ea2e6580f7d37811bd162221bce01ae7fb89",
+    (1000, 64): "337674a25d7072afba836827f506013913034ad7c9903a9d4e25ee0f91f432a8",
+    (1000, 65): "12b5f7b7939c60742e00a7b4158305620eb5df23530051d8db26be31609b3101",
+    (1000, 66): "66b99db7dd569be5ab8f01d9d9ea9bb4cd96e98f3788ab5ffb9ed42e9c3f849f",
+    (1000, 227): "5ac391b663bf372487e0579b679b5872435b37feffdfc472d364fe8a2dbf0119",
+}
+# the verify-marginal run: (exit code, verdict digest)
+VERIFY_VERDICT = (1, "5b6b8516c7433e1da29cdf1e928d62a8273de64ef138df1c04fb6983fc2371f9")
+
+
+def _verdict_digest(report):
+    doc = {
+        "passed": report.passed,
+        "statistics": {k: v for k, v in report.statistics.items() if k != "ks_exact"},
+        "trial_rows": [{k: v for k, v in r.items() if k != "ks_exact"} for r in report.trial_rows],
+    }
+    return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES), ids=lambda c: "d%d-n%d" % c)
+def test_sphere_marginal_verdict_bytes(case):
+    d, samples = case
+    assert _verdict_digest(sphere_marginal_tests(d, samples, CF, SEED)) == VERDICT_CASES[case]
+
+
+def test_verify_marginal_verdict(capsys):
+    code = main(["verify", "marginal", "--d", "16", "--samples", "2000", "--seed", "3"])
+    capsys.readouterr()
+    report = sphere_marginal_tests(16, 2000, DEFAULTS.constants.cf, 3)
+    assert (code, _verdict_digest(report)) == VERIFY_VERDICT
