@@ -15,36 +15,43 @@ must reproduce them exactly, and a change to the exact tail alone leaves
 them as they are.  The verdict digest covers the whole report except
 ks_exact, the one statistic the exact-CDF oracle decides, with the verdict
 itself added, so a change of oracle that keeps every verdict leaves it as it
-is.  The grid digests pin the quadrature oracle's bytes.  The verify-marginal
-case is the `nullstream verify marginal` golden run.
+is.  The verify-marginal case is the `nullstream verify marginal` golden run.
+
+The certificate's oracle is the closed form first_coord_cdf.  The trapezoid
+grid it replaced stays here as a test-only reference: the grid digests pin
+its bytes, and the closed form must agree with it, with the elementary laws
+at d = 2, 3 and 4, and with its own Taylor line next to x = 0, where the
+tail's 1 - x^2 orientation loses digits.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from nullstream.cli import main
 from nullstream.config import DEFAULTS
 from nullstream.serialize import dumps, report_to_json
-from nullstream.verification import first_coord_cdf_grid, sphere_marginal_tests
+from nullstream.verification import first_coord_cdf, sphere_marginal_tests
 
 CF, SEED = 0.2, 3
 
 # (d, samples) -> sha256 of report_to_json(sphere_marginal_tests(d, samples, CF, SEED))
 MARGINAL_CASES = {
-    (4, 16383): "5429f1293e08e7c7c7129cc8f06d03ebf30abd2c18c8cb58a3cc466ddde4c4ab",
-    (4, 16384): "7f257a8b367153b9b76e42b15d50f04e123dd5626044998f081b2583588f4cc9",
-    (4, 16385): "9aa62906483f0b10a1dd9bded2c3bad8434d0aedcc7c4dbf64c515b2a24a58b4",
-    (4, 57344): "07274371a3dad454633e64519e483649f65028f6a00d8228697f75989bc26f95",
-    (64, 1023): "3206775171e03c700a9ac2ae293ff31e7db73cd6106a33a37354ea0d06ac6376",
-    (64, 1024): "60507679dc5d47e0df29b2251a81c7027dc8c8c9af71c1a681a6bc3767664408",
-    (64, 1025): "c8970fe41d447741745307293ac63f966e3f35650e442b6f4eef40def1d80cb1",
-    (64, 3584): "cc9813d656d05c4c2b81324cda5b58c9274351393bbfc670c2f490b56a5631a7",
-    (64, 100000): "57cb6e93d55da6ae70b41a23928a84c264e9ffe00b46e423a690f95606d47857",
-    (1000, 64): "a499fd9e7b987d206a504360141573fb62f4e8a2a8f55a982378c075b0910828",
-    (1000, 65): "729b6f19adfbfbcea12f45ff86c4509833312c8d252b2c7879d6ec8cd4d2ee48",
-    (1000, 66): "abd0e2579a1349b2642301fce4a5d592d40fc6e5f925608cab33dcace8568496",
-    (1000, 227): "6d7f4b9197eb64c96cdf0a130c8a790e921bc033db888faa76f6acb073166763",
+    (4, 16383): "e6215f0e36b55635eca26df0f7d9aeb42a6deb755cd260fa596f5f1614cc4526",
+    (4, 16384): "1ff86751e5934c79bc655d8ea428d3afeae14cd10991b6d60fcc4e0b0b8a7c0c",
+    (4, 16385): "c98ed00209e54bbe658aee4d4fc490d8569f7a915809baf25983fb2eb352be3c",
+    (4, 57344): "67ed0970b112b2f6190261d0eda53e5c9b2c333ceb8630cdae6e6fdc5a6a59e8",
+    (64, 1023): "4c76c3adf197a3759b07f54f57c99d0a15023c28625b8f84e0c148ee59178655",
+    (64, 1024): "b72cbac910455be39e322890df63ef826b7e4a5550e009fe2e36c94f514b3f19",
+    (64, 1025): "563b2149a79456812f4ebe056d0900fdb895421fd57d170e2ddc783a767b0710",
+    (64, 3584): "0f85cd3cb6c9fd05363a0c834b29429b90a1aa5de5b259436e11d90ed8e1d8df",
+    (64, 100000): "2767fe82c2d9ccb6ec754d8d636e05f7deee644d44758ab76196538e345be0b8",
+    (1000, 64): "e9d7a61d394209d660fa3e96ffa02e4167314244050ff170c324f7d0062f25a4",
+    (1000, 65): "23198011549a5c7974f4080df2fe3f3c35e1f29da76fa3f79df72d59c72046ff",
+    (1000, 66): "a951400c9b3ba78d6616d865dabc00458d692f291b96747001a743c750061eec",
+    (1000, 227): "145c82b07adb245bad1e2766ef05bc1c68ec7cd3898650e4f62ab23676fc3c05",
 }
 
 
@@ -58,21 +65,47 @@ def test_sphere_marginal_report_bytes(case):
 
 # (d, samples) -> sha256 of the sample-derived fields of the same report
 SAMPLE_CASES = {
-    (4, 16383): "77ca383e4b4160a0398bdebdaa3b0f67834cdb5f9ce3f3d9404cd00dc64fb804",
-    (4, 16384): "8810090a3366864e4785f66fb264bfd894f2fe0b02e1c80a89d21d3ef8fb7d64",
-    (4, 16385): "abba92a4baef5d87a8e2bb4a00aa785d7417c02efdb697e741dfde8e61e85034",
-    (4, 57344): "46a7aabf6a68e7622f80f1e1446c88a16573562c1b99c158f9ca16ddd68e6f96",
-    (64, 1023): "522f94b162c198750e16d0296fedaf0d4d459307e2c8fafef5798afaed9294ea",
-    (64, 1024): "67b0b7c21d3df5677e517c4bef79c8d3da11a187fdff51236e81b881e15524cc",
-    (64, 1025): "f6206977514f5e8fed63d16595fb8c933370e1d7baa2f466c5fcc6a72d9c0a9d",
-    (64, 3584): "79ef5b667ce393a5388800d9365f3615d62e9127c507a8a1ce354523bc46b6d6",
-    (64, 100000): "51f2b2785505c2eafc2051c8c2bed869528f4db4733e53bebc509340d7f1e5e6",
-    (1000, 64): "f08c934f6105f2f63e664a3fe3ab7223fca0a7d054e0d3b5cd0e87848f89cde6",
-    (1000, 65): "de55634e4bd88a689975000c02b05a81c25d3526f88a3a71b9454eb727db1117",
-    (1000, 66): "c648a97e67f8c1e19f07ce7e0ff8d5d954858fe9415378f2ec0eed4aed6f5bee",
-    (1000, 227): "5b55747f554a1e2fedf586805951816844bbe3a53e6bd2ce2e90145c7752b86a",
+    (4, 16383): "bbd481ad7f74d79f85b586256524ecf016dd2e612a918b2ee41b8133470faa81",
+    (4, 16384): "96f338f387e141e5cbf45e921a2dc88bd9b2e39c21edfaf4a632885617a331ff",
+    (4, 16385): "d2c08a3914d1c80c146c82a3e95f1f99d8e55d6a2af8f733cec709779a323ae6",
+    (4, 57344): "6196b0d06fb81cb3043b6084ee7d57f9da87f732345614f947e2d79385187abf",
+    (64, 1023): "da43754268b8c09fd605dd24312f741f75fdf77af1a7ee3b889aba9fdab2e479",
+    (64, 1024): "19489ece6dea079c90dfb81d2b8f38215b4f2ee283010ed27fbb8f25ce9f73d0",
+    (64, 1025): "da8f97b28d61c7b5980dce936a3330fae8aabb08f754cfc00afddeeafeecb69e",
+    (64, 3584): "1b74d3637381bf77ba8551191d2547bcf63cc8b52b0e28dfaf0dd01386d5c836",
+    (64, 100000): "2011998d7345490417b4d81ae5a936bd6985c6317e31659c4e931c9f43a4f436",
+    (1000, 64): "a0e61d7d6ae61fd772358b886894ea847b5994e12e819755f4cf90b45ce7b8b7",
+    (1000, 65): "4652b4b8a395096ba4a6771409763ebb4b9bc4bdfb3f5aabe303f7f61344ef90",
+    (1000, 66): "08830700af1fa4bd15b2b7010721913d943b311c7046134b517c28606cc6a0d9",
+    (1000, 227): "0ab01ed433acc052c18768f625754f6d428dcc6cafbeea79b98c29256c7bc3f4",
 }
-VERIFY_SAMPLES = "18100775b753c9c254ca550fb4f9f03909602266c72299cd91f787dcfe273d04"
+VERIFY_SAMPLES = "fd8f7382e320028fbffceec7e406fcc8b7d76d7198554baf50f098b25f5b086f"
+
+CDF_GRID_POINTS = 200_001
+
+
+def first_coord_cdf_grid(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerically integrated CDF of the first coordinate of a uniform unit
+    vector, on a dense grid; the quadrature reference for the closed form."""
+    # the trapezoid rule cdf = [0, cumsum(diff(xs) * 0.5 * (pdf[1:] + pdf[:-1]))]
+    # / total, one in-place ufunc per operation (products swap their operands,
+    # which IEEE multiplication allows bit for bit), so three grid arrays are
+    # held at once: xs, pdf (which becomes the cdf) and the steps
+    xs = np.linspace(-1.0, 1.0, CDF_GRID_POINTS)
+    pdf = np.multiply(xs, xs)
+    np.subtract(1.0, pdf, out=pdf)
+    np.clip(pdf, 0.0, None, out=pdf)
+    np.power(pdf, (d - 3) / 2.0, out=pdf)
+    steps = np.add(pdf[1:], pdf[:-1])
+    width = np.subtract(xs[1:], xs[:-1], out=pdf[:-1])
+    width *= 0.5
+    steps *= width
+    cdf = pdf
+    cdf[0] = 0.0
+    np.cumsum(steps, out=cdf[1:])
+    cdf /= cdf[-1]
+    return xs, cdf
+
 
 # d -> sha256 of first_coord_cdf_grid(d)'s xs bytes followed by its cdf bytes
 GRID_CASES = {
@@ -147,3 +180,50 @@ def test_verify_marginal_verdict(capsys):
     capsys.readouterr()
     report = sphere_marginal_tests(16, 2000, DEFAULTS.constants.cf, 3)
     assert (code, _verdict_digest(report)) == VERIFY_VERDICT
+
+
+@pytest.mark.parametrize("d", sorted(GRID_CASES))
+def test_closed_form_cdf_matches_the_quadrature_grid(d):
+    # off the grid's nodes, so the reference is interpolated as the
+    # certificate once used it; the worst gap measured is 5.9e-9 at d = 4
+    xs, cdf = first_coord_cdf_grid(d)
+    x = np.linspace(-1.0, 1.0, 100_003)
+    assert np.abs(first_coord_cdf(d, x) - np.interp(x, xs, cdf)).max() <= 1e-8
+
+
+ELEMENTARY_LAWS = {
+    2: lambda x: 0.5 + np.arcsin(x) / math.pi,
+    3: lambda x: (1.0 + x) / 2.0,
+    4: lambda x: 0.5 + (x * np.sqrt(1.0 - x * x) + np.arcsin(x)) / math.pi,
+}
+
+
+@pytest.mark.parametrize("d", sorted(ELEMENTARY_LAWS))
+def test_closed_form_cdf_matches_elementary_laws(d):
+    x = np.linspace(-1.0, 1.0, 20_001)
+    assert np.abs(first_coord_cdf(d, x) - ELEMENTARY_LAWS[d](x)).max() <= 1e-15
+
+
+def _tail_oriented_cdf(d, x):
+    # the planted defect: F from the tail's form (1/2) I_{1-x^2}((d-1)/2, 1/2)
+    import scipy.special
+
+    tail = 0.5 * scipy.special.betainc((d - 1) / 2, 0.5, (1.0 - x) * (1.0 + x))
+    return np.where(x >= 0, 1.0 - tail, tail)
+
+
+def _gap_from_taylor_line(cdf, d):
+    # max |F(x) - 1/2 - x f(0)| over 0 < |x| <= 1e-7, with the density at 0
+    # f(0) = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)); the cubic term is below
+    # 1e-20 there
+    f0 = math.exp(math.lgamma(d / 2) - math.lgamma((d - 1) / 2)) / math.sqrt(math.pi)
+    mag = np.logspace(-20.0, -7.0, 131)
+    x = np.concatenate([-mag[::-1], mag])
+    return np.abs(cdf(d, x) - 0.5 - x * f0).max()
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 64, 1024])
+def test_closed_form_cdf_keeps_its_digits_near_zero(d):
+    assert _gap_from_taylor_line(first_coord_cdf, d) <= 1e-14
+    # the check catches the tail's orientation, which errs by 5e-9 to 1.3e-7
+    assert _gap_from_taylor_line(_tail_oriented_cdf, d) > 1e-14

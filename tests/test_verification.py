@@ -3,8 +3,8 @@
 Controls are chosen so the analytics force the outcome: identical subspace
 pairs must produce a zero eigenvalue, orthonormal-row matrices must give
 ratio exactly one, the sandwich's singular values match a generalized
-eigensolve of its two quadratic forms, and the closed-form incomplete-beta
-CDF cross-checks the quadrature grid oracle.
+eigensolve of its two quadratic forms.  The marginal's closed-form CDF is
+checked against the quadrature grid in test_marginal_golden.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
-from scipy.special import betainc, ndtr
+from scipy.special import ndtr
 
 from nullstream.errors import ValidationError
 from nullstream.instances import first_coord_tail
@@ -26,7 +26,6 @@ from nullstream.verification import (
     certify_no_joint_sol,
     certify_sandwich,
     comorth_check,
-    first_coord_cdf_grid,
     joint_sol_lambda_min,
     sandwich_bounds,
     sandwich_extremes,
@@ -257,14 +256,6 @@ def test_singular_value_rejects_wide_matrix():
 
 # ---------------------------------------------------------------------------
 # sphere marginals
-
-
-def test_cdf_grid_matches_incomplete_beta_closed_form():
-    d = 64
-    xs, cdf = first_coord_cdf_grid(d)
-    probe = np.linspace(-0.9, 0.9, 181)
-    exact = 0.5 * (1.0 + np.sign(probe) * betainc(0.5, (d - 1) / 2.0, probe**2))
-    assert np.abs(np.interp(probe, xs, cdf) - exact).max() <= 1e-6
 
 
 def test_sphere_marginal_at_calibrated_point():

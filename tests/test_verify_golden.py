@@ -39,7 +39,7 @@ VERIFY_CASES = {
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
         (0, "6ee205b43c22048c598574930264b275c02dc67653b858b0d630ce063338eece"),
     ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
-        (1, "d34fe732d0df482585d703eb9e1c0e229d9757adf7e0c2f1a7bff111ce2a8878"),
+        (1, "3bfd2608005e58e09f2f777b5a07b346a341f13fc1024d09a751585b7b292a38"),
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
         (0, "7b7d81e5635cac8e7264fdb5c04096c286ccc203f5d985366e401c85b8772813"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
