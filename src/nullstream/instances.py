@@ -211,16 +211,13 @@ def first_coord_tail(d: int, cf: float) -> float:
     return 0.5 * float(scipy.special.betainc((d - 1) / 2, 0.5, (1.0 - cf) * (1.0 + cf)))
 
 
-def _check_conditioning(d: int, cf: float) -> None:
+def _check_conditioning(d: int, cf: float, name: str, count: int) -> None:
     if d < 2:
         raise ValidationError("need d >= 2")
     if not (0.0 < cf < 1.0):
         raise ValidationError("cf must lie in (0, 1)")
-
-
-def _check_count(name: str, n: int) -> None:
-    if n < 1:
-        raise ValidationError("%s must be at least 1, got %d" % (name, n))
+    if count < 1:
+        raise ValidationError("%s must be at least 1, got %d" % (name, count))
 
 
 def _rejection_certain(rows: np.ndarray, sign: float, cf: float) -> bool:
@@ -312,11 +309,20 @@ def _too_rare(d: int, cf: float, max_attempts: int) -> AcceptanceTooRare:
     )
 
 
+def _refuse_underflow(d: int, cf: float) -> None:
+    # no attempt can meet a tail that underflows to 0.  The tail lies below
+    # (1/2)(1 - cf^2)^((d-1)/2), so only a bound under 1e-300 pays for the
+    # closed form and its scipy.special import
+    if 0.5 * ((1.0 - cf) * (1.0 + cf)) ** ((d - 1) / 2) < 1e-300 and not first_coord_tail(d, cf):
+        msg = "exact tail underflows to 0 at d=%d cf=%g; no attempt made" % (d, cf)
+        raise AcceptanceTooRare(msg, tail_estimate=0.0)
+
+
 def gen_anv_conditioned(
     d: int, cf: float, seed, max_attempts: int = DEFAULT_MAX_ATTEMPTS
 ) -> AnvInstance:
-    _check_conditioning(d, cf)
-    _check_count("max_attempts", max_attempts)
+    _check_conditioning(d, cf, "max_attempts", max_attempts)
+    _refuse_underflow(d, cf)
     rng = _as_rng(seed)
     for _ in range(max_attempts):
         thetas, w = _conditioned_attempt(d, cf, rng)
@@ -329,8 +335,7 @@ def gen_anv_conditioned(
 
 def conditioned_acceptance_stats(d: int, cf: float, attempts: int, seed) -> tuple[int, int]:
     """(accepted, attempts) over a fixed number of rejection attempts."""
-    _check_conditioning(d, cf)
-    _check_count("attempts", attempts)
+    _check_conditioning(d, cf, "attempts", attempts)
     rng = _as_rng(seed)
     accepted = 0
     for _ in range(attempts):
@@ -433,8 +438,8 @@ def gen_lsp_hard(
         raise ValidationError("need even d >= 4")
     if m < d:
         raise ValidationError("need m >= d")
-    _check_conditioning(d, cf)
-    _check_count("max_attempts", max_attempts)
+    _check_conditioning(d, cf, "max_attempts", max_attempts)
+    _refuse_underflow(d, cf)
     rng = _as_rng(seed)
     for _ in range(max_attempts):
         v = sample_grassmannian(d // 2, d, rng)

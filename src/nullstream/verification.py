@@ -296,29 +296,18 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
 
 
 def first_coord_cdf(d: int, x: np.ndarray) -> np.ndarray:
-    """P(first coordinate of a uniform unit vector in R^d <= x), elementwise,
-    in closed form.
+    """P(first coordinate of a uniform unit vector in R^d <= x), elementwise.
 
     X^2 is Beta(1/2, (d-1)/2), so F(x) = (1 + sign(x) I_{x^2}(1/2, (d-1)/2)) / 2
-    with I the regularized incomplete beta function (DLMF 8.17).  The tail's
-    orientation, (1/2) I_{1-x^2}((d-1)/2, 1/2) as in first_coord_tail, loses
-    digits near x = 0, where 1 - x^2 rounds towards 1.  Against a 40-digit
-    mpmath reference on 451 points of [-1, 1] (50 of them within 1e-6 of 0),
-    this form erred by at most 5.6e-16 at d in {4, 8, 16, 64, 256, 1024},
-    and the 1 - x^2 form by up to 7.0e-9 (d = 8), 2.2e-8 (d = 64) and
-    8.7e-8 (d = 1024) at |x| <= 1e-6.  One array is allocated and every step
-    after x * x runs in place (copysign gives the product with sign(x): the
-    incomplete beta is at least 0).
-    """
-    if d < 2:
-        raise ValidationError("need d >= 2")
-    # loaded on first call, so importing the package does not pay for it
-    import scipy.special
+    (DLMF 8.17), built in one array.  The tail's (1/2) I_{1-x^2}((d-1)/2, 1/2)
+    loses digits near x = 0: against 40-digit mpmath on 451 points of [-1, 1],
+    this form erred by at most 5.6e-16 at d from 4 to 1024, that one by up to
+    8.7e-8 at |x| <= 1e-6."""
+    import scipy.special  # loaded on first call, not at package import
 
-    x = np.asarray(x, dtype=float)
     f = np.multiply(x, x)
     scipy.special.betainc(0.5, (d - 1) / 2, f, out=f)
-    np.copysign(f, x, out=f)
+    np.copysign(f, x, out=f)  # f >= 0, so this is f * sign(x)
     f += 1.0
     f *= 0.5
     return f

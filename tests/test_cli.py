@@ -70,6 +70,24 @@ def test_gen_rare_acceptance_exits_3(tmp_path, capsys):
     assert "tail" in stderr
 
 
+def test_gen_underflowing_tail_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
+    # at d 1024 the tail above 0.9 is below the smallest float: no attempt
+    # could accept, so none is made
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an attempt before checking the tail")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run_cli(
+        capsys, "gen", "anv-conditioned", "--d", "1024", "--cf", "0.9", "--seed", "0",
+        "--out", str(out),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "error: exact tail underflows to 0 at d=1024 cf=0.9; no attempt made\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("anv-conditioned", "--d", "16", "--max-attempts", "0"),
     ("lsp-hard", "--d", "16", "--m", "20", "--max-attempts", "-1"),

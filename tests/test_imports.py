@@ -1,8 +1,10 @@
 """What `import nullstream` loads, and what its tail and marginal calls add.
 
 Of scipy, the package and its CLI load only scipy.linalg.  scipy.special
-serves the sphere-marginal certificate (ndtr) and the closed-form
-first-coordinate tail (betainc), so it is imported inside those calls.
+serves the sphere-marginal certificate (ndtr and the closed-form CDF) and
+the closed-form first-coordinate tail (betainc), so it is imported inside
+those calls; a conditioned generator calls the tail only when a math-only
+bound says it may underflow, so an ordinary draw does not load it.
 Nothing loads scipy.stats or scipy.integrate, which would add about 20 MB:
 not the tail, not the marginal certificate, and not the AcceptanceTooRare
 error, whose message reports the tail.  The check runs in a fresh
@@ -27,6 +29,8 @@ def loaded():
                  if m in sys.modules))
 
 loaded()
+nullstream.gen_anv_conditioned(64, 0.2, seed=0)
+loaded()
 print(repr(nullstream.first_coord_tail(64, 0.2)))
 loaded()
 sphere_marginal_tests(16, 200, 0.2, 1)
@@ -44,8 +48,10 @@ def test_import_loads_no_stats_integrate_or_special():
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_import, tail, after_tail, after_marginal, after_too_rare = proc.stdout.splitlines()
-    assert at_import == "[]"
+    lines = proc.stdout.splitlines()
+    at_import, after_gen, tail, after_tail, after_marginal, after_too_rare = lines
+    # an ordinary conditioned draw screens its tail with math alone
+    assert at_import == after_gen == "[]"
     # the closed form loads scipy.special on its first call
     assert tail == "0.05509390125429455"
     for after in (after_tail, after_marginal, after_too_rare):

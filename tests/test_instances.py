@@ -148,6 +148,45 @@ def test_gen_anv_conditioned_too_rare():
     assert info.value.tail_estimate < 1e-20
 
 
+def _no_attempt(*args, **kwargs):
+    raise AssertionError("an attempt was drawn")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gen_anv_conditioned(1024, 0.9, seed=0),
+    lambda: gen_lsp_hard(1024, 1024, 0.9, 0.2, seed=0),
+    lambda: gen_anv_conditioned(5000, 0.5, seed=0, max_attempts=3),
+], ids=["anv-1024", "lsp-hard-1024", "anv-5000"])
+def test_conditioned_generators_refuse_an_underflowing_tail_before_drawing(monkeypatch, call):
+    for name in ("_conditioned_attempt", "_accepted_witness", "sample_grassmannian"):
+        monkeypatch.setattr(instances, name, _no_attempt)
+    with pytest.raises(AcceptanceTooRare, match="underflows to 0") as info:
+        call()
+    assert info.value.tail_estimate == 0.0
+
+
+def test_conditioned_generator_still_draws_at_the_smallest_tail_above_0(monkeypatch):
+    # the last d at cf = 0.9 whose tail is still a float above 0
+    d = next(d for d in range(600, 1024) if first_coord_tail(d + 1, 0.9) == 0.0)
+    assert first_coord_tail(d, 0.9) > 0.0
+    monkeypatch.setattr(instances, "_conditioned_attempt", _no_attempt)
+    with pytest.raises(AssertionError, match="an attempt was drawn"):
+        gen_anv_conditioned(d, 0.9, seed=0)
+
+
+def test_underflow_screen_bounds_the_tail_from_above():
+    # the screen calls first_coord_tail only when (1/2)(1 - cf^2)^((d-1)/2)
+    # is below 1e-300, which is sound because that bound is never below the
+    # tail; it is also close to it, within 30x at these points
+    d = np.arange(2, 2996, 7)[:, None]
+    cf = np.linspace(0.0, 0.98, 50)[None, :]
+    tail = 0.5 * scipy.special.betainc((d - 1) / 2, 0.5, (1.0 - cf) * (1.0 + cf))
+    bound = 0.5 * ((1.0 - cf) * (1.0 + cf)) ** ((d - 1) / 2)
+    assert np.all(tail <= bound)
+    for d, cf in [(1024, 0.5), (2048, 0.5), (4096, 0.3)]:
+        assert first_coord_tail(d, cf) * 30 >= 0.5 * (1.0 - cf * cf) ** ((d - 1) / 2)
+
+
 @pytest.mark.parametrize("call", [
     lambda: gen_anv_conditioned(16, 0.2, seed=0, max_attempts=0),
     lambda: gen_anv_conditioned(16, 0.2, seed=0, max_attempts=-1),
