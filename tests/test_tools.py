@@ -11,6 +11,14 @@ import pytest
 BENCH_PAIRS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_pairs.py")
 
 
+def _load_bench_pairs(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
 @pytest.mark.parametrize("seeds", ["1", "4-4", "3-2"])
 def test_bench_pairs_refuses_fewer_than_two_seeds(tmp_path, seeds):
     # neither checkout exists, so any run or file read would fail otherwise
@@ -28,14 +36,11 @@ def test_bench_pairs_refuses_fewer_than_two_seeds(tmp_path, seeds):
 
 
 def test_bench_pairs_records_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = _load_bench_pairs(monkeypatch)
     base, head = tmp_path / "base", tmp_path / "head"
     head.mkdir()
     (head / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.24}]}))
 
     def run_once(root, workload, seed, seconds):
         # head's bytes differ on seed 2 of certify only
@@ -54,15 +59,12 @@ def test_bench_pairs_records_seeds_whose_digests_differ(tmp_path, monkeypatch, c
 
 
 def test_bench_pairs_writes_win_counts_and_median_changes(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = _load_bench_pairs(monkeypatch)
     base, head = tmp_path / "base", tmp_path / "head"
     head.mkdir()
     (head / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "peak_rss_mb", "better": "lower"},
-        {"name": "ops_per_s", "better": "higher"},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.24},
     ]}))
     # base rss 100, 101, 102, 103; head is 12% lower except on seed 4, where
     # it loses; head ops/s are equal to base's on every seed
@@ -84,4 +86,36 @@ def test_bench_pairs_writes_win_counts_and_median_changes(tmp_path, monkeypatch,
     assert pairs["peak_rss_mb"]["won"] == "3 of 4"
     # medians: base 101.5, head (88.88 + 89.76) / 2 = 89.32
     assert pairs["peak_rss_mb"]["median_change"] == pytest.approx(89.32 / 101.5 - 1)
-    assert pairs["ops_per_s"] == {"won": "0 of 4", "median_change": 0.0}
+    assert pairs["ops_per_s"] == {"won": "0 of 4", "median_change": 0.0, "bound": 0.24,
+                                  "within_bound": True}
+
+
+@pytest.mark.parametrize("better, head_value, within", [
+    ("lower", 114.9, True),  # 14.9% higher, inside a 0.15 bound
+    ("lower", 115.1, False),  # 15.1% higher: worse beyond the bound
+    ("lower", 50.0, True),
+    ("higher", 85.1, True),  # 14.9% lower
+    ("higher", 84.9, False),  # 15.1% lower: worse beyond the bound
+    ("higher", 200.0, True),
+])
+def test_bench_pairs_marks_a_median_worse_beyond_its_bound(tmp_path, monkeypatch, capsys,
+                                                           better, head_value, within):
+    bench_pairs = _load_bench_pairs(monkeypatch)
+    base, head = tmp_path / "base", tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "metric", "better": better, "bound": 0.15}]}))
+
+    def run_once(root, workload, seed, seconds):
+        value = head_value if root == str(head) else 100.0
+        return {"seed": seed, "record": {"output_sha256": "a"},
+                "result": {"metrics": {"metric": {"unit": "s", "value": value}}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--workloads", "certify",
+                      "--seeds", "1-2", "--out", str(out)])
+    capsys.readouterr()
+    entry = json.loads(out.read_text())["pairs"]["certify"]["metric"]
+    assert entry["bound"] == 0.15
+    assert entry["within_bound"] is within

@@ -12,7 +12,10 @@ seed.  Each side is stored in the `perfbench/sweep.py --out` format
 metric plus each run's result and record line); `pairs` gives, per workload
 and metric, `won`, the count of seeds on which head beat base (ties count
 for neither), and `median_change`, head's median over base's median minus 1
-(negative when head's median is lower), so a claim reads straight off it;
+(negative when head's median is lower), so a claim reads straight off it,
+next to the metric's `bound` from BENCHMARK.json and `within_bound`, whether
+head's median is no worse than base's by more than that share of it (the
+rule a change that claims no gain is held to);
 `digest_mismatch` lists, per workload, the seeds whose base and head output
 digests (`output_sha256`) differ.  After each pair it prints one progress
 line with the base and head value of every end-to-end metric, ending in
@@ -69,7 +72,7 @@ def main(argv=None):
         parser.error("--seeds names %d seed(s), the summary needs at least 2" % len(seeds))
 
     with open(os.path.join(args.head, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     runs = {"base": {}, "head": {}}
     pairs = {}
     mismatch = {}
@@ -86,7 +89,7 @@ def main(argv=None):
                       for k, r in pair.items()}
             for metric, b in values["base"].items():
                 h = values["head"][metric]
-                won = h > b if better[metric] == "higher" else h < b
+                won = h > b if metrics[metric]["better"] == "higher" else h < b
                 wins[metric] = wins.get(metric, 0) + int(won)
             same = len({r["record"]["output_sha256"] for r in pair.values()}) == 1
             if not same:
@@ -99,8 +102,14 @@ def main(argv=None):
         for metric, w in wins.items():
             b, h = (statistics.median(r["result"]["metrics"][metric]["value"]
                                       for r in runs[name][workload]) for name in ("base", "head"))
-            pairs[workload][metric] = {"won": "%d of %d" % (w, len(seeds)),
-                                       "median_change": h / b - 1 if b else None}
+            bound = metrics[metric]["bound"]
+            higher = metrics[metric]["better"] == "higher"
+            pairs[workload][metric] = {
+                "won": "%d of %d" % (w, len(seeds)),
+                "median_change": h / b - 1 if b else None,
+                "bound": bound,
+                "within_bound": h >= b * (1 - bound) if higher else h <= b * (1 + bound),
+            }
     doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
            "pairs": pairs,
            "digest_mismatch": mismatch,
