@@ -73,6 +73,5 @@ def test_marginal_peak_is_under_seven_sample_arrays():
     d, samples = 64, 100_000
     sphere_marginal_tests(8, 10, 0.2, 1)  # first-call imports
     _, peak = traced_peak(lambda: sphere_marginal_tests(d, samples, 0.2, 3))
-    # the exact CDF is one array over the sorted samples, filled in place;
-    # the 200 001-point quadrature grid it replaced peaked at 5.7 MiB here
+    # the exact CDF is one array over the sorted samples, filled in place
     assert peak <= 7 * samples * 8
