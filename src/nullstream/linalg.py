@@ -7,15 +7,18 @@ Generator), dense, and O(d^3) at worst; the testbed targets d up to ~2048.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyList,
+    NullstreamError,
     RankDeficient,
     ValidationError,
     ZeroDimensional,
@@ -230,3 +233,53 @@ def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
         if s.dim == k:
             return s
     raise RankDeficient("could not draw a rank-%d Gaussian matrix" % k)
+
+
+def _lapack_routine(name: str, *argtypes):
+    """A LAPACK routine from the table that scipy.linalg.cython_lapack exports
+    to Cython, callable through ctypes; scipy has no Python wrapper for it."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# dlasq1(n, d, e, work, info): the singular values of the n x n upper
+# bidiagonal matrix with diagonal d and superdiagonal e, to high relative
+# accuracy, written over d in decreasing order; e (length n) and work
+# (length 4n) are workspace, and info is nonzero when it failed
+_DLASQ1 = _lapack_routine("dlasq1", _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P)
+
+
+def gaussian_singular_values(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The d singular values, in decreasing order, of an n x d matrix with
+    independent N(0, 1) entries, drawn from their exact law without the matrix.
+
+    Householder bidiagonalization of that matrix gives an upper bidiagonal B
+    with independent entries B_ii ~ chi_{n-i+1} and B_{i,i+1} ~ chi_{d-i}:
+    each reflection takes the rest of a column or row, still Gaussian and
+    independent of what came before, to its norm (J. W. Silverstein, Ann.
+    Probab. 13, 1985; I. Dumitriu and A. Edelman, J. Math. Phys. 43, 2002).
+    One call draws those 2d - 1 values, and LAPACK dlasq1, the routine that
+    gesdd ends in once it has reduced a matrix to B, returns B's singular
+    values: O(d) draws and O(d^2) work, where the dense matrix takes n d
+    draws and an O(n d^2) reduction.
+    """
+    if not n >= d >= 1:
+        raise DimensionMismatch("need n >= d >= 1, got n=%d, d=%d" % (n, d))
+    df = np.concatenate((np.arange(n, n - d, -1), np.arange(d - 1, 0, -1)))
+    # B's diagonal, then its superdiagonal padded to the length d dlasq1 takes
+    b = np.zeros(2 * d)
+    b[:-1] = np.sqrt(rng.chisquare(df))
+    work = np.empty(4 * d)
+    info = ctypes.c_int(0)
+    _DLASQ1(ctypes.byref(ctypes.c_int(d)), b[:d].ctypes.data_as(_DOUBLE_P),
+            b[d:].ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
+            ctypes.byref(info))
+    if info.value:
+        raise NullstreamError("LAPACK dlasq1 failed with info = %d" % info.value)
+    return b[:d]

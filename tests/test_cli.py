@@ -295,6 +295,18 @@ def test_verify_invalid_dimension_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_verify_singular_with_d_below_1_exits_2_before_drawing(capsys, monkeypatch, d):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking d")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, stdout, stderr = run_cli(capsys, "verify", "singular", "--d", d)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == ["error: need d >= 1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,6 +11,7 @@ from nullstream.errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyList,
+    NullstreamError,
     RankDeficient,
     ZeroDimensional,
 )
@@ -386,3 +387,79 @@ def test_subspace_rejects_a_basis_off_orthonormal_by_more_than_tolerance():
     basis[0, 1] = -1e-9
     with pytest.raises(DegenerateInput):
         linalg.Subspace(ambient_dim=3, dim=2, basis=basis)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (48, 48), (300, 256)])
+def test_gaussian_singular_values_match_dense_svd_of_their_bidiagonal(n, d):
+    # the same chi draws laid out as the explicit dense B: chi_n, ...,
+    # chi_{n-d+1} on the diagonal, then chi_{d-1}, ..., chi_1 above it
+    df = np.concatenate((np.arange(n, n - d, -1), np.arange(d - 1, 0, -1)))
+    chi = np.sqrt(np.random.default_rng(d).chisquare(df))
+    b = np.diag(chi[:d]) + np.diag(chi[d:], 1)
+    s = linalg.gaussian_singular_values(n, d, np.random.default_rng(d))
+    assert s.shape == (d,)
+    assert_allclose(s, np.linalg.svd(b, compute_uv=False), rtol=1e-13, atol=0)
+
+
+def test_gaussian_singular_values_raise_when_dlasq1_reports_failure(monkeypatch):
+    # a routine that leaves garbage in d and sets info must not be read
+    def failing(n, d, e, work, info):
+        for i in range(n[0]):
+            d[i] = np.nan
+        info[0] = 2
+
+    monkeypatch.setattr(linalg, "_DLASQ1", type(linalg._DLASQ1)(failing))
+    with pytest.raises(NullstreamError, match="info = 2"):
+        linalg.gaussian_singular_values(8, 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n, d", [(0, 0), (3, 4), (5, -1)])
+def test_gaussian_singular_values_need_n_at_least_d_at_least_1(n, d):
+    with pytest.raises(DimensionMismatch):
+        linalg.gaussian_singular_values(n, d, np.random.default_rng(0))
+
+
+# The chi-bidiagonal draw against the dense reference, np.linalg.svd of an
+# n x d standard Gaussian draw: a two-sample KS test on sigma_min, sigma_max
+# and sigma_{d/2}, SAME_LAW_TRIALS trials a side from fixed seeds, each
+# feature judged at SAME_LAW_ALPHA.  The planted control lowers the diagonal
+# degrees by one (chi_{n-1}, ..., chi_{n-d}), and the test must reject it.
+SAME_LAW_TRIALS = 3000
+SAME_LAW_ALPHA = 1e-3
+
+
+class _DiagonalDegreesOneLow:
+    """A generator whose chisquare draws the first d degrees one lower;
+    chi_0 is 0."""
+
+    def __init__(self, rng, d):
+        self.rng, self.d = rng, d
+
+    def chisquare(self, df):
+        df = np.array(df)
+        df[: self.d] -= 1
+        out = np.zeros(df.size)
+        out[df > 0] = self.rng.chisquare(df[df > 0])
+        return out
+
+
+def _same_law_pvalues(n, d, chi_rng):
+    dense_rng = np.random.default_rng(1)
+    dense = np.array([np.linalg.svd(dense_rng.standard_normal((n, d)), compute_uv=False)
+                      for _ in range(SAME_LAW_TRIALS)])
+    chi = np.array([linalg.gaussian_singular_values(n, d, chi_rng)
+                    for _ in range(SAME_LAW_TRIALS)])
+    features = {"sigma_min": -1, "sigma_max": 0, "sigma_mid": d // 2 - 1}
+    return {k: scipy.stats.ks_2samp(dense[:, i], chi[:, i]).pvalue for k, i in features.items()}
+
+
+@pytest.mark.parametrize("n, d", [(16, 16), (24, 12)])
+def test_gaussian_singular_values_have_the_dense_law(n, d):
+    pvalues = _same_law_pvalues(n, d, np.random.default_rng(2))
+    assert min(pvalues.values()) > SAME_LAW_ALPHA, pvalues
+
+
+@pytest.mark.parametrize("n, d", [(16, 16), (24, 12)])
+def test_same_law_check_rejects_diagonal_degrees_one_low(n, d):
+    pvalues = _same_law_pvalues(n, d, _DiagonalDegreesOneLow(np.random.default_rng(2), d))
+    assert min(pvalues.values()) <= SAME_LAW_ALPHA, pvalues

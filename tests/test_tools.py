@@ -11,6 +11,11 @@ import pytest
 BENCH_PAIRS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_pairs.py")
 
 
+def _result(metrics, attempted=10, failed=0, correct=True):
+    # the result line of one perfbench run
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
 def _load_bench_pairs(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
@@ -46,7 +51,7 @@ def test_bench_pairs_records_seeds_whose_digests_differ(tmp_path, monkeypatch, c
         # head's bytes differ on seed 2 of certify only
         changed = root == str(head) and workload == "certify" and seed == 2
         return {"seed": seed, "record": {"output_sha256": "b" if changed else "a"},
-                "result": {"metrics": {"ops_per_s": {"unit": "1/s", "value": float(seed)}}}}
+                "result": _result({"ops_per_s": {"unit": "1/s", "value": float(seed)}})}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -75,7 +80,7 @@ def test_bench_pairs_writes_win_counts_and_median_changes(tmp_path, monkeypatch,
         side = "head" if root == str(head) else "base"
         metrics = {"peak_rss_mb": {"unit": "MB", "value": values[side][seed]},
                    "ops_per_s": {"unit": "1/s", "value": 2.0}}
-        return {"seed": seed, "record": {"output_sha256": "a"}, "result": {"metrics": metrics}}
+        return {"seed": seed, "record": {"output_sha256": "a"}, "result": _result(metrics)}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -109,7 +114,7 @@ def test_bench_pairs_marks_a_median_worse_beyond_its_bound(tmp_path, monkeypatch
     def run_once(root, workload, seed, seconds):
         value = head_value if root == str(head) else 100.0
         return {"seed": seed, "record": {"output_sha256": "a"},
-                "result": {"metrics": {"metric": {"unit": "s", "value": value}}}}
+                "result": _result({"metric": {"unit": "s", "value": value}})}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -119,3 +124,31 @@ def test_bench_pairs_marks_a_median_worse_beyond_its_bound(tmp_path, monkeypatch
     entry = json.loads(out.read_text())["pairs"]["certify"]["metric"]
     assert entry["bound"] == 0.15
     assert entry["within_bound"] is within
+
+
+def test_bench_pairs_counts_failed_ops_and_flags_their_pairs(tmp_path, monkeypatch, capsys):
+    bench_pairs = _load_bench_pairs(monkeypatch)
+    base, head = tmp_path / "base", tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.24}]}))
+
+    def run_once(root, workload, seed, seconds):
+        # base fails one of its 10 ops on seed 2; head fails none of its 20
+        # but reads correct: false on seed 3
+        side = "head" if root == str(head) else "base"
+        failed = int(side == "base" and seed == 2)
+        correct = not failed and not (side == "head" and seed == 3)
+        return {"seed": seed, "record": {"output_sha256": "a"},
+                "result": _result({"ops_per_s": {"unit": "1/s", "value": 1.0}},
+                                  attempted=10 if side == "base" else 20, failed=failed,
+                                  correct=correct)}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--workloads", "certify",
+                      "--seeds", "1-4", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith("  FAILED OPS") for line in lines] == [False, True, True, False]
+    pairs = json.loads(out.read_text())["pairs"]["certify"]
+    assert pairs["failed_ops"] == "base 1 of 40, head 0 of 80"

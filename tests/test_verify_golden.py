@@ -10,7 +10,8 @@ threshold: at delta 0.99 every no-joint-sol trial is skipped, so its pass
 fraction is 0.0 and it fails; sandwich at t = 0.01 passes 13 of 20 trials and
 fails, and at t = 0.13 passes 19 of 20 and meets its 0.95 rule.  The separator outputs pin the
 quantization range and pass limits through the separator each run returns.
-The sandwich bytes are also compared across one and two BLAS threads.
+The sandwich and singular bytes are also compared across one and two BLAS
+threads.
 """
 
 import hashlib
@@ -37,7 +38,7 @@ VERIFY_CASES = {
     ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"):
         (0, "7a15e376806261492579519829174dce18338f5e26d97b70d2fa672e9e69440b"),
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
-        (0, "6ee205b43c22048c598574930264b275c02dc67653b858b0d630ce063338eece"),
+        (0, "129276cc128a419ef76798bfe94e93285302fc6535118cb1fa70b1b7c217521e"),
     ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
         (1, "3bfd2608005e58e09f2f777b5a07b346a341f13fc1024d09a751585b7b292a38"),
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
@@ -95,22 +96,34 @@ def test_sandwich_verdict_per_trial_at_acceptance_size():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nullstream.__file__)))
 
 
+def _verify_stdout_at_one_and_two_blas_threads(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "nullstream.cli", "verify", *argv],
+                              env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    return outs
+
+
 @pytest.mark.parametrize("d", [64, 128, 256])
 def test_verify_sandwich_bytes_do_not_depend_on_blas_threads(d):
     # OpenBLAS splits a large eigh or pivoted QR across threads, which rounds
     # differently; at these sizes the two small SVDs per trial do not (at
     # d = 512 they do, so no more is promised)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    argv = [sys.executable, "-m", "nullstream.cli", "verify", "sandwich",
-            "--d", str(d), "--t", "0.2", "--trials", "20"]
-    outs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(argv, env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    one, two = _verify_stdout_at_one_and_two_blas_threads(
+        "sandwich", "--d", str(d), "--t", "0.2", "--trials", "20")
+    assert one == two
+
+
+def test_verify_singular_bytes_do_not_depend_on_blas_threads():
+    # no dense matrix is formed, and dlasq1 does no matrix product to split
+    one, two = _verify_stdout_at_one_and_two_blas_threads(
+        "singular", "--d", "256", "--trials", "20")
+    assert one == two
 
 
 D, M, GAMMA = 16, 40, 0.25

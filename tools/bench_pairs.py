@@ -15,12 +15,16 @@ for neither), and `median_change`, head's median over base's median minus 1
 (negative when head's median is lower), so a claim reads straight off it,
 next to the metric's `bound` from BENCHMARK.json and `within_bound`, whether
 head's median is no worse than base's by more than that share of it (the
-rule a change that claims no gain is held to);
+rule a change that claims no gain is held to), and per workload
+`failed_ops`, each side's failed ops over its attempted ops summed over the
+seeds ("base 0 of 412, head 0 of 790"), since a change whose share of failed
+ops grows is no gain whatever its speed;
 `digest_mismatch` lists, per workload, the seeds whose base and head output
 digests (`output_sha256`) differ.  After each pair it prints one progress
-line with the base and head value of every end-to-end metric, ending in
-"DIGEST MISMATCH" when the digests differ, so a claim and its bytes can be
-watched while the pairs run.
+line with the base and head value of every end-to-end metric, with
+"DIGEST MISMATCH" when the digests differ, and ending in "FAILED OPS" when
+either side failed an op or read `correct: false`, so a claim, its bytes
+and its failures can be watched while the pairs run.
 """
 
 import argparse
@@ -94,11 +98,16 @@ def main(argv=None):
             same = len({r["record"]["output_sha256"] for r in pair.values()}) == 1
             if not same:
                 mismatch[workload].append(seed)
-            print("%s seed %d %s%s" % (workload, seed, "  ".join(
+            failing = any(r["result"]["failed"] or not r["result"]["correct"]
+                          for r in pair.values())
+            print("%s seed %d %s%s%s" % (workload, seed, "  ".join(
                 "%s base %.4g head %.4g" % (m, b, values["head"][m])
-                for m, b in values["base"].items()), "" if same else "  DIGEST MISMATCH"),
-                flush=True)
-        pairs[workload] = {}
+                for m, b in values["base"].items()), "" if same else "  DIGEST MISMATCH",
+                "  FAILED OPS" if failing else ""), flush=True)
+        pairs[workload] = {"failed_ops": ", ".join(
+            "%s %d of %d" % (name, sum(r["result"]["failed"] for r in runs[name][workload]),
+                             sum(r["result"]["attempted"] for r in runs[name][workload]))
+            for name in ("base", "head"))}
         for metric, w in wins.items():
             b, h = (statistics.median(r["result"]["metrics"][metric]["value"]
                                       for r in runs[name][workload]) for name in ("base", "head"))
