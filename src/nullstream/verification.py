@@ -177,9 +177,10 @@ def sandwich_bounds(t: float) -> tuple[float, float]:
     return (1.0 + s) ** -2, (1.0 - s) ** -2
 
 
-def sandwich_extremes(g: np.ndarray, rows_v: int) -> tuple[float, float]:
+def sandwich_extremes(s1: np.ndarray, s2: np.ndarray) -> tuple[float, float]:
     """Extremal ratios of ||P_V x||^2 + ||P_U x||^2 over ||G x||^2 on the row
-    space of G, where V spans the first rows_v rows G1 and U the rest G2.
+    space of G, from the singular values s1 and s2 (each in decreasing order)
+    of the two row blocks G1 and G2 of G, where V spans G1's rows and U G2's.
 
     G has full row rank, so it maps its row space onto the space of y = G x,
     and with y = (y1, y2) the ratio is
@@ -188,24 +189,32 @@ def sandwich_extremes(g: np.ndarray, rows_v: int) -> tuple[float, float]:
     and 1 / min sigma_min(Gi)^2.  The certificate thus checks a two-sided
     singular-value bound on each half (Vershynin 2012, Cor. 5.35).
     """
-    g = np.asarray(g, dtype=float)
-    s1 = np.linalg.svd(g[:rows_v], compute_uv=False)
-    s2 = np.linalg.svd(g[rows_v:], compute_uv=False)
     return float(max(s1[0], s2[0]) ** -2), float(min(s1[-1], s2[-1]) ** -2)
 
 
 def certify_sandwich(d: int, t: float, trials: int, seed: int) -> LemmaReport:
     """Certify the two-sided comparison between the projector-sum form and the
-    Gram form of a Gaussian matrix with independent N(0, 1/d) entries."""
+    Gram form of a Gaussian matrix G with independent N(0, 1/d) entries, d - 1
+    rows and d columns, split after its first d/2 rows.
+
+    The ratio's extremes depend on G only through each half's singular
+    values, and a k x d half (k <= d) has those of its d x k transpose.  So
+    each trial draws them from their exact law, the chi-bidiagonal one of
+    linalg.gaussian_singular_values, first for the d/2 rows of G1 and then
+    for the d/2 - 1 rows of G2, and scales both by 1/sqrt(d).  The dense
+    draw of G with two SVDs has the same law and is the tests' reference.
+    """
     if d % 2 or d < 8:
         raise ValidationError("need even d >= 8")
     _need_some("trials", trials)
     lower, upper = sandwich_bounds(t)
     rows = []
+    scale = math.sqrt(d)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        g = rng.standard_normal((d - 1, d)) / math.sqrt(d)
-        rho_min, rho_max = sandwich_extremes(g, d // 2)
+        s1 = gaussian_singular_values(d, d // 2, rng) / scale
+        s2 = gaussian_singular_values(d, d - 1 - d // 2, rng) / scale
+        rho_min, rho_max = sandwich_extremes(s1, s2)
         rows.append(
             {
                 "trial": trial,

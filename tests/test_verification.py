@@ -14,9 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
+from nullstream import verification
 from nullstream.errors import ValidationError
 from nullstream.instances import first_coord_tail
 from nullstream.linalg import orthonormalize, sample_grassmannian
@@ -44,8 +46,8 @@ CERTIFIER_CASES = {
     "no-joint-sol": (lambda: certify_no_joint_sol(16, 0.5, 6, seed=3), 6, 2, 2, True),
     "no-joint-sol-all-skipped":
         (lambda: certify_no_joint_sol(8, 0.99, 3, seed=0), 3, 0, 0, False),
-    "sandwich-19-of-20": (lambda: certify_sandwich(16, 0.13, 20, seed=3), 20, 20, 19, True),
-    "sandwich-13-of-20": (lambda: certify_sandwich(16, 0.01, 20, seed=0), 20, 20, 13, False),
+    "sandwich-19-of-20": (lambda: certify_sandwich(16, 0.13, 20, seed=2), 20, 20, 19, True),
+    "sandwich-9-of-20": (lambda: certify_sandwich(16, 0.01, 20, seed=0), 20, 20, 9, False),
     "singular": (lambda: singular_value_experiment(8, 8, 1.2, 40, seed=0), 40, 40, 40, True),
     "marginal": (lambda: sphere_marginal_tests(16, 2000, 0.2, seed=3), 1, 1, 0, False),
     "concentration": (lambda: sphere_concentration_test(16, 500, seed=3), 1, 1, 1, True),
@@ -167,8 +169,14 @@ def test_sandwich_orthonormal_rows_give_unit_ratio():
     # P_V + P_U equals G^T G exactly when the rows are orthonormal
     rng = np.random.default_rng(7)
     g = orthonormalize(rng.standard_normal((31, 32))).basis
-    rho_min, rho_max = sandwich_extremes(g, 16)
+    rho_min, rho_max = _dense_extremes(g, 16)
     assert_allclose([rho_min, rho_max], [1.0, 1.0], atol=1e-9)
+
+
+def _dense_extremes(g, rows_v):
+    # the certifier's formula on the SVDs of a dense draw's two row blocks
+    return sandwich_extremes(np.linalg.svd(g[:rows_v], compute_uv=False),
+                             np.linalg.svd(g[rows_v:], compute_uv=False))
 
 
 def _pencil_extremes(g, rows_v):
@@ -201,7 +209,7 @@ def _matches_pencil(extremes):
 
 
 def test_sandwich_extremes_match_the_pencil_reference():
-    assert _matches_pencil(sandwich_extremes)
+    assert _matches_pencil(_dense_extremes)
     assert not _matches_pencil(_first_half_only)
 
 
@@ -210,7 +218,7 @@ def test_sandwich_extremes_bound_random_directions():
     d = 32
     rng = np.random.default_rng(11)
     g = rng.standard_normal((d - 1, d)) / math.sqrt(d)
-    rho_min, rho_max = sandwich_extremes(g, d // 2)
+    rho_min, rho_max = _dense_extremes(g, d // 2)
     v = orthonormalize(g[: d // 2])
     u = orthonormalize(g[d // 2 :])
     rowspace = orthonormalize(g)
@@ -222,6 +230,41 @@ def test_sandwich_extremes_bound_random_directions():
     rho = num / den
     assert rho.min() >= rho_min - 1e-9
     assert rho.max() <= rho_max + 1e-9
+
+
+# The certifier's chi-bidiagonal halves against the dense reference, the
+# halves' SVDs of a (d-1) x d draw with N(0, 1/d) entries: a two-sample KS
+# test on rho_min and rho_max at d = 16, SAME_LAW_TRIALS trials a side from
+# fixed seeds, each feature judged at SAME_LAW_ALPHA.  The planted control
+# draws both halves with d - 1 columns instead of d, and the test must
+# reject it.
+SAME_LAW_TRIALS = 3000
+SAME_LAW_ALPHA = 1e-3
+
+
+def _sandwich_same_law_pvalues(d):
+    rng = np.random.default_rng(1)
+    dense = np.array([_dense_extremes(rng.standard_normal((d - 1, d)) / math.sqrt(d), d // 2)
+                      for _ in range(SAME_LAW_TRIALS)])
+    rows = certify_sandwich(d, 0.2, SAME_LAW_TRIALS, seed=2).trial_rows
+    chi = np.array([(r["rho_min"], r["rho_max"]) for r in rows])
+    return {k: scipy.stats.ks_2samp(dense[:, i], chi[:, i]).pvalue
+            for i, k in enumerate(("rho_min", "rho_max"))}
+
+
+def test_sandwich_chi_halves_have_the_dense_law():
+    # alpha = 1e-3 per feature
+    pvalues = _sandwich_same_law_pvalues(16)
+    assert min(pvalues.values()) > SAME_LAW_ALPHA, pvalues
+
+
+def test_sandwich_same_law_check_rejects_halves_one_column_short(monkeypatch):
+    # alpha = 1e-3 per feature; the control's halves are k x (d - 1)
+    draw = verification.gaussian_singular_values
+    monkeypatch.setattr(verification, "gaussian_singular_values",
+                        lambda n, k, rng: draw(n - 1, k, rng))
+    pvalues = _sandwich_same_law_pvalues(16)
+    assert min(pvalues.values()) <= SAME_LAW_ALPHA, pvalues
 
 
 # ---------------------------------------------------------------------------
