@@ -343,10 +343,28 @@ def _ks_statistic(sample: np.ndarray, cdf_at: np.ndarray) -> float:
     return float(np.max(peaks))
 
 
+def _first_coords(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    # x / sqrt(x^2 + R): the other d - 1 squared coordinates of a Gaussian
+    # vector sum to R ~ chi^2_{d-1}, independent of x, so 2 draws per sample
+    # stand in for d; R's buffer becomes the norm and is freed on return
+    x = rng.standard_normal(samples)
+    r = rng.chisquare(d - 1, samples)
+    r += x * x
+    np.sqrt(r, out=r)
+    x /= r
+    return x
+
+
 def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaReport:
     """Empirical law of the first sphere coordinate against two references:
     the exact marginal in closed form (first_coord_cdf) and the N(0,1) limit
-    of sqrt(d) times it."""
+    of sqrt(d) times it.
+
+    Each sample is x / sqrt(x^2 + R), with x standard normal and R an
+    independent chi^2_{d-1}: the first coordinate of a normalized Gaussian
+    vector in R^d, which is uniform on the sphere, without its other d - 1
+    coordinates.  Normalizing dense Gaussian rows has the same law and is
+    the tests' reference."""
     if d < 4:
         raise ValidationError("need d >= 4")
     _need_some("samples", samples)
@@ -358,15 +376,7 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
         raise ValidationError(
             "c_f %r: the exact tail at d = %d underflows to 0, so alpha is not finite" % (c_f, d)
         )
-    rng = _trial_rng(seed, 0)
-    # the generator fills rows in order and each norm reduces one row, so
-    # blocks of BLOCK_VALUES Gaussians reproduce the whole-matrix draw bit for
-    # bit while the working memory stays O(samples) rather than O(samples * d)
-    rows = max(1, BLOCK_VALUES // d)
-    coords = np.empty(samples)
-    for start in range(0, samples, rows):
-        g = rng.standard_normal((min(rows, samples - start), d))
-        coords[start : start + g.shape[0]] = g[:, 0] / row_norms(g)
+    coords = _first_coords(d, samples, _trial_rng(seed, 0))
     coords.sort()
     ks_exact = _ks_statistic(coords, first_coord_cdf(d, coords))
     # kstest(z, "norm") takes the same D from ndtr on sorted z; scipy.special

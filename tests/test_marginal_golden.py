@@ -1,21 +1,22 @@
-"""Golden bytes of the sphere-marginal certificate at row-block edges.
+"""Golden bytes of the sphere-marginal certificate.
 
-The certificate draws its Gaussian rows in blocks of 2**16 // d rows, which
-is 16384 rows at d = 4, 1024 at d = 64 and 65 at d = 1000.  For each d the
-cases sit one row below a block, at exactly one block, one row past it, and
-three and a half blocks (several blocks ending in a partial one); d = 64 with
-100 000 samples is the benchmark size, the one case that passes its KS caps.
+The cases sit at the edges of the row blocks (2**16 // d rows) that an
+earlier dense draw used, which is 16384 rows at d = 4, 1024 at d = 64 and 65
+at d = 1000: for each d one row below a block, exactly one block, one row
+past it, and three and a half blocks.  d = 64 with 100 000 samples is the
+benchmark size, the one case that passes its KS caps.  The certificate now
+draws each coordinate as x / sqrt(x^2 + R), two draws per sample whatever d,
+so the cases pin that draw at a spread of sample counts.
 
-Each case has two digests.  The whole-report digest covers every byte the
+Each case has three digests.  The whole-report digest covers every byte the
 certificate prints, the closed-form exact tail and alpha included.  The
 sample digest covers only what the samples decide (the two KS statistics,
-the empirical tail, the sample count and the trial rows); its values are
-those of a draw of the whole samples x d matrix at once, so any blocked draw
-must reproduce them exactly, and a change to the exact tail alone leaves
-them as they are.  The verdict digest covers the whole report except
-ks_exact, the one statistic the exact-CDF oracle decides, with the verdict
-itself added, so a change of oracle that keeps every verdict leaves it as it
-is.  The verify-marginal case is the `nullstream verify marginal` golden run.
+the empirical tail, the sample count and the trial rows), so a change to the
+exact tail alone leaves it as it is.  The verdict digest covers the whole
+report except ks_exact, the one statistic the exact-CDF oracle decides, with
+the verdict itself added, so a change of oracle that keeps every verdict
+leaves it as it is.  The verify-marginal case is the `nullstream verify
+marginal` golden run.
 
 The certificate's oracle is the closed form first_coord_cdf.  The trapezoid
 grid it replaced stays here as a test-only reference: the grid digests pin
@@ -39,19 +40,19 @@ CF, SEED = 0.2, 3
 
 # (d, samples) -> sha256 of report_to_json(sphere_marginal_tests(d, samples, CF, SEED))
 MARGINAL_CASES = {
-    (4, 16383): "e6215f0e36b55635eca26df0f7d9aeb42a6deb755cd260fa596f5f1614cc4526",
-    (4, 16384): "1ff86751e5934c79bc655d8ea428d3afeae14cd10991b6d60fcc4e0b0b8a7c0c",
-    (4, 16385): "c98ed00209e54bbe658aee4d4fc490d8569f7a915809baf25983fb2eb352be3c",
-    (4, 57344): "67ed0970b112b2f6190261d0eda53e5c9b2c333ceb8630cdae6e6fdc5a6a59e8",
-    (64, 1023): "4c76c3adf197a3759b07f54f57c99d0a15023c28625b8f84e0c148ee59178655",
-    (64, 1024): "b72cbac910455be39e322890df63ef826b7e4a5550e009fe2e36c94f514b3f19",
-    (64, 1025): "563b2149a79456812f4ebe056d0900fdb895421fd57d170e2ddc783a767b0710",
-    (64, 3584): "0f85cd3cb6c9fd05363a0c834b29429b90a1aa5de5b259436e11d90ed8e1d8df",
-    (64, 100000): "2767fe82c2d9ccb6ec754d8d636e05f7deee644d44758ab76196538e345be0b8",
-    (1000, 64): "e9d7a61d394209d660fa3e96ffa02e4167314244050ff170c324f7d0062f25a4",
-    (1000, 65): "23198011549a5c7974f4080df2fe3f3c35e1f29da76fa3f79df72d59c72046ff",
-    (1000, 66): "a951400c9b3ba78d6616d865dabc00458d692f291b96747001a743c750061eec",
-    (1000, 227): "145c82b07adb245bad1e2766ef05bc1c68ec7cd3898650e4f62ab23676fc3c05",
+    (4, 16383): "7274644f8b4008a323e929e34ef879af9789c2418f40bf0156ede70d9669e700",
+    (4, 16384): "fc3908ddc0c273d6412dc38788f54e3211f946e9e4e50ac507b296feafbaf18d",
+    (4, 16385): "d58aa32cef9c879f2037416e4b979eaf3179d4347945a5ce441ecc1c32aff43e",
+    (4, 57344): "ca3e0e1bc8485b6ce2fb97f00c1faefe0ff0823e360a1e30b5aacbc4daf01403",
+    (64, 1023): "0d887b5a3b7c25d8bdcc477b1e7154c51447610f4221d36867fc5ecf20b3de55",
+    (64, 1024): "194903d208289d5f0c223aee417e9876bdbdf049fd26f004312713d4301c9efe",
+    (64, 1025): "62c1c83d97b73a4ec396fc49e6ddbb13986f65521d4a0802e7438d026fa94f0d",
+    (64, 3584): "45c6043179d21c757fc2c9a4e77090c0b7cec96f9884943cc62a9ace94837124",
+    (64, 100000): "d25b16ef49c91f307b4939ced1dbe8d9de8709061c75982f5d87da14b470fd30",
+    (1000, 64): "e33cae60196a30fbc50dd14504b59cf81648f1b8478f40a08578264baf557619",
+    (1000, 65): "b4fe25a7db61a81e7d3b9763142a4779c4f7fc2514bc64f50cece66359f9554d",
+    (1000, 66): "7ccfdeab5fd3ba051f997076cc7c1255397f89749f2dd4511064038c455b9da8",
+    (1000, 227): "317ec6bf850f5d88ff7e22d2d1eb5ed103ac25066787ce5878bdd33b5f05fbb2",
 }
 
 
@@ -65,21 +66,21 @@ def test_sphere_marginal_report_bytes(case):
 
 # (d, samples) -> sha256 of the sample-derived fields of the same report
 SAMPLE_CASES = {
-    (4, 16383): "bbd481ad7f74d79f85b586256524ecf016dd2e612a918b2ee41b8133470faa81",
-    (4, 16384): "96f338f387e141e5cbf45e921a2dc88bd9b2e39c21edfaf4a632885617a331ff",
-    (4, 16385): "d2c08a3914d1c80c146c82a3e95f1f99d8e55d6a2af8f733cec709779a323ae6",
-    (4, 57344): "6196b0d06fb81cb3043b6084ee7d57f9da87f732345614f947e2d79385187abf",
-    (64, 1023): "da43754268b8c09fd605dd24312f741f75fdf77af1a7ee3b889aba9fdab2e479",
-    (64, 1024): "19489ece6dea079c90dfb81d2b8f38215b4f2ee283010ed27fbb8f25ce9f73d0",
-    (64, 1025): "da8f97b28d61c7b5980dce936a3330fae8aabb08f754cfc00afddeeafeecb69e",
-    (64, 3584): "1b74d3637381bf77ba8551191d2547bcf63cc8b52b0e28dfaf0dd01386d5c836",
-    (64, 100000): "2011998d7345490417b4d81ae5a936bd6985c6317e31659c4e931c9f43a4f436",
-    (1000, 64): "a0e61d7d6ae61fd772358b886894ea847b5994e12e819755f4cf90b45ce7b8b7",
-    (1000, 65): "4652b4b8a395096ba4a6771409763ebb4b9bc4bdfb3f5aabe303f7f61344ef90",
-    (1000, 66): "08830700af1fa4bd15b2b7010721913d943b311c7046134b517c28606cc6a0d9",
-    (1000, 227): "0ab01ed433acc052c18768f625754f6d428dcc6cafbeea79b98c29256c7bc3f4",
+    (4, 16383): "50f2e4ec137d88013927e3ce84fdf71f2d0693001a0ed4f108b415ccf22fbd8b",
+    (4, 16384): "0ce8a5d2126386e3144e5f967277bdf3f0afd4a3893c2b1d76ad463d4b0429fc",
+    (4, 16385): "d1bb14014eade133de2b7ad6686f08ab20769964644903a7822a39ae9bc988cf",
+    (4, 57344): "f4b7a98f00710198862a2fdf38262038f95a7705c03f9e555d149c20c7a262a4",
+    (64, 1023): "79a20b82514a49a69de7110050bade625a1ce4e98783406a5ab447ca3f48bcd0",
+    (64, 1024): "0e8bf9e12cd2b6f54910ab1b33b884d35e184412ed596aef60baed07f4a8010a",
+    (64, 1025): "397ed4a5e853eb76fe07c94196a9b1884f7abf2927e0a91e293e534b162fcd09",
+    (64, 3584): "6282bfc8bd81c6a6f34fb9bd4c6af657e8818723209b69174fa5b8d2c3ec0b79",
+    (64, 100000): "d8b689ebccce7cadddee82fb8e43e9129e0fb38b20ccb1d166faf2edb0494f43",
+    (1000, 64): "123a28030c0e1597fbbc4e4ac95e04deef8cba231d23fec994cd9a5c9aaddacd",
+    (1000, 65): "9d368590baf04c1664937b110d4e011e5bed1a45cde795b59bcbf1c1cd89a6e6",
+    (1000, 66): "3bd7295a9806a4766a7e2a0cfe0e51ef2efb138f50546e1e8636291522225174",
+    (1000, 227): "c906071e24f44a434443011c5a64fe548f6d76a578016d347b947eff324de770",
 }
-VERIFY_SAMPLES = "fd8f7382e320028fbffceec7e406fcc8b7d76d7198554baf50f098b25f5b086f"
+VERIFY_SAMPLES = "fb6905381afb89fc31fcac96351a4cca1887bd008359d990fc2b428cbfced36a"
 
 CDF_GRID_POINTS = 200_001
 
@@ -142,22 +143,22 @@ def test_cdf_grid_bytes(d):
 
 # (d, samples) -> sha256 of the verdict and of the same report without ks_exact
 VERDICT_CASES = {
-    (4, 16383): "459ed07a2c609af4352166e388db1d563ef8e97158b66b26bfc7cd6d908870de",
-    (4, 16384): "5a810f2a7859c783d7274f2f1278bd8eb712d3c04f2054984c2864f8debb8c87",
-    (4, 16385): "f12838785a630239d4ea648e4f5d233bfc181e91d17891719e54c8c8dea41a80",
-    (4, 57344): "39d906c39e2057cb0a1d3d789cceb34887d582b3fe054bcec4047c431fe84fc3",
-    (64, 1023): "d7562a2ca59b8e6c123765f31bc626995a414e249a91b687ba6031af3fc86cc0",
-    (64, 1024): "30a448f10f6eece7553eab8add4457e275b7d4b2a630fd1745ea58cd7ab78255",
-    (64, 1025): "e95cb628537dbee87e3410960cc324575067a53b9b4320c8387f640211b9b4f9",
-    (64, 3584): "c98ffd40b41f63ddc3e4330d61eb89bd58c1906a513ff6c2e9e08207d10125ec",
-    (64, 100000): "9575b6a7610a3d8e7cb7a0e7bcf8ea2e6580f7d37811bd162221bce01ae7fb89",
-    (1000, 64): "337674a25d7072afba836827f506013913034ad7c9903a9d4e25ee0f91f432a8",
-    (1000, 65): "12b5f7b7939c60742e00a7b4158305620eb5df23530051d8db26be31609b3101",
-    (1000, 66): "66b99db7dd569be5ab8f01d9d9ea9bb4cd96e98f3788ab5ffb9ed42e9c3f849f",
-    (1000, 227): "5ac391b663bf372487e0579b679b5872435b37feffdfc472d364fe8a2dbf0119",
+    (4, 16383): "347f3ff9435c9d9a9cb246367f5d0e984bd0f2ee30b9fe8ccf77332c744e8827",
+    (4, 16384): "285ec4fa177789a9d1790147ca5cebc8f3f00260fd154a30632570e0eb0b3075",
+    (4, 16385): "b3a2f0a52457df9358193a8bcf00bfaf8e677379d993f96748af8dc551334a0c",
+    (4, 57344): "13eedbb3d986da4cdf424ff2d9e070e9bb5d1b741895587019d63f5bfe597680",
+    (64, 1023): "af9cbeb51452157d27baf34eccd34dd3620ff3d0619e08c912e03a7d57d46be1",
+    (64, 1024): "0321ca2cf7b7ff3d1aeb17951e74c9d36e04185e691c734431690591ac2f9021",
+    (64, 1025): "f7fc6345d847a2543d90d13d585cbada1bf522e4acd5a0b39f2858d0e958e6f1",
+    (64, 3584): "3b05f046f32287036c6256fc9b9821604766d6d07ca03c12abdf0a2809b0e484",
+    (64, 100000): "153d4b4cfdf0a52d6fa6c44b9597083819e5a46cbf7bf6289529badb1e31e5bd",
+    (1000, 64): "335770e4ede9c378debc0b0c28876322defb0faab142e21aa2dd3348c23bf161",
+    (1000, 65): "5e36a80651594fce314cc9aa4e339c209abef4842964b1f7381b4628152f0693",
+    (1000, 66): "b59749cadc61fbe501ef6becc3fac561da970ce52fedd882a1cbfb5236d86247",
+    (1000, 227): "d87c38b8ecf019efb1f541f4dd4ef713d5c0acfe8aa2abfc62776bcf86eaf00a",
 }
 # the verify-marginal run: (exit code, verdict digest)
-VERIFY_VERDICT = (1, "5b6b8516c7433e1da29cdf1e928d62a8273de64ef138df1c04fb6983fc2371f9")
+VERIFY_VERDICT = (1, "1625b21a9d15ac9da5fb84b722f44e934c9b08be4e197c98a78655b1e6b0977a")
 
 
 def _verdict_digest(report):

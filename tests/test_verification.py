@@ -338,6 +338,31 @@ def test_sphere_marginal_rejects_tiny_dimension():
         sphere_marginal_tests(3, 100, 0.2, seed=0)
 
 
+# The certifier's chi-form coordinate x / sqrt(x^2 + R) against the dense
+# reference, the first coordinate of normalized N(0, I_d) rows: a two-sample
+# KS test at d = 16 on MARGINAL_SAME_LAW_SAMPLES samples a side from fixed
+# seeds, judged at SAME_LAW_ALPHA.  The planted control draws R from
+# chi^2_{d-5}, the coordinate of d' = d - 4, and the test must reject it.
+MARGINAL_SAME_LAW_SAMPLES = 20_000
+
+
+def _marginal_same_law_pvalue(d, chi_d):
+    g = np.random.default_rng(1).standard_normal((MARGINAL_SAME_LAW_SAMPLES, d))
+    dense = g[:, 0] / np.linalg.norm(g, axis=1)
+    chi = verification._first_coords(chi_d, MARGINAL_SAME_LAW_SAMPLES, np.random.default_rng(2))
+    return scipy.stats.ks_2samp(dense, chi).pvalue
+
+
+def test_sphere_marginal_chi_form_has_the_dense_law():
+    # alpha = 1e-3
+    assert _marginal_same_law_pvalue(16, 16) > SAME_LAW_ALPHA
+
+
+def test_marginal_same_law_check_rejects_four_dimensions_short():
+    # alpha = 1e-3; the control's coordinate is that of d' = 12
+    assert _marginal_same_law_pvalue(16, 12) <= SAME_LAW_ALPHA
+
+
 @pytest.mark.parametrize("d,samples", [(64, 100_000), (256, 20_000)])
 def test_sphere_marginal_working_memory_is_not_samples_times_d(d, samples):
     # one whole samples x d draw and its squares would take 99 MB and 78 MB

@@ -40,7 +40,7 @@ VERIFY_CASES = {
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
         (0, "129276cc128a419ef76798bfe94e93285302fc6535118cb1fa70b1b7c217521e"),
     ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
-        (1, "3bfd2608005e58e09f2f777b5a07b346a341f13fc1024d09a751585b7b292a38"),
+        (1, "1a07a931b9a7f09e93f8d71f974b524fb9bf7fccf93fb76d278aeab308cbe309"),
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
         (0, "7b7d81e5635cac8e7264fdb5c04096c286ccc203f5d985366e401c85b8772813"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
