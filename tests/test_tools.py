@@ -92,7 +92,7 @@ def test_bench_pairs_writes_win_counts_and_median_changes(tmp_path, monkeypatch,
     # medians: base 101.5, head (88.88 + 89.76) / 2 = 89.32
     assert pairs["peak_rss_mb"]["median_change"] == pytest.approx(89.32 / 101.5 - 1)
     assert pairs["ops_per_s"] == {"won": "0 of 4", "median_change": 0.0, "bound": 0.24,
-                                  "within_bound": True}
+                                  "within_bound": True, "base_iqr": 0.0, "gain_shown": False}
 
 
 @pytest.mark.parametrize("better, head_value, within", [
@@ -124,6 +124,47 @@ def test_bench_pairs_marks_a_median_worse_beyond_its_bound(tmp_path, monkeypatch
     entry = json.loads(out.read_text())["pairs"]["certify"]["metric"]
     assert entry["bound"] == 0.15
     assert entry["within_bound"] is within
+
+
+@pytest.mark.parametrize("better, step, losses, shown", [
+    ("higher", 6.0, 0, True),  # 10 of 10 won, medians 6 apart against an IQR of 5.5
+    ("higher", 5.0, 0, False),  # 10 of 10 won, but 5 apart is inside the IQR
+    ("higher", 6.0, 1, True),  # 9 of 10 won, medians 6 apart
+    ("higher", 6.0, 2, False),  # 8 of 10 won, medians still 6 apart
+    ("lower", 6.0, 0, True),
+    ("lower", 5.0, 0, False),
+    ("lower", 6.0, 1, True),
+    ("lower", 6.0, 2, False),
+])
+def test_bench_pairs_shows_a_gain_only_on_9_of_10_pairs_beyond_the_base_iqr(
+        tmp_path, monkeypatch, capsys, better, step, losses, shown):
+    bench_pairs = _load_bench_pairs(monkeypatch)
+    base, head = tmp_path / "base", tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "metric", "better": better, "bound": 0.24}]}))
+    sign = 1.0 if better == "higher" else -1.0
+
+    def run_once(root, workload, seed, seconds):
+        # base reads 100 + seed, or 100 - seed for a lower-is-better metric
+        # (IQR 5.5 either way); head is step better on every seed but the
+        # first `losses`, where it is 1 worse
+        shift = 0.0
+        if root == str(head):
+            shift = -1.0 if seed <= losses else step
+        value = 100.0 + sign * (seed + shift)
+        return {"seed": seed, "record": {"output_sha256": "a"},
+                "result": _result({"metric": {"unit": "s", "value": value}})}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--workloads", "certify",
+                      "--seeds", "1-10", "--out", str(out)])
+    capsys.readouterr()
+    entry = json.loads(out.read_text())["pairs"]["certify"]["metric"]
+    assert entry["won"] == "%d of 10" % (10 - losses)
+    assert entry["base_iqr"] == 5.5
+    assert entry["gain_shown"] is shown
 
 
 def test_bench_pairs_counts_failed_ops_and_flags_their_pairs(tmp_path, monkeypatch, capsys):

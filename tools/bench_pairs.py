@@ -15,7 +15,10 @@ for neither), and `median_change`, head's median over base's median minus 1
 (negative when head's median is lower), so a claim reads straight off it,
 next to the metric's `bound` from BENCHMARK.json and `within_bound`, whether
 head's median is no worse than base's by more than that share of it (the
-rule a change that claims no gain is held to), and per workload
+rule a change that claims no gain is held to), `base_iqr`, the distance
+between the quartiles of base's runs, and `gain_shown`, whether head won at
+least 9 in 10 of the pairs and its median beats base's by more than
+`base_iqr` (the rule a claimed gain is held to), and per workload
 `failed_ops`, each side's failed ops over its attempted ops summed over the
 seeds ("base 0 of 412, head 0 of 790"), since a change whose share of failed
 ops grows is no gain whatever its speed;
@@ -109,8 +112,11 @@ def main(argv=None):
                              sum(r["result"]["attempted"] for r in runs[name][workload]))
             for name in ("base", "head"))}
         for metric, w in wins.items():
-            b, h = (statistics.median(r["result"]["metrics"][metric]["value"]
-                                      for r in runs[name][workload]) for name in ("base", "head"))
+            base_values = [r["result"]["metrics"][metric]["value"] for r in runs["base"][workload]]
+            b = statistics.median(base_values)
+            h = statistics.median(r["result"]["metrics"][metric]["value"]
+                                  for r in runs["head"][workload])
+            q1, _, q3 = statistics.quantiles(base_values, n=4)
             bound = metrics[metric]["bound"]
             higher = metrics[metric]["better"] == "higher"
             pairs[workload][metric] = {
@@ -118,6 +124,8 @@ def main(argv=None):
                 "median_change": h / b - 1 if b else None,
                 "bound": bound,
                 "within_bound": h >= b * (1 - bound) if higher else h <= b * (1 + bound),
+                "base_iqr": q3 - q1,
+                "gain_shown": 10 * w >= 9 * len(seeds) and (h - b if higher else b - h) > q3 - q1,
             }
     doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
            "pairs": pairs,
