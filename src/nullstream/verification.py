@@ -7,6 +7,12 @@ exact up to the eigen- or singular-value solver.  Monte-Carlo enters only
 where the claims themselves are probabilistic (violation frequencies,
 sampling distributions).
 
+Where a statistic sees a Gaussian matrix or vector only through a law known
+in closed form, that law is drawn instead of the dense data: the singular
+values of a Gaussian matrix (singular, and each half of sandwich) from the
+chi-bidiagonal law, and a sphere coordinate as x / sqrt(x^2 + chi^2_{d-1}).
+The dense draws have the same laws and are the tests' references.
+
 Each certifier returns a LemmaReport carrying its verdict; per-trial rows
 ride along for CSV export, and the pass fraction is derived from them.
 """
@@ -344,9 +350,8 @@ def _ks_statistic(sample: np.ndarray, cdf_at: np.ndarray) -> float:
 
 
 def _first_coords(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    # x / sqrt(x^2 + R): the other d - 1 squared coordinates of a Gaussian
-    # vector sum to R ~ chi^2_{d-1}, independent of x, so 2 draws per sample
-    # stand in for d; R's buffer becomes the norm and is freed on return
+    # x / sqrt(x^2 + R), R ~ chi^2_{d-1} (see sphere_marginal_tests); R's
+    # buffer becomes the norm and is freed on return
     x = rng.standard_normal(samples)
     r = rng.chisquare(d - 1, samples)
     r += x * x
