@@ -47,7 +47,7 @@ CERTIFIER_CASES = {
     "no-joint-sol-all-skipped":
         (lambda: certify_no_joint_sol(8, 0.99, 3, seed=0), 3, 0, 0, False),
     "sandwich-19-of-20": (lambda: certify_sandwich(16, 0.13, 20, seed=2), 20, 20, 19, True),
-    "sandwich-9-of-20": (lambda: certify_sandwich(16, 0.01, 20, seed=0), 20, 20, 9, False),
+    "sandwich-13-of-20": (lambda: certify_sandwich(16, 0.01, 20, seed=3), 20, 20, 13, False),
     "singular": (lambda: singular_value_experiment(8, 8, 1.2, 40, seed=0), 40, 40, 40, True),
     "marginal": (lambda: sphere_marginal_tests(16, 2000, 0.2, seed=3), 1, 1, 0, False),
     "concentration": (lambda: sphere_concentration_test(16, 500, seed=3), 1, 1, 1, True),

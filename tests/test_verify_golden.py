@@ -7,7 +7,7 @@ fractions, the KS and std caps), so the stdout digest of each lemma pins
 those values along with the verdict; at d = 16 and 2000 samples the marginal
 test misses its KS cap, so that case pins a FAIL.  Three cases change a
 threshold: at delta 0.99 every no-joint-sol trial is skipped, so its pass
-fraction is 0.0 and it fails; sandwich at t = 0.01 passes 9 of 20 trials and
+fraction is 0.0 and it fails; sandwich at t = 0.01 passes 13 of 20 trials and
 fails, and at t = 0.13 passes 19 of 20 and meets its 0.95 rule.  The separator outputs pin the
 quantization range and pass limits through the separator each run returns.
 The sandwich and singular bytes are also compared across one and two BLAS
@@ -47,8 +47,8 @@ VERIFY_CASES = {
         (0, "9e79b13e7402337c30ae9b3316a0aa3d5d998364b2b58a9bfd31d6bd5cc7dc91"),
     ("no-joint-sol", "--d", "8", "--delta", "0.99", "--trials", "3"):
         (1, "0e4787f926e5d5b059c7d54b64e0544be3f492bd780908b794e11e72e4ed43c7"),
-    ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20"):
-        (1, "8683d0e6c57a1c6266b699b58a6bc2b084f23f6762390543caba6d0923ad75f6"),
+    ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20", "--seed", "3"):
+        (1, "acf4fb7b9366501fe669156c354368f2705031da708226c7e0a60b26efb095c3"),
     ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "2"):
         (0, "76ca2fe4c6037af524a3a1e7c39e4219d495bf7d4d3ded047650345d23343695"),
 }
@@ -71,8 +71,8 @@ def test_verify_stdout_at_default_thresholds(argv, capsys):
 # above also cover: argv after "verify" -> (exit code, trials that failed)
 SANDWICH_VERDICTS = {
     ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"): (0, ()),
-    ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20"):
-        (1, (1, 2, 3, 5, 6, 7, 9, 12, 14, 15, 18)),
+    ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20", "--seed", "3"):
+        (1, (0, 3, 4, 7, 9, 14, 19)),
     ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "2"): (0, (7,)),
 }
 
