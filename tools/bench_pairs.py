@@ -117,6 +117,7 @@ def main(argv=None):
             h = statistics.median(r["result"]["metrics"][metric]["value"]
                                   for r in runs["head"][workload])
             q1, _, q3 = statistics.quantiles(base_values, n=4)
+            base_iqr = q3 - q1
             bound = metrics[metric]["bound"]
             higher = metrics[metric]["better"] == "higher"
             pairs[workload][metric] = {
@@ -124,8 +125,8 @@ def main(argv=None):
                 "median_change": h / b - 1 if b else None,
                 "bound": bound,
                 "within_bound": h >= b * (1 - bound) if higher else h <= b * (1 + bound),
-                "base_iqr": q3 - q1,
-                "gain_shown": 10 * w >= 9 * len(seeds) and (h - b if higher else b - h) > q3 - q1,
+                "base_iqr": base_iqr,
+                "gain_shown": 10 * w >= 9 * len(seeds) and (h - b if higher else b - h) > base_iqr,
             }
     doc = {"order": "per seed, base then head on even seed indices, head then base on odd",
            "pairs": pairs,
