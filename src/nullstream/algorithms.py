@@ -29,7 +29,7 @@ from .linalg import BLOCK_VALUES, Subspace, check_seed, kernel_vector, sample_un
 # the projection hands its fresh draw over to be factored in place; it is
 # called through this module-level name, which a profiler may rebind
 from .linalg import _orthonormalize_columns as orthonormalize
-from .streaming import Layout, OnePassAlgorithm, SharedRandomness, f64, uint
+from .streaming import STEP_BLOCK, Layout, OnePassAlgorithm, SharedRandomness, f64, uint
 
 
 def _sample_vector(sample) -> np.ndarray:
@@ -283,8 +283,7 @@ def _quantize(u: np.ndarray, qb: int, rng_half: float) -> np.ndarray:
     makes the one new array and every later step runs in place on it,
     rounding exactly as round((clip(u) + rng_half) / (2 rng_half) * levels)
     does; u itself is left as it was.  Calling the ufuncs directly skips
-    np.clip's Python layers, whose code the projection matvec just before
-    has pushed out of the CPU caches.
+    np.clip's Python layers.
     """
     levels = (1 << qb) - 1
     q = np.minimum(u, rng_half)
@@ -306,7 +305,8 @@ class ProjectionSeparator(OnePassAlgorithm):
     The projection matrix is a pure function of the shared randomness and the
     constructor seed, so it is regenerated on demand (and cached on the
     instance, which carries no sample information) rather than stored; the
-    state holds only the sampled points.
+    state holds only the sampled points.  prepare projects and quantizes a
+    block of samples at a time; update only keeps or drops the result.
 
     State: layout(dprime, subsample, quant_bits) = Layout(header=uint(32, 2),
     labels=uint(1, subsample), coords=uint(quant_bits, subsample * dprime)),
@@ -357,14 +357,9 @@ class ProjectionSeparator(OnePassAlgorithm):
         coords = uint(quant_bits, n) if quant_bits else f64(n)
         return Layout(header=_HEADER, labels=uint(1, subsample), coords=coords)
 
-    def _write_slot(self, state, j: int, proj: Subspace, x: np.ndarray, y: float):
-        """Store (x, y) in slot j; only kept samples pay for the projection."""
+    def _write_slot(self, state, j: int, y: float, coords: np.ndarray):
         self._layout.write(state, "labels", int(y > 0), start=j)
-        u = proj.basis @ x
-        u *= math.sqrt(x.shape[0] / self.dprime)
-        if self.quant_bits:
-            u = _quantize(u, self.quant_bits, self.quant_range)
-        self._layout.write(state, "coords", u, start=j * self.dprime)
+        self._layout.write(state, "coords", coords, start=j * self.dprime)
 
     def _signed_points(self, payload, kept: int) -> np.ndarray:
         """y * x for the first kept slots, dequantized, as one (kept, dprime)
@@ -384,21 +379,55 @@ class ProjectionSeparator(OnePassAlgorithm):
 
     # -- streaming interface ------------------------------------------------
 
+    def prepare(self, first_index, samples, shared):
+        """(x, y, coords) for each labeled sample: coords is the quantized
+        sqrt(d/d') P x that update stores if the reservoir keeps the sample.
+
+        Sample i sits in row (i-1) % STEP_BLOCK of a zero STEP_BLOCK x d
+        block, one block per aligned run of STEP_BLOCK indices, and each
+        block is projected by one product of that fixed shape.  A sample
+        thus always meets the same arithmetic in the same row, and gets the
+        same bits whichever samples it is prepared with: one at a time, a
+        protocol party's run or the one-pass run's.
+        """
+        points = []
+        for sample in samples:
+            x, y = _labeled(sample)
+            if points and x.shape[0] != points[0][0].shape[0]:
+                raise DimensionMismatch("sample dimension changed mid-stream")
+            points.append((x, y))
+        if not points:
+            return []
+        d = points[0][0].shape[0]
+        basis = self.projection_for(d, shared).basis
+        out = []
+        while len(out) < len(points):
+            row = (first_index + len(out) - 1) % STEP_BLOCK
+            block = points[len(out) : len(out) + STEP_BLOCK - row]
+            buf = np.zeros((STEP_BLOCK, d))
+            for k, (x, _) in enumerate(block):
+                buf[row + k] = x
+            u = buf @ basis.T
+            u *= math.sqrt(d / self.dprime)
+            if self.quant_bits:
+                u = _quantize(u, self.quant_bits, self.quant_range)
+            out.extend((x, y, u[row + k]) for k, (x, y) in enumerate(block))
+        return out
+
     def update(self, i, sample, state, shared):
-        x, y = _labeled(sample)
+        x, y, coords = sample
         d = x.shape[0]
-        proj = self.projection_for(d, shared)
         count, dim = _header(state.payload)
         if count and dim != d:
             raise DimensionMismatch("sample dimension changed mid-stream")
         count += 1
         self._layout.write(state, "header", [count, d])
         if count <= self.subsample:
-            self._write_slot(state, count - 1, proj, x, y)
+            self._write_slot(state, count - 1, y, coords)
         else:
             keep, slot = shared.values(2 * i, 2)
             if keep < self.subsample / count:
-                self._write_slot(state, int(slot * self.subsample), proj, x, y)
+                self._write_slot(state, int(slot * self.subsample), y, coords)
         return state
 
     def finalize(self, state, shared):

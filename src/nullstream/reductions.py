@@ -3,10 +3,12 @@ solvers.
 
 Both wrappers are stateless combinators: all persistent memory belongs to the
 inner algorithm, so the wrapped algorithm runs under exactly the inner bit
-budget.  The equation-insertion position of the regression wrapper is a pure
-function of shared randomness and the dimension: it is never stored in the
-state, only cached on the wrapper per (shared seed, d), which is the kind of
-cache the OnePassAlgorithm contract allows since it carries no sample
+budget.  Each maps an outer sample to the inner steps it feeds: prepare
+builds those steps and has the inner algorithm prepare them, and update only
+feeds them.  The equation-insertion position of the regression wrapper is a
+pure function of shared randomness and the dimension: it is never stored in
+the state, only cached on the wrapper per (shared seed, d), which is the kind
+of cache the OnePassAlgorithm contract allows since it carries no sample
 information.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOutput, ValidationError
-from .streaming import OnePassAlgorithm, SharedRandomness
+from .streaming import OnePassAlgorithm, SharedRandomness, prepared
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,34 @@ class ReductionConfig:
         return cls(c4=consts.c4, cf=consts.cf)
 
 
-class AnvViaLsp(OnePassAlgorithm):
+class _InnerSteps(OnePassAlgorithm):
+    """A wrapper whose outer sample i feeds self.inner the steps
+    self._steps(i, theta, shared) lists, as (inner index, inner sample)
+    pairs with consecutive inner indices."""
+
+    def _steps(self, i: int, theta: np.ndarray, shared: SharedRandomness) -> list:
+        raise NotImplementedError
+
+    def prepare(self, first_index, samples, shared):
+        """Each outer sample's steps, with every inner sample replaced by the
+        inner algorithm's prepared value at its inner index."""
+        groups = [
+            self._steps(i, np.asarray(s, dtype=float), shared)
+            for i, s in enumerate(samples, start=first_index)
+        ]
+        if not groups:
+            return []
+        flat = [z for group in groups for _, z in group]
+        values = iter(prepared(self.inner, groups[0][0][0], flat, shared))
+        return [[(j, next(values)) for j, _ in group] for group in groups]
+
+    def update(self, i, sample, state, shared):
+        for j, value in sample:
+            state = self.inner.update(j, value, state, shared)
+        return state
+
+
+class AnvViaLsp(_InnerSteps):
     """Feed each stream vector as a +/- labeled pair shifted along e1.
 
     Inner step indices are 2i-1 and 2i for outer step i, so a resumed run
@@ -56,14 +85,11 @@ class AnvViaLsp(OnePassAlgorithm):
         self.inner = lsp_alg
         self.cfg = cfg
 
-    def update(self, i, sample, state, shared):
-        theta = np.asarray(sample, dtype=float)
+    def _steps(self, i, theta, shared):
         d = theta.shape[0]
         shift = np.zeros(d)
         shift[0] = self.cfg.c4 / math.sqrt(d)
-        state = self.inner.update(2 * i - 1, (theta + shift, 1.0), state, shared)
-        state = self.inner.update(2 * i, (theta - shift, -1.0), state, shared)
-        return state
+        return [(2 * i - 1, (theta + shift, 1.0)), (2 * i, (theta - shift, -1.0))]
 
     def finalize(self, state, shared):
         w = np.asarray(self.inner.finalize(state, shared), dtype=float)
@@ -77,7 +103,7 @@ def anv_via_lsp(lsp_alg: OnePassAlgorithm, cfg: ReductionConfig) -> OnePassAlgor
     return AnvViaLsp(lsp_alg, cfg)
 
 
-class AnvViaLr(OnePassAlgorithm):
+class AnvViaLr(_InnerSteps):
     """Feed the stream as homogeneous equations plus one pinned equation.
 
     Every stream vector theta_k becomes the equation theta_k^T w = 0; the
@@ -106,17 +132,15 @@ class AnvViaLr(OnePassAlgorithm):
         e1[0] = 1.0
         return (e1, self.cfg.cf)
 
-    def update(self, i, sample, state, shared):
-        theta = np.asarray(sample, dtype=float)
+    def _steps(self, i, theta, shared):
         d = theta.shape[0]
         p = self._position(d, shared)
         if p == 0 and i == 1:
-            state = self.inner.update(1, self._pinned(d), state, shared)
-        inner_i = i if i <= p else i + 1
-        state = self.inner.update(inner_i, (theta, 0.0), state, shared)
+            return [(1, self._pinned(d)), (2, (theta, 0.0))]
+        steps = [(i if i <= p else i + 1, (theta, 0.0))]
         if p == i:
-            state = self.inner.update(p + 1, self._pinned(d), state, shared)
-        return state
+            steps.append((p + 1, self._pinned(d)))
+        return steps
 
     def finalize(self, state, shared):
         w = np.asarray(self.inner.finalize(state, shared), dtype=float)

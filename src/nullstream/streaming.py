@@ -12,6 +12,14 @@ Transient working memory inside a single update call is unbounded (the model
 places no limit on per-step computation), and is documented as such: memory
 accounting here means the between-steps configuration only.
 
+The runner walks the stream in runs that end at multiples of STEP_BLOCK,
+counted in 1-based step index, and lets an algorithm prepare each run before
+its updates: the per-sample work that reads no state, such as projecting a
+block of samples with one matrix product.  A prepared value is a pure
+function of its sample, its index, the shared randomness and the
+configuration, so holding it tells the algorithm nothing the stream it is
+handed does not; it is never part of the b bits.
+
 Randomness is shared and counter-addressable: both parties of a protocol (or
 the update and finalize phases of a one-pass run) may read the same indexed
 uniform values, or derive named bulk substreams, without any coordination.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -37,6 +46,10 @@ _U64 = (1 << 64) - 1
 # and fields of these widths with one big-endian numpy cast
 _FEW = 8
 _WHOLE_BYTES = (8, 16, 32, 64)
+
+# the runner's runs end at multiples of this step index, in a one-pass run
+# and in either party of a protocol split alike
+STEP_BLOCK = 64
 
 
 def _check_trailing_zero(payload: bytes, nbits: int):
@@ -146,6 +159,20 @@ class OnePassAlgorithm:
     between samples must live in state.payload; the protocol split carries
     nothing else.  Caches that are pure functions of (shared randomness,
     configuration) are fine since they carry no sample information.
+
+    prepare(first_index, samples, shared) -> list is optional.  The runner
+    calls it once per run of samples, indexed first_index, ..., and then
+    calls update with the k-th returned value in place of the k-th sample.
+    A run ends at a multiple of STEP_BLOCK, at the end of the samples, or
+    just before a sample holding a NaN or an infinity, which is never
+    prepared.  That value must be a pure function of that sample, its index,
+    shared and the configuration: never of the other samples of the run,
+    and never of the state, which prepare does not see.  This is honest
+    because the runner already holds the whole stream, so f(x_j) tells the
+    algorithm nothing that x_j does not, and the values are dropped once the
+    run's updates are done: none of it is part of the b bits.  Without a
+    prepare, update receives the samples as they are.  A wrapper that feeds
+    an inner algorithm prepares the inner samples through prepared().
     """
 
     def update(self, i: int, sample, state: BitState, shared: SharedRandomness) -> BitState:
@@ -166,10 +193,10 @@ class RunStats:
             self.max_used_bits = max(state.used_bits, self.max_used_bits or 0)
 
 
-def _check_finite(index: int, sample):
-    """Raise ValidationError when sample, a number, a vector or a (vector,
-    label) pair, holds a NaN or an infinity.  Parts that are not numbers are
-    left for the algorithm to judge."""
+def _finite(sample) -> bool:
+    """False when sample, a number, a vector or a (vector, label) pair, holds
+    a NaN or an infinity.  Parts that are not numbers are left for the
+    algorithm to judge."""
     parts = sample if isinstance(sample, (tuple, list)) and len(sample) == 2 else (sample,)
     for part in parts:
         if isinstance(part, float):  # np.float64 too
@@ -182,21 +209,38 @@ def _check_finite(index: int, sample):
             except (TypeError, ValueError):
                 continue
         if not finite:
-            raise ValidationError("sample %d holds a NaN or an infinity" % index)
+            return False
+    return True
+
+
+def prepared(alg, first_index: int, samples: list, shared: SharedRandomness) -> list:
+    """alg.prepare(first_index, samples, shared) when alg has a prepare, else
+    samples unchanged: the values alg.update takes for these samples."""
+    prepare = getattr(alg, "prepare", None)
+    return samples if prepare is None else prepare(first_index, samples, shared)
 
 
 def _advance(alg, samples, state, shared, first_index, stats=None):
     capacity, payload, nbytes = state.capacity_bits, state.payload, len(state.payload)
-    for offset, z in enumerate(samples):
-        _check_finite(first_index + offset, z)
-        if alg.update(first_index + offset, z, state, shared) is not state:
-            raise BudgetViolation("update must edit the run's state in place and return it")
-        if state.capacity_bits != capacity or state.payload is not payload or len(payload) != nbytes:
-            raise BudgetViolation("update replaced or resized the %d-bit state buffer" % capacity)
-        _check_trailing_zero(payload, capacity)
-        if stats is not None:
-            stats.record(state)
-        state.used_bits = None
+    stream = iter(samples)
+    index = first_index
+    while run := list(itertools.islice(stream, STEP_BLOCK - (index - 1) % STEP_BLOCK)):
+        finite = next((k for k, z in enumerate(run) if not _finite(z)), len(run))
+        values = prepared(alg, index, run[:finite], shared)
+        if len(values) != finite:
+            raise ValidationError("prepare gave %d values for %d samples" % (len(values), finite))
+        for value in values:
+            if alg.update(index, value, state, shared) is not state:
+                raise BudgetViolation("update must edit the run's state in place and return it")
+            if state.capacity_bits != capacity or state.payload is not payload or len(payload) != nbytes:
+                raise BudgetViolation("update replaced or resized the %d-bit state buffer" % capacity)
+            _check_trailing_zero(payload, capacity)
+            if stats is not None:
+                stats.record(state)
+            state.used_bits = None
+            index += 1
+        if finite < len(run):
+            raise ValidationError("sample %d holds a NaN or an infinity" % index)
     return state
 
 

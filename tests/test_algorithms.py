@@ -58,6 +58,7 @@ from nullstream.streaming import (
     OnePassAlgorithm,
     SharedRandomness,
     one_pass_to_protocol,
+    prepared,
     run_one_pass,
     run_one_pass_stats,
     run_protocol,
@@ -217,12 +218,13 @@ def test_proj_separator_rejects_labels_other_than_plus_minus_one(label):
     # the label bit stores y > 0, so any other label would be silently recast
     x = np.ones(4)
     budget = proj_state_bits(2, 3, 8)
+    counter = UpdateCounter(ProjectionSeparator(2, 3, 8))
     with pytest.raises(ValidationError, match="labels must be"):
-        run_one_pass(ProjectionSeparator(2, 3, 8), [(x, 1.0), (-x, label)], budget, seed=1)
-    state = BitState(budget)
+        run_one_pass(counter, [(x, 1.0), (-x, label)], budget, seed=1)
+    # prepare rejects the label before any update of its block writes
+    assert counter.calls == 0
     with pytest.raises(ValidationError, match="labels must be"):
-        ProjectionSeparator(2, 3, 8).update(1, (x, label), state, SharedRandomness(0))
-    assert state.payload == bytearray(len(state.payload)) and state.used_bits == 0
+        ProjectionSeparator(2, 3, 8).prepare(1, [(x, label)], SharedRandomness(0))
 
 
 def test_offline_solvers_empty_stream_degenerate():
@@ -440,7 +442,7 @@ def test_preimage_identity_quantization_off():
     budget = proj_state_bits(24, 40, 0)
     shared = SharedRandomness(11)
     state = BitState(budget)
-    for i, s in enumerate(ds.points(), start=1):
+    for i, s in enumerate(alg.prepare(1, ds.points(), shared), start=1):
         alg.update(i, s, state, shared)
     layout = ProjectionSeparator.layout(24, 40, 0)
     stored = layout.read(state.payload, "coords").reshape(40, 24)
@@ -488,8 +490,10 @@ def test_projection_separator_count_overflow_is_budget_violation():
     budget = proj_state_bits(2, 2, 8)
     payload = bytearray((budget + 7) // 8)
     payload[:8] = (2**32 - 1).to_bytes(4, "big") + (4).to_bytes(4, "big")
+    shared = SharedRandomness(0)
+    (sample,) = alg.prepare(1, [(np.ones(4), 1.0)], shared)
     with pytest.raises(BudgetViolation):
-        alg.update(1, (np.ones(4), 1.0), BitState(budget, bytes(payload)), SharedRandomness(0))
+        alg.update(1, sample, BitState(budget, bytes(payload)), shared)
 
 
 def test_projection_separator_rejects_dprime_above_ambient():
@@ -529,7 +533,7 @@ def test_reservoir_subsets_uniform():
         alg = ProjectionSeparator(dprime=1, subsample_size=3, quant_bits=0, seed=0)
         shared = SharedRandomness(run)
         state = BitState(budget)
-        for i, s in enumerate(stream, start=1):
+        for i, s in enumerate(alg.prepare(1, stream, shared), start=1):
             alg.update(i, s, state, shared)
         kept = frozenset(int(round(abs(v))) for v in layout.read(state.payload, "coords"))
         assert len(kept) == 3
@@ -602,6 +606,9 @@ class UpdateCounter(OnePassAlgorithm):
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+
+    def prepare(self, first_index, samples, shared):
+        return prepared(self.inner, first_index, samples, shared)
 
     def update(self, i, sample, state, shared):
         self.calls += 1

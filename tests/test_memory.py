@@ -14,7 +14,7 @@ import tracemalloc
 
 from nullstream.algorithms import build_algorithm, proj_state_bits
 from nullstream.instances import gen_lsp_margin
-from nullstream.streaming import BitState, SharedRandomness
+from nullstream.streaming import STEP_BLOCK, BitState, SharedRandomness, _advance
 from nullstream.verification import sphere_concentration_test, sphere_marginal_tests
 
 MIB = 2**20
@@ -55,12 +55,28 @@ def test_concentration_peak_is_its_draw_and_projection():
     assert peak <= draw + projection + MIB
 
 
+def test_proj_streaming_peak_is_its_payload_plus_one_block():
+    # prepare projects one STEP_BLOCK x d block of samples at a time into a
+    # STEP_BLOCK x d' block of coordinates, dropped once the run's updates
+    # are done; nothing else grows with the stream
+    d = 1024
+    alg = build_algorithm("proj-separator", d, 0)
+    shared = SharedRandomness(3)
+    alg.projection_for(d, shared)  # the basis is cached before the stream starts
+    points = gen_lsp_margin(d, 1000, 0.3, 2).points()
+    budget = proj_state_bits(alg.dprime, alg.subsample, alg.quant_bits)
+    _advance(alg, points[:STEP_BLOCK], BitState(budget), shared, 1)  # first-call caches
+    state, peak = traced_peak(lambda: _advance(alg, points, BitState(budget), shared, 1))
+    assert peak <= len(state.payload) + STEP_BLOCK * (d + alg.dprime) * 8 + MIB
+
+
 def test_proj_finalize_peak_is_its_signed_points_plus_two_mib():
     d = 1024
     alg = build_algorithm("proj-separator", d, 0)
     shared = SharedRandomness(3)
     state = BitState(proj_state_bits(alg.dprime, alg.subsample, alg.quant_bits))
-    for i, sample in enumerate(gen_lsp_margin(d, alg.subsample, 0.3, 2).points(), start=1):
+    points = gen_lsp_margin(d, alg.subsample, 0.3, 2).points()
+    for i, sample in enumerate(alg.prepare(1, points, shared), start=1):
         alg.update(i, sample, state, shared)
     alg.finalize(state, shared)  # first-call caches; the basis stays cached
     w, peak = traced_peak(lambda: alg.finalize(state, shared))

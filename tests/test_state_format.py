@@ -1,8 +1,9 @@
 """Golden state bytes: the exact bit format every state-carrying algorithm
 writes.
 
-Each case streams a fixed seeded sample list through one algorithm, editing
-one state in place the way the runner does, and pins the budget, the peak
+Each case streams a fixed seeded sample list through one algorithm,
+preparing the samples and editing one state in place the way the runner
+does, and pins the budget, the peak
 used_bits and the sha256 of the final payload.  The ProjectionSeparator cases
 run longer than the reservoir so that replacement runs, and cover byte-aligned
 8/16/32-bit slots, unaligned packed slots, and aligned and unaligned raw
@@ -25,14 +26,14 @@ from nullstream.algorithms import (
     proj_state_bits,
     separator_budget_bits,
 )
-from nullstream.streaming import BitState, SharedRandomness
+from nullstream.streaming import BitState, SharedRandomness, prepared
 
 
 def _final_state(alg, samples, budget, seed):
     shared = SharedRandomness(seed)
     state = BitState(budget)
     peak = 0
-    for i, sample in enumerate(samples, start=1):
+    for i, sample in enumerate(prepared(alg, 1, samples, shared), start=1):
         alg.update(i, sample, state, shared)
         peak = max(peak, state.used_bits)
     return hashlib.sha256(state.payload).hexdigest(), peak
@@ -79,8 +80,8 @@ PROJ_CASES = {
     (16, 8, 8): (64 + 8 + 8 * 16 * 8, "11b8e3329a78da3d1a1d889e7b128d918bad49172bbbe174dcf17a4f62b8c857"),
     (5, 8, 32): (64 + 8 + 8 * 5 * 32, "afd6990364b9a47520ae44b83395bc07c6e30c0d2cc1819a472a4601b4c4de6c"),
     (11, 7, 5): (64 + 7 + 7 * 11 * 5, "f24e30a7e80fa97b26cc4fcb5e5b9d7e5375d9e2af4d6b82eeb1e793d4accdda"),
-    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "9ba1d7fbb226f9671963cbc5d2eb85dc5ec00ec1111f033d9d143c80b075d615"),
-    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "33f244fd01e3637b1eb26a52edb0dcd88c12226fdd65b028c49a0757f4b355b7"),
+    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "bf6e1aa992613b18a2ce017cc5cd973d97d5ece40e6a0b48d4bfea06a6219f53"),
+    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "5f59e815aa5fb5a85fa04531333297dd4c730e1dbb1a211bca4dcd405ed1f231"),
 }
 
 

@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
+from nullstream.algorithms import ProjectionSeparator, proj_state_bits
 from nullstream.errors import BudgetViolation, ValidationError
+from nullstream.instances import gen_lsp_margin
+from nullstream.reductions import ReductionConfig, anv_via_lsp
 from nullstream.streaming import (
+    STEP_BLOCK,
     BitState,
     Layout,
     Message,
     OnePassAlgorithm,
     Protocol,
     SharedRandomness,
+    _advance,
     f64,
     one_pass_to_protocol,
     run_one_pass,
@@ -322,6 +327,137 @@ def test_self_stashing_defeated_by_protocol_split():
     proto = one_pass_to_protocol(SelfStasher(), 2)
     t = run_protocol(proto, samples[:2], samples[2:], 8, seed=0)
     assert t.output != direct  # party 2's fresh copy never saw the first half
+
+
+# ---------------------------------------------------------------------------
+# the block contract: prepare sees runs aligned at multiples of STEP_BLOCK,
+# and a prepared value depends on its own sample and index only
+
+
+def _split_run(make, samples, budget, seed, split):
+    """(final payload, output) of a run split after sample `split`: party 1
+    and party 2 are fresh algorithms, as in the protocol simulation, and
+    share only the payload bytes.  split = 0 is the one-pass run."""
+    first = make()
+    state = _advance(first, samples[:split], BitState(budget), SharedRandomness(seed), 1)
+    second = make()
+    shared = SharedRandomness(seed)
+    state = _advance(second, samples[split:], BitState(budget, state.payload), shared, split + 1)
+    return bytes(state.payload), np.asarray(second.finalize(state, shared)).tobytes()
+
+
+class PrepareLog(Counting):
+    """Counting, with a log of the (first index, length) of every run that
+    prepare is handed."""
+
+    def __init__(self):
+        self.runs = []
+
+    def prepare(self, first_index, samples, shared):
+        self.runs.append((first_index, len(samples)))
+        return samples
+
+
+def test_runner_prepares_runs_aligned_at_step_block():
+    # the product shape, and so the raw float64 state pins, follow the block
+    assert STEP_BLOCK == 64
+    n, split = 150, 100
+    one_pass = PrepareLog()
+    _advance(one_pass, range(n), BitState(64), SharedRandomness(0), 1)
+    assert one_pass.runs == [(1, 64), (65, 64), (129, 22)]
+    party1, party2 = PrepareLog(), PrepareLog()
+    _advance(party1, range(split), BitState(64), SharedRandomness(0), 1)
+    _advance(party2, range(split, n), BitState(64), SharedRandomness(0), split + 1)
+    assert party1.runs == [(1, 64), (65, 36)]
+    # a resumed party's first run is the one that starts off a block edge
+    assert party2.runs == [(101, 28), (129, 22)]
+
+
+def test_runner_rejects_a_prepare_that_drops_a_value():
+    class Short(Counting):
+        def prepare(self, first_index, samples, shared):
+            return samples[1:]
+
+    with pytest.raises(ValidationError, match="prepare gave 2 values for 3 samples"):
+        run_one_pass(Short(), [1, 2, 3], 64, seed=0)
+
+
+class LeakyMean(OnePassAlgorithm):
+    """Planted control: prepare adds its run's mean to every value, so a
+    prepared value depends on the other samples of its run; update stores
+    the running sum of squares as a float64."""
+
+    LAYOUT = Layout(total=f64())
+
+    def prepare(self, first_index, samples, shared):
+        mean = float(np.mean(samples)) if samples else 0.0
+        return [z + mean for z in samples]
+
+    def update(self, i, sample, state, shared):
+        self.LAYOUT.write(state, "total", self.LAYOUT.read(state.payload, "total") + sample * sample)
+        return state
+
+    def finalize(self, state, shared):
+        return self.LAYOUT.read(state.payload, "total")
+
+
+def test_split_equality_catches_a_prepare_that_reads_its_run():
+    samples = [float(k * k % 17) for k in range(150)]
+    one_pass = _split_run(LeakyMean, samples, 64, 0, 0)
+    # at a block edge every run is the same as in the one-pass run ...
+    assert _split_run(LeakyMean, samples, 64, 0, 64) == one_pass
+    # ... mid-block, the split cuts a run in two and the means change
+    assert _split_run(LeakyMean, samples, 64, 0, 30) != one_pass
+
+
+def _proj(quant_bits):
+    return lambda: ProjectionSeparator(dprime=8, subsample_size=40, quant_bits=quant_bits, seed=4)
+
+
+@pytest.mark.parametrize("quant_bits", [0, 16])
+@pytest.mark.parametrize("route", ["direct", "anv-via-lsp"])
+def test_projection_separator_split_equals_one_pass_at_every_index(route, quant_bits):
+    n = 150  # the runs cross block edges at steps 64 and 128 (128 and 256 inside the reduction)
+    if route == "direct":
+        make = _proj(quant_bits)
+        samples = gen_lsp_margin(16, n, 0.3, seed=7).points()
+    else:
+        cfg = ReductionConfig(c4=0.3, cf=0.2)
+        make = lambda: anv_via_lsp(_proj(quant_bits)(), cfg)  # noqa: E731
+        # orthogonal to e1 and short, so the shifted pairs separate by a wide margin
+        rows = 0.01 * np.random.default_rng(7).standard_normal((n, 16))
+        rows[:, 0] = 0.0
+        samples = list(rows)
+    budget = proj_state_bits(8, 40, quant_bits)
+    one_pass = _split_run(make, samples, budget, 5, 0)
+    assert one_pass[0] != bytes(len(one_pass[0]))
+    for split in range(n + 1):
+        assert _split_run(make, samples, budget, 5, split) == one_pass, split
+
+
+@pytest.mark.parametrize("quant_bits", [0, 16])
+def test_projection_separator_one_sample_prepare_equals_the_runners(quant_bits):
+    samples = gen_lsp_margin(16, 150, 0.3, seed=8).points()
+    seen = []
+
+    class Recorder(OnePassAlgorithm):
+        inner = _proj(quant_bits)()
+
+        def prepare(self, first_index, run, shared):
+            values = self.inner.prepare(first_index, run, shared)
+            seen.extend(values)
+            return values
+
+        def update(self, i, sample, state, shared):
+            return self.inner.update(i, sample, state, shared)
+
+    _advance(Recorder(), samples, BitState(proj_state_bits(8, 40, quant_bits)), SharedRandomness(5), 1)
+    assert len(seen) == len(samples)
+    alone = _proj(quant_bits)()
+    for i, (sample, (_, _, coords)) in enumerate(zip(samples, seen), start=1):
+        # every row position of a block, 0 to STEP_BLOCK - 1, is visited
+        ((_, _, single),) = alone.prepare(i, [sample], SharedRandomness(5))
+        assert single.tobytes() == coords.tobytes(), i
 
 
 # Layout.write and Layout.read are the package's bit writer and reader.
