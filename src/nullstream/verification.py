@@ -118,11 +118,13 @@ def certify_no_joint_sol(
         rng = _trial_rng(seed, t)
         v1 = sample_grassmannian(d // 2, d, rng)
         v2 = sample_grassmannian(d // 2, d, rng)
-        u = sample_grassmannian(d // 2 - 1, d, rng)
         dist2 = chordal_distance(v1, v2) ** 2
         if dist2 < delta_threshold * d / 2.0:
             rows.append({"trial": t, "skipped": True, "dist2": dist2})
             continue
+        # drawn after the skip: a skipped trial never uses U, and a counted
+        # one draws from its generator in the same order either way
+        u = sample_grassmannian(d // 2 - 1, d, rng)
         cert = min_eig_projector_sum([v1, v2, u])
         perp = complement(v1)
         coeff = orthonormalize(rng.standard_normal((probe_dim, perp.dim)))
