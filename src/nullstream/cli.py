@@ -44,6 +44,7 @@ from .instances import (
     lr_loss,
     margin_of,
 )
+from .linalg import use_one_blas_thread
 from .serialize import (
     csv_cell,
     dumps,
@@ -595,6 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # bytes promised at any OPENBLAS_NUM_THREADS; NULLSTREAM_THREADS is the
+    # one parallelism setting
+    use_one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

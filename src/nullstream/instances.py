@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     AcceptanceTooRare,
@@ -39,6 +38,7 @@ from .linalg import (
     BLOCK_VALUES,
     SIGN_SCAN_TOL,
     check_seed,
+    householder_kernel,
     kernel_vector,
     row_norms,
     sample_grassmannian,
@@ -250,20 +250,14 @@ def _rejection_certain(rows: np.ndarray, sign: float, cf: float) -> bool:
     """
     if sign < 0:
         return cf > SIGN_SCAN_TOL
-    n, d = rows.shape
-    # a workspace of 32 columns lets LAPACK take its blocked path
-    qr, tau, _, info = lapack.dgeqrf(rows.T, lwork=32 * d)
-    if info:
+    kernel = householder_kernel(rows)
+    if kernel is None:
         return False
-    last = np.zeros((d, 1))
-    last[-1] = 1.0
-    q = lapack.dormqr("L", "N", qr, tau, last, lwork=1)[0][:, 0]
-    # the strictly lower part still holds the Householder vectors; counting
-    # them only enlarges the norm, which keeps the bound on sigma valid
-    r_inv, info = lapack.dtrtri(qr[:n])
-    if info:
-        return False
+    q, r_inv = kernel
+    # r_inv's strictly lower part holds Householder vectors; counting them
+    # only enlarges the norm, which keeps the bound on sigma valid
     r_inv_norm = np.linalg.norm(r_inv)
+    d = rows.shape[1]
     gamma = d * d * EPS * np.linalg.norm(rows)
     if not gamma * r_inv_norm <= 0.5:
         return False

@@ -3,16 +3,19 @@
 Subspaces are stored as orthonormal row bases.  Everything here is a pure
 function of its arguments (randomness enters through an explicit numpy
 Generator), dense, and O(d^3) at worst; the testbed targets d up to ~2048.
+The few LAPACK routines np.linalg does not expose are called through ctypes
+on numpy's own bundled OpenBLAS (see _load_lapack).
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cython_lapack
 
 from .errors import (
     DegenerateInput,
@@ -90,27 +93,39 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pivoted_qr(a: np.ndarray) -> np.ndarray:
+    """|diag R| of the pivoted QR A P = Q R of a d x n Fortran-ordered
+    array, n <= d, which it overwrites with Q's n columns: the calls and
+    workspace queries of scipy.linalg.qr(a, mode="economic", pivoting=True),
+    so the factors are its bytes."""
+    d, n = a.shape
+    lda = max(1, d)
+    tau = np.empty(n)
+    _lapack("dgeqp3", d, n, a, lda, np.zeros(n, dtype=_LAPACK.int_dtype), tau, lwork=-1)
+    diag = np.abs(a.diagonal())
+    _lapack("dorgqr", d, n, n, a, lda, tau, lwork=-1)
+    return diag
+
+
 def _orthonormalize_columns(a: np.ndarray) -> Subspace:
     """Span of the columns of a d x n Fortran-ordered array that the caller
     hands over: the pivoted QR factors it in place, so the basis is a's own
     memory and a must not be used afterwards."""
-    d = a.shape[0]
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, overwrite_a=True)
-    diag = np.abs(np.diag(r))
-    del r
+    diag = _pivoted_qr(a)
     if diag.size == 0 or diag[0] <= 0.0:
         raise DegenerateInput("all input vectors are numerically zero")
     rank = int(np.sum(diag > RANK_REL_TOL * diag[0]))
-    return Subspace(ambient_dim=d, dim=rank, basis=q[:, :rank].T)
+    return Subspace(ambient_dim=a.shape[0], dim=rank, basis=a[:, :rank].T)
 
 
 def orthonormalize(vectors) -> Subspace:
     """Span of the given vectors as a Subspace; the argument is not written.
 
     Rank is detected by Householder QR with column pivoting: diagonal entries
-    of R below 1e-10 relative to the largest are treated as zero.
+    of R below 1e-10 relative to the largest are treated as zero.  Infinite
+    or NaN entries raise ValueError.
     """
-    m = _as_matrix(vectors)
+    m = np.asarray_chkfinite(_as_matrix(vectors))
     n, d = m.shape
     if n > d:
         raise DimensionMismatch("more vectors (%d) than ambient dimension (%d)" % (n, d))
@@ -118,14 +133,17 @@ def orthonormalize(vectors) -> Subspace:
 
 
 def complement(s: Subspace) -> Subspace:
-    """The orthogonal complement (dim d - k)."""
+    """The orthogonal complement (dim d - k), as a C-ordered row basis."""
     d, k = s.ambient_dim, s.dim
     if k == 0:
         return Subspace(ambient_dim=d, dim=d, basis=np.eye(d))
     if k == d:
         return Subspace(ambient_dim=d, dim=0, basis=np.zeros((0, d)))
-    q, _ = scipy.linalg.qr(s.basis.T, mode="full")
-    return Subspace(ambient_dim=d, dim=d - k, basis=q[:, k:].T)
+    q = np.linalg.qr(np.asarray_chkfinite(s.basis.T), mode="complete").Q
+    # np.linalg.qr returns Q in C order, so the transpose of its trailing
+    # columns is a strided view; products with a strided basis round
+    # differently, so the rows are copied to C order
+    return Subspace(ambient_dim=d, dim=d - k, basis=np.ascontiguousarray(q[:, k:].T))
 
 
 def kernel_vector(vectors) -> np.ndarray:
@@ -235,24 +253,132 @@ def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
     raise RankDeficient("could not draw a rank-%d Gaussian matrix" % k)
 
 
-def _lapack_routine(name: str, *argtypes):
-    """A LAPACK routine from the table that scipy.linalg.cython_lapack exports
-    to Cython, callable through ctypes; scipy has no Python wrapper for it."""
-    capsule = cython_lapack.__pyx_capi__[name]
+class _Lapack(NamedTuple):
+    """The LAPACK the package calls: the library handle (None on the
+    fallback), its Fortran integer as a ctypes type and as a numpy dtype,
+    and each routine by name."""
+
+    library: ctypes.CDLL | None
+    integer: type
+    int_dtype: np.dtype
+    routines: dict
+
+
+# each routine called, with its count of by-reference arguments and of
+# one-letter character arguments, whose hidden lengths follow the rest
+_ROUTINES = {
+    "dgeqp3": (9, 0),
+    "dorgqr": (9, 0),
+    "dgeqrf": (8, 0),
+    "dormqr": (13, 2),
+    "dtrtri": (6, 2),
+    "dlasq1": (5, 0),
+}
+
+
+def _prototype(name: str):
+    refs, chars = _ROUTINES[name]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * refs, *[ctypes.c_size_t] * chars)
+
+
+def _load_lapack(numpy_file: str = np.__file__) -> _Lapack:
+    """numpy's bundled OpenBLAS, found beside the numpy package as
+    numpy.libs/libscipy_openblas64_*.so: the library that already serves
+    every np.linalg call and matrix product, whose LAPACK routines are
+    exported as scipy_<name>_64_ with 64-bit integers.
+
+    Where it is not found (a numpy built against another BLAS), the routines
+    come from the table scipy.linalg.cython_lapack exports to Cython, with
+    32-bit integers: scipy's own LAPACK, the one scipy.linalg.qr and
+    scipy.linalg.lapack call.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(numpy_file))),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        lib = ctypes.CDLL(path)
+        return _Lapack(lib, ctypes.c_int64, np.dtype(np.int64), {
+            name: _prototype(name)(("scipy_%s_64_" % name, lib)) for name in _ROUTINES})
+    from scipy.linalg import cython_lapack
+
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+    routines = {}
+    for name in _ROUTINES:
+        capsule = cython_lapack.__pyx_capi__[name]
+        routines[name] = _prototype(name)(get_pointer(capsule, get_name(capsule)))
+    return _Lapack(None, ctypes.c_int, np.dtype(np.intc), routines)
 
 
-_INT_P = ctypes.POINTER(ctypes.c_int)
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-# dlasq1(n, d, e, work, info): the singular values of the n x n upper
-# bidiagonal matrix with diagonal d and superdiagonal e, to high relative
-# accuracy, written over d in decreasing order; e (length n) and work
-# (length 4n) are workspace, and info is nonzero when it failed
-_DLASQ1 = _lapack_routine("dlasq1", _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P)
+# chosen once, at import; nothing selects the fallback but its absence
+_LAPACK = _load_lapack()
+
+
+def _lapack(name: str, *args, lwork=None) -> int:
+    """Call a LAPACK routine and return its info, raising ValueError when
+    info reports an illegal argument.  Each argument goes by reference: an
+    int as the library's integer, a one-letter str as a character, an array
+    as its data, which must be contiguous.  With lwork, a workspace of that
+    many values and its size are passed after the arguments; lwork=-1 first
+    asks the routine for its optimal size, as scipy.linalg does.
+    """
+    keep = []
+
+    def ref(x):
+        if isinstance(x, np.ndarray):
+            if not (x.flags.f_contiguous and x.dtype in (np.float64, _LAPACK.int_dtype)):
+                raise ValueError("LAPACK %s takes contiguous float64 or integer arrays" % name)
+            return x.ctypes.data
+        keep.append(ctypes.c_char(x.encode()) if isinstance(x, str) else _LAPACK.integer(x))
+        return ctypes.addressof(keep[-1])
+
+    refs = [ref(x) for x in args]
+    chars = [1] * sum(isinstance(x, str) for x in args)
+    info = _LAPACK.integer(0)
+
+    def call(*workspace):
+        _LAPACK.routines[name](*refs, *map(ref, workspace), ctypes.addressof(info), *chars)
+        if info.value < 0:
+            raise ValueError("illegal value in argument %d of LAPACK %s" % (-info.value, name))
+        return info.value
+
+    if lwork == -1:
+        optimal = np.empty(1)
+        call(optimal, -1)
+        lwork = int(optimal[0])
+    return call() if lwork is None else call(np.empty(max(1, lwork)), lwork)
+
+
+def use_one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread from here on, so products
+    and factorizations round alike at any OPENBLAS_NUM_THREADS.  On the
+    fallback it does nothing, and bytes are promised at one BLAS thread only."""
+    if _LAPACK.library is not None:
+        set_threads = _LAPACK.library.scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def householder_kernel(rows: np.ndarray):
+    """(q, r_inv) for an n x d array of rows, n < d, from a complete
+    Householder QR rows^T = Q R: q is Q's last column, which spans the kernel
+    when n = d - 1, and r_inv the inverse of R's leading n x n triangle,
+    whose strictly lower part still holds the Householder vectors.  None
+    when LAPACK reports a failure, as for a singular R."""
+    n, d = rows.shape
+    qr = np.array(rows.T, order="F")
+    tau = np.empty(n)
+    # a workspace of 32 columns lets LAPACK take its blocked path
+    if _lapack("dgeqrf", d, n, qr, d, tau, lwork=32 * d):
+        return None
+    q = np.zeros(d)
+    q[-1] = 1.0
+    _lapack("dormqr", "L", "N", d, 1, n, qr, d, tau, q, d, lwork=1)
+    r_inv = np.array(qr[:n], order="F")
+    if _lapack("dtrtri", "U", "N", n, r_inv, n):
+        return None
+    return q, r_inv
 
 
 def gaussian_singular_values(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,11 +401,11 @@ def gaussian_singular_values(n: int, d: int, rng: np.random.Generator) -> np.nda
     # B's diagonal, then its superdiagonal padded to the length d dlasq1 takes
     b = np.zeros(2 * d)
     b[:-1] = np.sqrt(rng.chisquare(df))
-    work = np.empty(4 * d)
-    info = ctypes.c_int(0)
-    _DLASQ1(ctypes.byref(ctypes.c_int(d)), b[:d].ctypes.data_as(_DOUBLE_P),
-            b[d:].ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
-            ctypes.byref(info))
-    if info.value:
-        raise NullstreamError("LAPACK dlasq1 failed with info = %d" % info.value)
+    # dlasq1(n, d, e, work, info): the singular values of the n x n upper
+    # bidiagonal matrix with diagonal d and superdiagonal e, to high relative
+    # accuracy, written over d in decreasing order; e (length n) and work
+    # (length 4n) are workspace, and info is nonzero when it failed
+    info = _lapack("dlasq1", d, b[:d], b[d:], np.empty(4 * d))
+    if info:
+        raise NullstreamError("LAPACK dlasq1 failed with info = %d" % info)
     return b[:d]

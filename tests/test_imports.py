@@ -1,14 +1,18 @@
 """What `import nullstream` loads, and what its tail and marginal calls add.
 
-Of scipy, the package and its CLI load only scipy.linalg.  scipy.special
-serves the sphere-marginal certificate (ndtr and the closed-form CDF) and
-the closed-form first-coordinate tail (betainc), so it is imported inside
-those calls; a conditioned generator calls the tail only when a math-only
-bound says it may underflow, so an ordinary draw does not load it.
-Nothing loads scipy.stats or scipy.integrate, which would add about 20 MB:
-not the tail, not the marginal certificate, and not the AcceptanceTooRare
-error, whose message reports the tail.  The check runs in a fresh
-interpreter, since this one has imported them already.
+Of scipy, the package and its CLI load nothing at import: the LAPACK
+routines the run path needs are reached through numpy's bundled OpenBLAS,
+so a conditioned draw (the rejection screen's QR), a proj-separator run (the
+projection basis's pivoted QR) and `verify comorth` and `verify singular`
+(the complement's QR and dlasq1) leave scipy.linalg unloaded as well.
+scipy.special serves the sphere-marginal certificate (ndtr and the
+closed-form CDF) and the closed-form first-coordinate tail (betainc), so it
+is imported inside those calls; a conditioned generator calls the tail only
+when a math-only bound says it may underflow, so an ordinary draw does not
+load it.  Nothing loads scipy.stats or scipy.integrate, which would add
+about 20 MB: not the tail, not the marginal certificate, and not the
+AcceptanceTooRare error, whose message reports the tail.  The check runs in
+a fresh interpreter, since this one has imported them already.
 """
 
 import os
@@ -20,17 +24,28 @@ import nullstream
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nullstream.__file__)))
 
 PROBE = """
-import sys
+import contextlib, io, sys
 import nullstream, nullstream.cli
+from nullstream.config import DEFAULTS
+from nullstream.streaming import run_one_pass
 from nullstream.verification import sphere_marginal_tests
 
 def loaded():
-    print(sorted(m for m in ("scipy.stats", "scipy.integrate", "scipy.special")
+    print(sorted(m for m in ("scipy.linalg", "scipy.stats", "scipy.integrate", "scipy.special")
                  if m in sys.modules))
 
 loaded()
 nullstream.gen_anv_conditioned(64, 0.2, seed=0)
 loaded()
+sep = DEFAULTS.separator
+run_one_pass(nullstream.build_algorithm("proj-separator", 16, 1),
+             nullstream.gen_lsp_margin(16, 40, 0.25, 1).points(),
+             nullstream.proj_state_bits(min(sep.dprime, 16), sep.subsample, sep.quant_bits), 1)
+loaded()
+for lemma in ("comorth", "singular"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert nullstream.cli.main(["verify", lemma, "--d", "16", "--trials", "5"]) == 0
+    loaded()
 print(repr(nullstream.first_coord_tail(64, 0.2)))
 loaded()
 sphere_marginal_tests(16, 200, 0.2, 1)
@@ -49,9 +64,12 @@ def test_import_loads_no_stats_integrate_or_special():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    at_import, after_gen, tail, after_tail, after_marginal, after_too_rare = lines
-    # an ordinary conditioned draw screens its tail with math alone
-    assert at_import == after_gen == "[]"
+    at_import, after_gen, after_run, after_comorth, after_singular = lines[:5]
+    tail, after_tail, after_marginal, after_too_rare = lines[5:]
+    # an ordinary conditioned draw screens its tail with math alone, and
+    # LAPACK comes from numpy's library
+    for after in (at_import, after_gen, after_run, after_comorth, after_singular):
+        assert after == "[]"
     # the closed form loads scipy.special on its first call
     assert tail == "0.05509390125429455"
     for after in (after_tail, after_marginal, after_too_rare):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 import scipy.special
 import scipy.stats
 from numpy.testing import assert_allclose
@@ -229,6 +230,43 @@ def test_rejection_screen_falls_through_at_the_threshold(d):
         assert instances._conditioned_attempt(d, above, np.random.default_rng(s))[1] is None
         checked += 1
     assert checked >= 20
+
+
+def _scipy_screen(rows, cf):
+    """The QR screen as it was computed through scipy.linalg.lapack:
+    (certain rejection, q, r_inv)."""
+    n, d = rows.shape
+    qr, tau, _, info = lapack.dgeqrf(rows.T, lwork=32 * d)
+    assert info == 0
+    last = np.zeros((d, 1))
+    last[-1] = 1.0
+    q = lapack.dormqr("L", "N", qr, tau, last, lwork=1)[0][:, 0]
+    r_inv, info = lapack.dtrtri(qr[:n])
+    assert info == 0
+    r_inv_norm = np.linalg.norm(r_inv)
+    gamma = d * d * instances.EPS * np.linalg.norm(rows)
+    if not gamma * r_inv_norm <= 0.5:
+        return False, q, r_inv
+    band = instances.SCREEN_SAFETY * math.sqrt(2.0) * (np.linalg.norm(rows @ q) + gamma) / (
+        1.0 / r_inv_norm - gamma
+    )
+    return abs(q[0]) + band < cf, q, r_inv
+
+
+@pytest.mark.parametrize("d", [16, 64, 128])
+def test_rejection_screen_bytes_equal_the_scipy_lapack_path(d):
+    decisions = []
+    for s in range(200):
+        thetas, _ = _seeded_attempt_rows(d, s)
+        cf = (0.05, 0.2, 0.5)[s % 3]
+        certain, q, r_inv = _scipy_screen(thetas, cf)
+        got_q, got_r_inv = linalg.householder_kernel(thetas)
+        assert got_q.tobytes() == q.tobytes()
+        assert got_r_inv.tobytes() == r_inv.tobytes()
+        assert instances._rejection_certain(thetas, 1.0, cf) == certain
+        decisions.append(certain)
+    # both decisions occur, so the comparison covers each
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def test_rejection_screen_at_the_threshold_for_stacked_bases():

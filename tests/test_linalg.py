@@ -1,3 +1,8 @@
+import ctypes
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -358,6 +363,128 @@ def test_orthonormalize_bases_equal_pivoted_qr_bits(name):
         assert public.dim < m.shape[0]
 
 
+# scipy.linalg is the byte reference for the LAPACK calls linalg makes on
+# numpy's bundled OpenBLAS: the same routines, the same workspace queries
+def _qr_cases():
+    """d x n arrays: the transposes of _qr_inputs(), then Gaussian shapes."""
+    cases = {name: m.T for name, m in _qr_inputs().items()}
+    rng = np.random.default_rng(7)
+    for d, n in [(128, 64), (64, 31), (16, 8), (1000, 3)]:
+        cases["%dx%d" % (d, n)] = rng.standard_normal((n, d)).T
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_qr_cases()))
+def test_pivoted_qr_bytes_equal_scipy_qr(name):
+    a = _qr_cases()[name]
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    f = np.array(a, order="F")
+    diag = linalg._pivoted_qr(f)
+    assert f.tobytes() == q.tobytes()
+    assert diag.tobytes() == np.abs(np.diag(r)).tobytes()
+    rank = int(np.sum(diag > linalg.RANK_REL_TOL * diag[0]))
+    assert linalg._orthonormalize_columns(np.array(a, order="F")).dim == rank
+    if name.startswith(("rank", "repeated")):
+        assert rank < a.shape[1]
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+
+LARGE_QR = """
+import numpy as np, scipy.linalg
+from nullstream import linalg
+a = np.random.default_rng(7).standard_normal((600, 1024)).T
+q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+f = np.array(a, order="F")
+diag = linalg._pivoted_qr(f)
+print(f.tobytes() == q.tobytes(), diag.tobytes() == np.abs(np.diag(r)).tobytes())
+"""
+
+
+def test_pivoted_qr_bytes_equal_scipy_qr_at_projection_size():
+    # at 1024 x 600 each library splits the QR across threads, which rounds
+    # differently, so the two are compared at one thread each
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", LARGE_QR], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (10, 9), (32, 5), (64, 31), (128, 64)])
+def test_complement_bytes_equal_scipy_full_qr(d, k):
+    s = linalg.sample_grassmannian(k, d, np.random.default_rng(d + k))
+    q, _ = scipy.linalg.qr(s.basis.T, mode="full")
+    c = linalg.complement(s)
+    assert c.dim == d - k
+    assert c.basis.flags.c_contiguous
+    assert c.basis.tobytes() == q[:, k:].T.tobytes()
+
+
+def _scipy_dlasq1():
+    """dlasq1 from the table scipy.linalg.cython_lapack exports to Cython,
+    with 32-bit integers."""
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dlasq1"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(None, int_p, double_p, double_p, double_p, int_p)(
+        get_pointer(capsule, get_name(capsule)))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (48, 48), (64, 32), (300, 256)])
+def test_gaussian_singular_values_bytes_equal_scipy_dlasq1(n, d):
+    dlasq1 = _scipy_dlasq1()
+    double_p = ctypes.POINTER(ctypes.c_double)
+    df = np.concatenate((np.arange(n, n - d, -1), np.arange(d - 1, 0, -1)))
+    for seed in range(20):
+        b = np.zeros(2 * d)
+        b[:-1] = np.sqrt(np.random.default_rng(seed).chisquare(df))
+        info = ctypes.c_int(0)
+        dlasq1(ctypes.byref(ctypes.c_int(d)), b[:d].ctypes.data_as(double_p),
+               b[d:].ctypes.data_as(double_p), np.empty(4 * d).ctypes.data_as(double_p),
+               ctypes.byref(info))
+        assert info.value == 0
+        s = linalg.gaussian_singular_values(n, d, np.random.default_rng(seed))
+        assert s.tobytes() == b[:d].tobytes()
+
+
+def _lapack_outputs():
+    """The bytes of each LAPACK path in linalg on fixed inputs."""
+    rng = np.random.default_rng(9)
+    out = []
+    for m in (rng.standard_normal((31, 64)), _qr_inputs()["rank-deficient"]):
+        a = np.array(m.T, order="F")
+        diag = linalg._pivoted_qr(a)
+        out += [a.tobytes(), diag.tobytes()]
+    rows = rng.standard_normal((63, 64))
+    out += [x.tobytes() for x in linalg.householder_kernel(rows)]
+    out.append(linalg.gaussian_singular_values(64, 32, rng).tobytes())
+    return out
+
+
+def test_fallback_lapack_gives_the_same_bytes(monkeypatch, tmp_path):
+    # a numpy with no bundled OpenBLAS beside it: the routines come from
+    # scipy.linalg's own LAPACK, with 32-bit integers
+    fallback = linalg._load_lapack(str(tmp_path / "numpy" / "__init__.py"))
+    assert fallback.library is None and fallback.integer is ctypes.c_int
+    bundled = _lapack_outputs()
+    monkeypatch.setattr(linalg, "_LAPACK", fallback)
+    assert _lapack_outputs() == bundled
+    linalg.use_one_blas_thread()
+
+
+def test_lapack_refuses_a_strided_array():
+    a = np.zeros((8, 8))[:, ::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        linalg._pivoted_qr(a)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_orthonormalize_leaves_its_argument_unchanged(order):
     m = np.array(_qr_inputs()["random"], order=order)
@@ -402,13 +529,18 @@ def test_gaussian_singular_values_match_dense_svd_of_their_bidiagonal(n, d):
 
 
 def test_gaussian_singular_values_raise_when_dlasq1_reports_failure(monkeypatch):
-    # a routine that leaves garbage in d and sets info must not be read
-    def failing(n, d, e, work, info):
-        for i in range(n[0]):
-            d[i] = np.nan
-        info[0] = 2
+    # a routine that leaves garbage in d and sets info must not be read; it
+    # takes its integers as the library's (64-bit on numpy's bundled OpenBLAS)
+    int_p = ctypes.POINTER(linalg._LAPACK.integer)
+    double_p = ctypes.POINTER(ctypes.c_double)
 
-    monkeypatch.setattr(linalg, "_DLASQ1", type(linalg._DLASQ1)(failing))
+    def failing(n, d, e, work, info):
+        d = ctypes.cast(d, double_p)
+        for i in range(ctypes.cast(n, int_p)[0]):
+            d[i] = np.nan
+        ctypes.cast(info, int_p)[0] = 2
+
+    monkeypatch.setitem(linalg._LAPACK.routines, "dlasq1", linalg._prototype("dlasq1")(failing))
     with pytest.raises(NullstreamError, match="info = 2"):
         linalg.gaussian_singular_values(8, 4, np.random.default_rng(0))
 

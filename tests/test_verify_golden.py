@@ -11,7 +11,8 @@ fraction is 0.0 and it fails; sandwich at t = 0.01 passes 13 of 20 trials and
 fails, and at t = 0.13 passes 19 of 20 and meets its 0.95 rule.  The separator outputs pin the
 quantization range and pass limits through the separator each run returns.
 The sandwich and singular bytes are also compared across one and two BLAS
-threads.
+threads, and so are those of a d = 1024 `gen` and sweep and of `verify
+comorth` at d = 128, which differed before the CLI pinned one thread.
 """
 
 import hashlib
@@ -97,17 +98,19 @@ def test_sandwich_verdict_per_trial_at_acceptance_size():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(nullstream.__file__)))
 
 
-def _verify_stdout_at_one_and_two_blas_threads(*argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _cli_stdout(threads, *argv, cwd=None):
+    """stdout of `nullstream <argv>` in a fresh process at that many OpenBLAS
+    threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    outs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-m", "nullstream.cli", "verify", *argv],
-                              env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    return outs
+    proc = subprocess.run([sys.executable, "-m", "nullstream.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _verify_stdout_at_one_and_two_blas_threads(*argv):
+    return [_cli_stdout(threads, "verify", *argv) for threads in ("1", "2")]
 
 
 @pytest.mark.parametrize("d", [64, 128, 256, 512])
@@ -125,6 +128,36 @@ def test_verify_singular_bytes_do_not_depend_on_blas_threads():
     one, two = _verify_stdout_at_one_and_two_blas_threads(
         "singular", "--d", "256", "--trials", "20")
     assert one == two
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at two threads OpenBLAS splits gen_lsp_margin's 700 x 1024 gemv, the
+    # 1024 x 600 pivoted QR of the projection basis and comorth's QRs at
+    # d = 128, each of which rounds differently; `nullstream` runs numpy's
+    # bundled OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "problem": "lsp-margin",
+        "params": {"m": 700, "gamma": 0.3},
+        "grid": {"d": [1024], "budget_bits": [5760664], "algorithm": ["proj-separator"]},
+        "trials": 2,
+        "seed": 0,
+    }))
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        stdout = [
+            _cli_stdout(threads, "gen", "lsp-margin", "--d", "1024", "--m", "700",
+                        "--gamma", "0.3", "--seed", "1", "--out", "inst.json", cwd=cwd),
+            _cli_stdout(threads, "experiment", "--spec", str(spec), "--out", "sweep.csv",
+                        cwd=cwd),
+            _cli_stdout(threads, "verify", "comorth", "--d", "128", "--trials", "20", cwd=cwd),
+        ]
+        files = {f: hashlib.sha256((cwd / f).read_bytes()).hexdigest()
+                 for f in ("inst.json", "sweep.csv")}
+        runs.append((stdout, files))
+    assert runs[0] == runs[1]
 
 
 D, M, GAMMA = 16, 40, 0.25
