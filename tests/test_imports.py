@@ -3,8 +3,9 @@
 Of scipy, the package and its CLI load nothing at import: the LAPACK
 routines the run path needs are reached through numpy's bundled OpenBLAS,
 so a conditioned draw (the rejection screen's QR), a proj-separator run (the
-projection basis's pivoted QR) and `verify comorth` and `verify singular`
-(the complement's QR and dlasq1) leave scipy.linalg unloaded as well.
+projection basis's pivoted QR) and every `verify` certificate (among them
+comorth's complement QR and singular's dlasq1) leave scipy.linalg unloaded
+as well.
 scipy.special serves the sphere-marginal certificate (ndtr and the
 closed-form CDF) and the closed-form first-coordinate tail (betainc), so it
 is imported inside those calls; a conditioned generator calls the tail only
@@ -42,9 +43,9 @@ run_one_pass(nullstream.build_algorithm("proj-separator", 16, 1),
              nullstream.gen_lsp_margin(16, 40, 0.25, 1).points(),
              nullstream.proj_state_bits(min(sep.dprime, 16), sep.subsample, sep.quant_bits), 1)
 loaded()
-for lemma in ("comorth", "singular"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert nullstream.cli.main(["verify", lemma, "--d", "16", "--trials", "5"]) == 0
+for lemma in ("no-joint-sol", "sandwich", "singular", "comorth", "concentration"):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert nullstream.cli.main(["verify", lemma, "--d", "16", "--trials", "5"]) in (0, 1)
     loaded()
 print(repr(nullstream.first_coord_tail(64, 0.2)))
 loaded()
@@ -64,12 +65,11 @@ def test_import_loads_no_stats_integrate_or_special():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    at_import, after_gen, after_run, after_comorth, after_singular = lines[:5]
-    tail, after_tail, after_marginal, after_too_rare = lines[5:]
-    # an ordinary conditioned draw screens its tail with math alone, and
-    # LAPACK comes from numpy's library
-    for after in (at_import, after_gen, after_run, after_comorth, after_singular):
-        assert after == "[]"
+    # the import, a conditioned draw, a proj-separator run and the five
+    # certificates that need no scipy.special: an ordinary conditioned draw
+    # screens its tail with math alone, and LAPACK comes from numpy's library
+    assert lines[:8] == ["[]"] * 8
+    tail, after_tail, after_marginal, after_too_rare = lines[8:]
     # the closed form loads scipy.special on its first call
     assert tail == "0.05509390125429455"
     for after in (after_tail, after_marginal, after_too_rare):
