@@ -306,7 +306,8 @@ class ProjectionSeparator(OnePassAlgorithm):
     constructor seed, so it is regenerated on demand (and cached on the
     instance, which carries no sample information) rather than stored; the
     state holds only the sampled points.  prepare projects and quantizes a
-    block of samples at a time; update only keeps or drops the result.
+    block of samples at a time and draws their reservoir values; update only
+    keeps or drops the result.
 
     State: layout(dprime, subsample, quant_bits) = Layout(header=uint(32, 2),
     labels=uint(1, subsample), coords=uint(quant_bits, subsample * dprime)),
@@ -380,8 +381,10 @@ class ProjectionSeparator(OnePassAlgorithm):
     # -- streaming interface ------------------------------------------------
 
     def prepare(self, first_index, samples, shared):
-        """(x, y, coords) for each labeled sample: coords is the quantized
-        sqrt(d/d') P x that update stores if the reservoir keeps the sample.
+        """(x, y, coords, keep, slot) for each labeled sample i: coords is
+        the quantized sqrt(d/d') P x that update stores if the reservoir keeps
+        the sample, and keep, slot are the shared values at 2i and 2i + 1
+        that decide whether it does and where, drawn once for the run.
 
         Sample i sits in row (i-1) % STEP_BLOCK of a zero STEP_BLOCK x d
         block, one block per aligned run of STEP_BLOCK indices, and each
@@ -400,10 +403,10 @@ class ProjectionSeparator(OnePassAlgorithm):
             return []
         d = points[0][0].shape[0]
         basis = self.projection_for(d, shared).basis
-        out = []
-        while len(out) < len(points):
-            row = (first_index + len(out) - 1) % STEP_BLOCK
-            block = points[len(out) : len(out) + STEP_BLOCK - row]
+        coords = []
+        while len(coords) < len(points):
+            row = (first_index + len(coords) - 1) % STEP_BLOCK
+            block = points[len(coords) : len(coords) + STEP_BLOCK - row]
             buf = np.zeros((STEP_BLOCK, d))
             for k, (x, _) in enumerate(block):
                 buf[row + k] = x
@@ -411,11 +414,12 @@ class ProjectionSeparator(OnePassAlgorithm):
             u *= math.sqrt(d / self.dprime)
             if self.quant_bits:
                 u = _quantize(u, self.quant_bits, self.quant_range)
-            out.extend((x, y, u[row + k]) for k, (x, y) in enumerate(block))
-        return out
+            coords.extend(u[row : row + len(block)])
+        draws = iter(shared.values(2 * first_index, 2 * len(points)).tolist())
+        return [(x, y, c, keep, slot) for (x, y), c, keep, slot in zip(points, coords, draws, draws)]
 
     def update(self, i, sample, state, shared):
-        x, y, coords = sample
+        x, y, coords, keep, slot = sample
         d = x.shape[0]
         count, dim = _header(state.payload)
         if count and dim != d:
@@ -424,10 +428,8 @@ class ProjectionSeparator(OnePassAlgorithm):
         self._layout.write(state, "header", [count, d])
         if count <= self.subsample:
             self._write_slot(state, count - 1, y, coords)
-        else:
-            keep, slot = shared.values(2 * i, 2)
-            if keep < self.subsample / count:
-                self._write_slot(state, int(slot * self.subsample), y, coords)
+        elif keep < self.subsample / count:
+            self._write_slot(state, int(slot * self.subsample), y, coords)
         return state
 
     def finalize(self, state, shared):

@@ -53,9 +53,12 @@ class Subspace:
         if not (0 <= self.dim <= self.ambient_dim):
             raise DimensionMismatch("need 0 <= dim <= ambient_dim")
         if self.dim > 0:
-            gram = b @ b.T
+            # an inf entry makes NaNs here, and NaN fails every comparison,
+            # so a NaN or inf entry fails the test below without a warning
+            with np.errstate(invalid="ignore"):
+                gram = b @ b.T
             gram[np.diag_indices(self.dim)] -= 1.0
-            if np.abs(gram, out=gram).max() > ORTHO_TOL:
+            if not (np.abs(gram, out=gram).max() <= ORTHO_TOL):
                 raise DegenerateInput("basis rows are not orthonormal to 1e-10")
         object.__setattr__(self, "basis", b)
 

@@ -6,10 +6,8 @@ inner algorithm, so the wrapped algorithm runs under exactly the inner bit
 budget.  Each maps an outer sample to the inner steps it feeds: prepare
 builds those steps and has the inner algorithm prepare them, and update only
 feeds them.  The equation-insertion position of the regression wrapper is a
-pure function of shared randomness and the dimension: it is never stored in
-the state, only cached on the wrapper per (shared seed, d), which is the kind
-of cache the OnePassAlgorithm contract allows since it carries no sample
-information.
+pure function of shared randomness and the dimension, derived afresh for
+each prepared run and never stored.
 """
 
 from __future__ import annotations
@@ -48,22 +46,20 @@ class ReductionConfig:
 
 
 class _InnerSteps(OnePassAlgorithm):
-    """A wrapper whose outer sample i feeds self.inner the steps
-    self._steps(i, theta, shared) lists, as (inner index, inner sample)
-    pairs with consecutive inner indices."""
+    """A wrapper whose outer samples first_index, ... feed self.inner the
+    steps self._steps(first_index, thetas, shared) lists: one list per
+    outer sample of (inner index, inner sample) pairs, with consecutive
+    inner indices."""
 
-    def _steps(self, i: int, theta: np.ndarray, shared: SharedRandomness) -> list:
+    def _steps(self, first_index: int, thetas: list, shared: SharedRandomness) -> list:
         raise NotImplementedError
 
     def prepare(self, first_index, samples, shared):
         """Each outer sample's steps, with every inner sample replaced by the
         inner algorithm's prepared value at its inner index."""
-        groups = [
-            self._steps(i, np.asarray(s, dtype=float), shared)
-            for i, s in enumerate(samples, start=first_index)
-        ]
-        if not groups:
+        if not samples:
             return []
+        groups = self._steps(first_index, [np.asarray(s, dtype=float) for s in samples], shared)
         flat = [z for group in groups for _, z in group]
         values = iter(prepared(self.inner, groups[0][0][0], flat, shared))
         return [[(j, next(values)) for j, _ in group] for group in groups]
@@ -85,11 +81,14 @@ class AnvViaLsp(_InnerSteps):
         self.inner = lsp_alg
         self.cfg = cfg
 
-    def _steps(self, i, theta, shared):
-        d = theta.shape[0]
-        shift = np.zeros(d)
-        shift[0] = self.cfg.c4 / math.sqrt(d)
-        return [(2 * i - 1, (theta + shift, 1.0)), (2 * i, (theta - shift, -1.0))]
+    def _steps(self, first_index, thetas, shared):
+        groups = []
+        for i, theta in enumerate(thetas, start=first_index):
+            d = theta.shape[0]
+            shift = np.zeros(d)
+            shift[0] = self.cfg.c4 / math.sqrt(d)
+            groups.append([(2 * i - 1, (theta + shift, 1.0)), (2 * i, (theta - shift, -1.0))])
+        return groups
 
     def finalize(self, state, shared):
         w = np.asarray(self.inner.finalize(state, shared), dtype=float)
@@ -108,39 +107,31 @@ class AnvViaLr(_InnerSteps):
 
     Every stream vector theta_k becomes the equation theta_k^T w = 0; the
     equation e1^T w = cf is inserted after position p, with p uniform in
-    {0, ..., d-1} derived from shared randomness.  p is never stored in the
-    state; it is derived once per (shared seed, d) and cached on the wrapper.
-    The inner index of theta_k is k for k <= p and k+1 afterwards; the pinned
-    equation sits at p+1.
+    {0, ..., d-1} derived from shared randomness and the run's dimension d.
+    p is never stored; it is derived once per prepared run.  The inner index
+    of theta_k is k for k <= p and k+1 afterwards; the pinned equation sits
+    at p+1.
     """
 
     def __init__(self, lr_alg: OnePassAlgorithm, cfg: ReductionConfig, seed: int = 0):
         self.inner = lr_alg
         self.cfg = cfg
         self.seed = int(seed)
-        self._positions = {}
 
-    def _position(self, d: int, shared: SharedRandomness) -> int:
-        key = (shared.seed, d)
-        if key not in self._positions:
-            u = shared.generator("anv-via-lr", self.seed).random()
-            self._positions[key] = min(int(u * d), d - 1)
-        return self._positions[key]
-
-    def _pinned(self, d: int):
+    def _steps(self, first_index, thetas, shared):
+        d = thetas[0].shape[0]
+        p = min(int(shared.generator("anv-via-lr", self.seed).random() * d), d - 1)
         e1 = np.zeros(d)
         e1[0] = 1.0
-        return (e1, self.cfg.cf)
-
-    def _steps(self, i, theta, shared):
-        d = theta.shape[0]
-        p = self._position(d, shared)
-        if p == 0 and i == 1:
-            return [(1, self._pinned(d)), (2, (theta, 0.0))]
-        steps = [(i if i <= p else i + 1, (theta, 0.0))]
-        if p == i:
-            steps.append((p + 1, self._pinned(d)))
-        return steps
+        groups = []
+        for i, theta in enumerate(thetas, start=first_index):
+            steps = [(i if i <= p else i + 1, (theta, 0.0))]
+            if p == 0 and i == 1:
+                steps.insert(0, (1, (e1, self.cfg.cf)))
+            elif p == i:
+                steps.append((p + 1, (e1, self.cfg.cf)))
+            groups.append(steps)
+        return groups
 
     def finalize(self, state, shared):
         w = np.asarray(self.inner.finalize(state, shared), dtype=float)

@@ -90,46 +90,28 @@ class BitState:
 class SharedRandomness:
     """Counter-addressable uniform stream plus named bulk substreams.
 
-    value(i) is a pure function of (seed, i): Philox keyed by the seed,
-    advanced to position i.  values(i, n) serves draws that lie inside one
-    aligned block of BLOCK indices from a cached copy of that block, which is
-    itself a pure function of (seed, block index) and so carries no sample
-    information; a draw that straddles a block boundary or is longer than a
-    block comes straight from a fresh Philox.  Either way the values are the
-    same.  generator(*tags) derives an independent numpy Generator keyed by
-    (seed, tags) for bulk draws (projection matrices, inserted-equation
-    positions, ...); distinct tags give independent streams.
+    Its only state is the seed, so any copy of it, in either party of a
+    protocol, reads the same values.  values(i, n) is a pure function of
+    (seed, i, n): Philox keyed by the seed, advanced to position i, whose
+    counter steps make four 64-bit words each; value k of the draw is the
+    first word of step i + k scaled the way Generator.random() scales it, so
+    values(i, n)[k] == values(i + k, 1)[0].  generator(*tags) derives an
+    independent numpy Generator keyed by (seed, tags) for bulk draws
+    (projection matrices, inserted-equation positions, ...); distinct tags
+    give independent streams.
     """
 
-    BLOCK = 1024
-
-    __slots__ = ("seed", "_block")
+    __slots__ = ("seed",)
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _U64
-        self._block = None  # (first index, read-only values of that block)
-
-    def value(self, index: int) -> float:
-        return float(self.values(index, 1)[0])
 
     def values(self, index: int, count: int) -> np.ndarray:
-        """value(index), ..., value(index + count - 1), as a new array."""
+        """The count values from stream position index on, as a new array."""
         if index < 0:
             raise ValidationError("stream index must be nonnegative")
-        first = index - index % self.BLOCK
-        if index + count > first + self.BLOCK:
-            return self._draw(index, count)
-        block = self._block
-        if block is None or block[0] != first:
-            drawn = self._draw(first, self.BLOCK)
-            drawn.flags.writeable = False
-            self._block = block = (first, drawn)
-        return block[1][index - first : index - first + count].copy()
-
-    def _draw(self, index: int, count: int) -> np.ndarray:
-        """The values from one Philox: a counter step makes four 64-bit
-        words, and value(i) is the first word of step i scaled the way
-        Generator.random() scales it."""
+        if count < 0:
+            raise ValidationError("draw count must be nonnegative")
         bg = Philox(key=self.seed)
         bg.advance(int(index))
         return (bg.random_raw(4 * count)[::4] >> 11) * 2.0**-53

@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -513,6 +514,16 @@ def test_subspace_rejects_a_basis_off_orthonormal_by_more_than_tolerance():
     basis[1, 1] = 1.0
     basis[0, 1] = -1e-9
     with pytest.raises(DegenerateInput):
+        linalg.Subspace(ambient_dim=3, dim=2, basis=basis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_subspace_rejects_a_basis_holding_nan_or_inf(bad):
+    # NaN > tol is False, so the check must be one that NaN fails
+    basis = np.eye(3)[:2].copy()
+    basis[0, 0] = bad
+    with warnings.catch_warnings(), pytest.raises(DegenerateInput):
+        warnings.simplefilter("error")  # the refusal is all it says
         linalg.Subspace(ambient_dim=3, dim=2, basis=basis)
 
 

@@ -251,9 +251,10 @@ def _pinned_position(alg, vecs, seed):
     return next(k for k, (_, (_, t)) in enumerate(alg.inner.log) if t == C.cf)
 
 
-def test_lr_route_cached_position_follows_shared_seed():
-    # the position is cached on the wrapper; one object reused under two
-    # shared seeds must still insert where a fresh wrapper does under each
+def test_lr_route_position_follows_shared_seed():
+    # the position is a function of the shared seed, not of the wrapper: one
+    # object reused under two shared seeds inserts where a fresh wrapper
+    # does under each
     vecs = list(gen_anv_conditioned(10, C.cf, seed=6).vectors)
     fresh = {s: _pinned_position(anv_via_lr(RecordingSink(), CFG), vecs, s) for s in (1, 3)}
     assert fresh[1] != fresh[3]

@@ -121,16 +121,21 @@ def test_shared_randomness_deterministic_and_bounded():
     a = SharedRandomness(12345)
     b = SharedRandomness(12345)
     for i in [0, 1, 7, 1000, 123456789]:
-        v = a.value(i)
-        assert v == b.value(i)
+        v = a.values(i, 1)[0]
+        assert v == b.values(i, 1)[0]
         assert 0.0 <= v < 1.0
-    assert a.value(0) != a.value(1)
-    assert SharedRandomness(1).value(0) != SharedRandomness(2).value(0)
+    assert a.values(0, 1)[0] != a.values(1, 1)[0]
+    assert SharedRandomness(1).values(0, 1)[0] != SharedRandomness(2).values(0, 1)[0]
+    assert a.values(5, 0).shape == (0,)
+    with pytest.raises(ValidationError, match="index"):
+        a.values(-1, 1)
+    with pytest.raises(ValidationError, match="count"):
+        a.values(0, -1)
 
 
 def test_shared_randomness_bulk_matches_single():
-    # value(i) is the first word of Philox step i scaled by 2^-53; the
-    # literals are Generator(Philox(key=seed) advanced by i).random()
+    # values(i, 1)[0] is the first word of Philox step i scaled by 2^-53;
+    # the literals are Generator(Philox(key=seed) advanced by i).random()
     pinned = {
         (0, 0): "0x1.7a5d3204726c0p-7",
         (12345, 7): "0x1.59811cbda0c30p-1",
@@ -138,7 +143,7 @@ def test_shared_randomness_bulk_matches_single():
         (99, 123456789): "0x1.db0228689ecaep-1",
     }
     for (seed, i), want in pinned.items():
-        assert SharedRandomness(seed).value(i).hex() == want
+        assert SharedRandomness(seed).values(i, 1)[0].hex() == want
     # the same draws as later elements of one bulk draw
     assert SharedRandomness(12345).values(0, 8)[7].hex() == pinned[12345, 7]
     assert SharedRandomness(2**63 + 5).values(990, 20)[10].hex() == pinned[2**63 + 5, 1000]
@@ -152,7 +157,9 @@ def _uncached_values(seed, index, count):
     return (bg.random_raw(4 * count)[::4] >> 11) * 2.0**-53
 
 
-BLOCK = SharedRandomness.BLOCK
+# a stream served from cached 1024-value blocks would slip near their edges
+# and on draws longer than a block, so the draws probe there
+BLOCK = 1024
 NEAR_BLOCK_EDGES = st.builds(
     lambda k, offset: max(0, k * BLOCK + offset), st.integers(0, 4), st.integers(-3, 3)
 )
@@ -167,8 +174,8 @@ STREAM_INDICES = st.one_of(NEAR_BLOCK_EDGES, st.integers(0, 2**40))
     count=st.integers(1, BLOCK + 100),
 )
 def test_shared_values_match_an_uncached_draw(seed, warm, index, count):
-    # whatever block an earlier draw left cached, a draw inside one block,
-    # across a boundary or longer than a block equals a fresh Philox's
+    # whatever drew before it, a draw inside one block, across a boundary or
+    # longer than a block equals a fresh Philox's
     shared = SharedRandomness(seed)
     shared.values(warm, 1)
     want = _uncached_values(seed, index, count).tobytes()
@@ -454,10 +461,11 @@ def test_projection_separator_one_sample_prepare_equals_the_runners(quant_bits):
     _advance(Recorder(), samples, BitState(proj_state_bits(8, 40, quant_bits)), SharedRandomness(5), 1)
     assert len(seen) == len(samples)
     alone = _proj(quant_bits)()
-    for i, (sample, (_, _, coords)) in enumerate(zip(samples, seen), start=1):
+    for i, (sample, (_, _, coords, keep, slot)) in enumerate(zip(samples, seen), start=1):
         # every row position of a block, 0 to STEP_BLOCK - 1, is visited
-        ((_, _, single),) = alone.prepare(i, [sample], SharedRandomness(5))
+        ((_, _, single, *draws),) = alone.prepare(i, [sample], SharedRandomness(5))
         assert single.tobytes() == coords.tobytes(), i
+        assert draws == [keep, slot] == SharedRandomness(5).values(2 * i, 2).tolist(), i
 
 
 # Layout.write and Layout.read are the package's bit writer and reader.
