@@ -28,7 +28,7 @@ from .errors import (
 from .linalg import BLOCK_VALUES, Subspace, check_seed, kernel_vector, sample_uniform_sphere
 # the projection hands its fresh draw over to be factored in place; it is
 # called through this module-level name, which a profiler may rebind
-from .linalg import _orthonormalize_columns as orthonormalize
+from .linalg import haar_frame as orthonormalize
 from .streaming import STEP_BLOCK, Layout, OnePassAlgorithm, SharedRandomness, f64, uint
 
 

@@ -110,17 +110,6 @@ def _pivoted_qr(a: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _orthonormalize_columns(a: np.ndarray) -> Subspace:
-    """Span of the columns of a d x n Fortran-ordered array that the caller
-    hands over: the pivoted QR factors it in place, so the basis is a's own
-    memory and a must not be used afterwards."""
-    diag = _pivoted_qr(a)
-    if diag.size == 0 or diag[0] <= 0.0:
-        raise DegenerateInput("all input vectors are numerically zero")
-    rank = int(np.sum(diag > RANK_REL_TOL * diag[0]))
-    return Subspace(ambient_dim=a.shape[0], dim=rank, basis=a[:, :rank].T)
-
-
 def orthonormalize(vectors) -> Subspace:
     """Span of the given vectors as a Subspace; the argument is not written.
 
@@ -132,7 +121,34 @@ def orthonormalize(vectors) -> Subspace:
     n, d = m.shape
     if n > d:
         raise DimensionMismatch("more vectors (%d) than ambient dimension (%d)" % (n, d))
-    return _orthonormalize_columns(np.array(m.T, order="F"))
+    a = np.array(m.T, order="F")
+    diag = _pivoted_qr(a)
+    if diag.size == 0 or diag[0] <= 0.0:
+        raise DegenerateInput("all input vectors are numerically zero")
+    rank = int(np.sum(diag > RANK_REL_TOL * diag[0]))
+    return Subspace(ambient_dim=d, dim=rank, basis=a[:, :rank].T)
+
+
+def haar_frame(a: np.ndarray) -> Subspace:
+    """The span of the columns of a d x n Fortran-ordered Gaussian array that
+    the caller hands over, n <= d, with a Haar-distributed basis.
+
+    An unpivoted Householder QR A = Q R factors a in place, so the basis is
+    a's own memory and a must not be used afterwards.  Each column of Q is
+    multiplied by the sign of R's diagonal entry, which makes R's diagonal
+    positive and the factorization unique, so Q is Haar-distributed when A
+    is Gaussian (F. Mezzadri, Notices AMS 54, 2007).  Q is orthonormal
+    whatever A's rank, so nothing detects rank.
+    """
+    d, n = a.shape
+    lda = max(1, d)
+    tau = np.empty(n)
+    _lapack("dgeqrf", d, n, a, lda, tau, lwork=-1)
+    # copysign is never 0, where np.sign of a zero diagonal entry would be
+    signs = np.copysign(1.0, a.diagonal())
+    _lapack("dorgqr", d, n, n, a, lda, tau, lwork=-1)
+    a *= signs
+    return Subspace(ambient_dim=d, dim=n, basis=a.T)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -159,6 +175,10 @@ def kernel_vector(vectors) -> np.ndarray:
     n, d = m.shape
     if n != d - 1:
         raise DimensionMismatch("need d-1 vectors in R^d, got %d in R^%d" % (n, d))
+    # the SVD raises numpy's bare LinAlgError on a NaN and may never return
+    # on an infinity, so both are refused before it
+    if not np.isfinite(m).all():
+        raise ValidationError("kernel_vector: the vectors hold a NaN or an infinity")
     _, svals, vt = np.linalg.svd(m, full_matrices=True)
     if svals[-1] <= RANK_REL_TOL * svals[0]:
         raise RankDeficient(
@@ -246,14 +266,7 @@ def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
     """Uniform (rotation-invariant) random k-dimensional subspace of R^d."""
     if not (1 <= k <= d):
         raise DimensionMismatch("need 1 <= k <= d")
-    for _ in range(16):
-        try:
-            s = _orthonormalize_columns(rng.standard_normal((k, d)).T)
-        except DegenerateInput:
-            continue
-        if s.dim == k:
-            return s
-    raise RankDeficient("could not draw a rank-%d Gaussian matrix" % k)
+    return haar_frame(rng.standard_normal((k, d)).T)
 
 
 class _Lapack(NamedTuple):

@@ -55,7 +55,9 @@ from nullstream.linalg import BLOCK_VALUES
 from nullstream.reductions import ReductionConfig, anv_via_lr, anv_via_lsp
 from nullstream.streaming import (
     BitState,
+    Message,
     OnePassAlgorithm,
+    Protocol,
     SharedRandomness,
     one_pass_to_protocol,
     prepared,
@@ -149,6 +151,24 @@ def test_kernel_solver_rejects_dimension_change():
     samples = [np.ones(4), np.ones(5)]
     with pytest.raises(DimensionMismatch):
         run_one_pass(OfflineKernelSolver(), samples, 10**5, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_solver_refuses_a_crafted_nonfinite_message(bad):
+    # party 2 rebuilds its state from message bytes no runner checked, so a
+    # NaN or an infinity planted there reaches kernel_vector at finalize
+    d = 4
+    honest = one_pass_to_protocol(OfflineKernelSolver(), d - 1)
+
+    def send(input1, budget_bits, shared):
+        state = BitState(budget_bits, honest.send(input1, budget_bits, shared).payload)
+        OfflineKernelSolver.layout(d - 1, d).write(state, "vectors", [bad], start=5)
+        return Message(nbits=budget_bits, payload=state.payload)
+
+    crafted = Protocol(send=send, output=honest.output)
+    vectors = list(np.random.default_rng(7).standard_normal((d - 1, d)))
+    with pytest.raises(ValidationError, match="NaN or an infinity"):
+        run_protocol(crafted, vectors, [], kernel_budget_bits(d), seed=1)
 
 
 def test_lstsq_solver_matches_offline_least_squares():

@@ -88,8 +88,8 @@ def test_conditioned_acceptance_counts(case):
 
 # seed -> sha256 over the dataset (points, labels, witness, margin) and both bases
 LSP_HARD_CASES = {
-    1: "9d89513e0ab87b0f45caed2ef7d115db43b231919da5da50d5b5f9da8c504bc6",
-    2: "4475c140d345479dd7c34500dc2d8e29ac29cf7b02a05b8687ede28238327bfb",
+    1: "66789cd0699bd3206c00a35775db5c5b72e889c83834c0c45f2e2af9899a6085",
+    2: "2446dc9d4ee6edbb732714203e68a15e436b4cf1b3b998e18a452108066bed76",
 }
 
 

@@ -38,13 +38,13 @@ GEN_CASES = {
         "78900f58da101071403ab9f24629967041c974487437e291b7d3e7a1ed9f34c3",
     ),
     ("lsp-hard", "--d", "8", "--m", "8", "--seed", "3"): (
-        "7d42a572efd1ba978075cbda618aa023e5e052c5349529ecd2814114394fdcdf",
-        "f9d2c67dfb982add61681eb36f5a3a71ded14d936771f9ec6f00fbeb6515bcb5",
+        "504c28a5ff383784d998db57001dbb86e0823a76bee7a9b83f9824ba6222e25f",
+        "6cfe0f83b33dbd50cc148c86233409e4a5ca8e2999182622b3c70ed34828a9c4",
     ),
     ("lsp-hard", "--d", "8", "--m", "10", "--cf", "0.1", "--c", "0.3",
      "--max-attempts", "500", "--seed", "3"): (
-        "a68dbe7beb330ac7b46fa63a2d062e49733fb35ec241b2f317a347ac71c6ddf4",
-        "7a96742f868b74b7578cf6e459bb304426a895c9a841a8a7eb346d1045625aca",
+        "dde247736da12de0d1bdfa24dcde96d7c0a20543050297cf601f390c183c512b",
+        "bf7e3c8644a8748110b1aad15756d75cccf4c9e2d75306a3ae8a2026183fb8b7",
     ),
     ("lsp-from-anv", "--instance", "anv.json"): (
         "46103eeacc23c017b909ad7cd5d1ba4aa201efda46fc811c8388547b64f7d092",

@@ -3,7 +3,7 @@
 Of scipy, the package and its CLI load nothing at import: the LAPACK
 routines the run path needs are reached through numpy's bundled OpenBLAS,
 so a conditioned draw (the rejection screen's QR), a proj-separator run (the
-projection basis's pivoted QR) and every `verify` certificate (among them
+projection basis's Householder QR) and every `verify` certificate (among them
 comorth's complement QR and singular's dlasq1) leave scipy.linalg unloaded
 as well.
 scipy.special serves the sphere-marginal certificate (ndtr and the

@@ -1,4 +1,5 @@
 import ctypes
+import glob
 import os
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from nullstream.errors import (
     EmptyList,
     NullstreamError,
     RankDeficient,
+    ValidationError,
     ZeroDimensional,
 )
+from nullstream.verification import first_coord_cdf
 
 ATOL = 1e-10
 
@@ -123,6 +126,16 @@ def test_kernel_vector_rank_deficient():
     m[0, 0] = m[1, 1] = 1.0
     m[2] = m[0]
     with pytest.raises(RankDeficient):
+        linalg.kernel_vector(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_vector_refuses_nan_or_inf_before_its_svd(bad):
+    # numpy's SVD raises a bare LinAlgError on a NaN and may not return on an
+    # infinity, so the refusal has to come first
+    m = np.eye(4)[:3].copy()
+    m[1, 2] = bad
+    with pytest.raises(ValidationError, match="NaN or an infinity"):
         linalg.kernel_vector(m)
 
 
@@ -355,13 +368,11 @@ def _qr_inputs():
 def test_orthonormalize_bases_equal_pivoted_qr_bits(name):
     m = _qr_inputs()[name]
     expected = _qr_oracle(m)
-    public = linalg.orthonormalize(m)
-    owned = linalg._orthonormalize_columns(np.array(m.T, order="F"))
-    for s in (public, owned):
-        assert s.dim == expected.shape[0]
-        assert np.array_equal(s.basis, expected)
+    s = linalg.orthonormalize(m)
+    assert s.dim == expected.shape[0]
+    assert np.array_equal(s.basis, expected)
     if name.startswith(("rank", "repeated")):
-        assert public.dim < m.shape[0]
+        assert s.dim < m.shape[0]
 
 
 # scipy.linalg is the byte reference for the LAPACK calls linalg makes on
@@ -384,7 +395,7 @@ def test_pivoted_qr_bytes_equal_scipy_qr(name):
     assert f.tobytes() == q.tobytes()
     assert diag.tobytes() == np.abs(np.diag(r)).tobytes()
     rank = int(np.sum(diag > linalg.RANK_REL_TOL * diag[0]))
-    assert linalg._orthonormalize_columns(np.array(a, order="F")).dim == rank
+    assert linalg.orthonormalize(a.T).dim == rank
     if name.startswith(("rank", "repeated")):
         assert rank < a.shape[1]
 
@@ -463,13 +474,31 @@ def _lapack_outputs():
         a = np.array(m.T, order="F")
         diag = linalg._pivoted_qr(a)
         out += [a.tobytes(), diag.tobytes()]
+    out.append(linalg.sample_grassmannian(600, 1024, rng).basis.tobytes())
     rows = rng.standard_normal((63, 64))
     out += [x.tobytes() for x in linalg.householder_kernel(rows)]
     out.append(linalg.gaussian_singular_values(64, 32, rng).tobytes())
     return out
 
 
-def test_fallback_lapack_gives_the_same_bytes(monkeypatch, tmp_path):
+@pytest.fixture
+def scipy_blas_on_one_thread():
+    """scipy's own OpenBLAS on one thread, as conftest runs numpy's: at
+    1024 x 600 each library splits the QR across threads, which rounds
+    differently, so the two are compared at one thread each."""
+    scipy_libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    paths = glob.glob(os.path.join(scipy_libs, "libscipy_openblas*.so"))
+    if not paths:
+        yield
+        return
+    lib = ctypes.CDLL(paths[0])
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    yield
+    lib.scipy_openblas_set_num_threads(before)
+
+
+def test_fallback_lapack_gives_the_same_bytes(monkeypatch, tmp_path, scipy_blas_on_one_thread):
     # a numpy with no bundled OpenBLAS beside it: the routines come from
     # scipy.linalg's own LAPACK, with 32-bit integers
     fallback = linalg._load_lapack(str(tmp_path / "numpy" / "__init__.py"))
@@ -497,12 +526,46 @@ def test_orthonormalize_leaves_its_argument_unchanged(order):
     assert rows == before.tolist()
 
 
-def test_sample_grassmannian_matches_orthonormalize_of_its_draw():
-    # the sampler hands its draw to the owned-array helper; the bits are those
-    # of the public function on the same draw
-    s = linalg.sample_grassmannian(7, 40, np.random.default_rng(3))
-    g = np.random.default_rng(3).standard_normal((7, 40))
-    assert np.array_equal(s.basis, linalg.orthonormalize(g).basis)
+@pytest.mark.parametrize("k, d", [(7, 40), (32, 64), (600, 1024)])
+def test_sample_grassmannian_spans_its_draw(k, d):
+    # the unpivoted frame and the pivoted QR of the same Gaussian draw differ
+    # in their bases only: the span is the draw's column span under either
+    s = linalg.sample_grassmannian(k, d, np.random.default_rng(3))
+    g = np.random.default_rng(3).standard_normal((k, d))
+    assert s.dim == k
+    assert linalg.chordal_distance(s, linalg.orthonormalize(g)) <= 1e-12
+
+
+# the Haar test: over HAAR_DRAWS frames at (HAAR_K, HAAR_D), Q[0, 0] is the
+# first coordinate of a uniform unit vector in R^HAAR_D, which a KS test at
+# level HAAR_ALPHA must not reject
+HAAR_K, HAAR_D, HAAR_DRAWS, HAAR_ALPHA = 3, 16, 4000, 1e-3
+
+
+def _haar_pvalue(first_coords):
+    return scipy.stats.kstest(first_coords, lambda x: first_coord_cdf(HAAR_D, x)).pvalue
+
+
+def test_sample_grassmannian_frame_is_haar():
+    rng = np.random.default_rng(23)
+    q00 = np.array([linalg.sample_grassmannian(HAAR_K, HAAR_D, rng).basis[0, 0]
+                    for _ in range(HAAR_DRAWS)])
+    assert _haar_pvalue(q00) > HAAR_ALPHA
+
+
+def test_frame_without_the_sign_fix_fails_the_haar_test():
+    # the planted control: the same Householder QR (numpy's dgeqrf and
+    # dorgqr) on the same draws without the sign fix.  dgeqrf sets
+    # R_00 = -sign(a_00) |a_0|, so Q_00 = a_00 / R_00 is never positive, and
+    # the test must reject it
+    rng = np.random.default_rng(23)
+    draws = [rng.standard_normal((HAAR_K, HAAR_D)) for _ in range(HAAR_DRAWS)]
+    q, r = np.linalg.qr(draws[0].T)
+    fixed = linalg.haar_frame(np.array(draws[0].T, order="F"))
+    assert fixed.basis.tobytes() == (q * np.copysign(1.0, np.diag(r))).T.tobytes()
+    q00 = np.array([np.linalg.qr(g.T).Q[0, 0] for g in draws])
+    assert np.all(q00 < 0)
+    assert _haar_pvalue(q00) <= HAAR_ALPHA
 
 
 def test_subspace_rejects_a_basis_off_orthonormal_by_more_than_tolerance():

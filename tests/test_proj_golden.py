@@ -25,8 +25,8 @@ D, M, GAMMA = 64, 700, 0.25
 
 # order -> sha256 of the experiment CSV bytes
 SWEEP_CASES = {
-    "fixed": "d84761c7dece15efad48f56927dd7c2b8df191c50d4c988525615ff02473c596",
-    "shuffled": "2f4045d26030b8efaa4cae74f9ba3bbef6b2212381597d7480eec58a944e2ebc",
+    "fixed": "b854cee8f22baa81bacb05582c9170f6d1eaf973fb8bf9d4cd641ada01be3a37",
+    "shuffled": "a850b4c4094644f0389a12b5e1b105ccb848bd9e2c5e8bf911a3e27eeb056b6c",
 }
 
 

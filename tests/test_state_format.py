@@ -76,12 +76,12 @@ def test_solver_state_bytes_pinned(name):
 # (d', slots, quant_bits): aligned 16/8/32-bit, unaligned packed, aligned
 # and unaligned raw float64
 PROJ_CASES = {
-    (16, 8, 16): (64 + 8 + 8 * 16 * 16, "40933499163b4241364f4864ea58f9f9045fc3b52533c95a4e3c1464511f0004"),
-    (16, 8, 8): (64 + 8 + 8 * 16 * 8, "11b8e3329a78da3d1a1d889e7b128d918bad49172bbbe174dcf17a4f62b8c857"),
-    (5, 8, 32): (64 + 8 + 8 * 5 * 32, "afd6990364b9a47520ae44b83395bc07c6e30c0d2cc1819a472a4601b4c4de6c"),
-    (11, 7, 5): (64 + 7 + 7 * 11 * 5, "f24e30a7e80fa97b26cc4fcb5e5b9d7e5375d9e2af4d6b82eeb1e793d4accdda"),
-    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "bf6e1aa992613b18a2ce017cc5cd973d97d5ece40e6a0b48d4bfea06a6219f53"),
-    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "5f59e815aa5fb5a85fa04531333297dd4c730e1dbb1a211bca4dcd405ed1f231"),
+    (16, 8, 16): (64 + 8 + 8 * 16 * 16, "69611493997cdb02ff38502e4144a7bb289cce7d74f755b6c2ccdaf15e925d12"),
+    (16, 8, 8): (64 + 8 + 8 * 16 * 8, "fe45e52393627197e7f79f78280b75a667ad60228fb74489c5e702bae0894fc5"),
+    (5, 8, 32): (64 + 8 + 8 * 5 * 32, "8f9fb446e501af7b80144f314d869c96b2e83692b8855a4c004ef988b78bdc9f"),
+    (11, 7, 5): (64 + 7 + 7 * 11 * 5, "2a7cfc0552168e7f6ae1fa8e90425d2bc7cb3c9e626f4f2012a567b0504fb2d6"),
+    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "83052750f9cfdbefeb73a179e7eef20a3fa2696ce795b3388a6c6b9defcfaa9a"),
+    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "8df5827dd5315bbb6ed746c2a67f5a795b8358150d02a1a53303e377cf5f0610"),
 }
 
 

@@ -35,7 +35,7 @@ from nullstream.verification import certify_sandwich
 # argv after "verify" -> (exit code, sha256 of stdout)
 VERIFY_CASES = {
     ("no-joint-sol", "--d", "16", "--trials", "6", "--seed", "3"):
-        (0, "c1fb2ab3301bd5fa056b79e169516328f9146b0e15626c96b4f01327ac83b53c"),
+        (0, "f6db216309cc1cc8cab1f935f409a69228abb27c0126830b6bf234fa7a38d512"),
     ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"):
         (0, "5075213488aeee83e3c8d957f0c692b1299403272310a96fd732e47f455675a8"),
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
@@ -43,11 +43,11 @@ VERIFY_CASES = {
     ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
         (1, "1a07a931b9a7f09e93f8d71f974b524fb9bf7fccf93fb76d278aeab308cbe309"),
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
-        (0, "7b7d81e5635cac8e7264fdb5c04096c286ccc203f5d985366e401c85b8772813"),
+        (0, "95e27e4f723c74e9e574c9c6ad9e2bc27ba0c887d3eeb086514974d3e923cc4f"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
-        (0, "9e79b13e7402337c30ae9b3316a0aa3d5d998364b2b58a9bfd31d6bd5cc7dc91"),
+        (0, "88152c37b2df7b0b968283f550569e79b5635c2130be2d22c002045237d08783"),
     ("no-joint-sol", "--d", "8", "--delta", "0.99", "--trials", "3"):
-        (1, "0e4787f926e5d5b059c7d54b64e0544be3f492bd780908b794e11e72e4ed43c7"),
+        (1, "24729bff876f609eb50cf6e9ec217f2310b0fee7214804cdc1d9429c0d7ad3a9"),
     ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20", "--seed", "3"):
         (1, "acf4fb7b9366501fe669156c354368f2705031da708226c7e0a60b26efb095c3"),
     ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "2"):
@@ -132,7 +132,7 @@ def test_verify_singular_bytes_do_not_depend_on_blas_threads():
 
 def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
     # at two threads OpenBLAS splits gen_lsp_margin's 700 x 1024 gemv, the
-    # 1024 x 600 pivoted QR of the projection basis and comorth's QRs at
+    # 1024 x 600 Householder QR of the projection basis and comorth's QRs at
     # d = 128, each of which rounds differently; `nullstream` runs numpy's
     # bundled OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says
     spec = tmp_path / "sweep.json"
@@ -172,8 +172,8 @@ BUDGETS = {
 SEPARATOR_CASES = {
     ("offline-separator", 1): "a70d5ab6c5a5171f9363746c43b4b9156b6267f4807d729c2b38303b8f1eeabb",
     ("offline-separator", 2): "36d6ad4bf41a81da6a5e297264da7925c043ca83140811ba1a1541b7c925cbfe",
-    ("proj-separator", 1): "629ac9318074e7f55aef28401ed3769e93584ee0a17967cf90f976f02e056b37",
-    ("proj-separator", 2): "0a61a28143e5ea20a17da29846d9da5b4dc003207f962215d49c1ea5abdb6134",
+    ("proj-separator", 1): "211c2f2723bc1a493ad08fd4fff5eef6d429a0202da35c918bd1cad928bab220",
+    ("proj-separator", 2): "6d53fec9649570a99e642b2499c7aaacbff98cd3ba0868d43dde1d606a5a3383",
 }
 
 
