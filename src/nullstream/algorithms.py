@@ -164,8 +164,14 @@ class OfflineLstsqSolver(OnePassAlgorithm):
             raise DegenerateOutput("no equations seen")
         layout = self.layout(d)
         moment = layout.read(state.payload, "moment")
+        upper = layout.read(state.payload, "gram")
+        # party 2 rebuilds its state from message bytes no runner checked, and
+        # pinv raises numpy's bare LinAlgError on a NaN and returns NaNs on an
+        # infinity, so both are refused before it
+        if not (np.isfinite(upper).all() and np.isfinite(moment).all()):
+            raise ValidationError("least-squares sums hold a NaN or an infinity")
         gram = np.zeros((d, d))
-        gram.put(_upper_triangle(d), layout.read(state.payload, "gram"))
+        gram.put(_upper_triangle(d), upper)
         gram = gram + np.triu(gram, 1).T
         w = np.linalg.pinv(gram, hermitian=True) @ moment
         norm = np.linalg.norm(w)
@@ -269,6 +275,11 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         if count == 0:
             raise DegenerateOutput("no points seen")
         flat = self.layout(count, d).read(state.payload, "rows").reshape(count, d + 1)
+        # a NaN scores no mistake, so the perceptron would pass over a row
+        # holding one (or an infinity, which turns NaN once added) and
+        # return a separator of the other rows
+        if not np.isfinite(flat).all():
+            raise ValidationError("stored points hold a NaN or an infinity")
         return perceptron(flat[:, :d] * flat[:, d:], self.max_passes)
 
 

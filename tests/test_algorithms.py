@@ -171,6 +171,43 @@ def test_kernel_solver_refuses_a_crafted_nonfinite_message(bad):
         run_protocol(crafted, vectors, [], kernel_budget_bits(d), seed=1)
 
 
+def _crafted(alg, split, layout, field, bad, start):
+    # party 1's honest message with one value of field overwritten by bad
+    honest = one_pass_to_protocol(alg, split)
+
+    def send(input1, budget_bits, shared):
+        state = BitState(budget_bits, honest.send(input1, budget_bits, shared).payload)
+        layout.write(state, field, [bad], start=start)
+        return Message(nbits=budget_bits, payload=state.payload)
+
+    return Protocol(send=send, output=honest.output)
+
+
+@pytest.mark.parametrize("field", ["gram", "moment"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lstsq_solver_refuses_a_crafted_nonfinite_message(field, bad):
+    # unchecked, pinv raises numpy's bare LinAlgError on a NaN in gram and
+    # returns NaNs for an infinity there or anything non-finite in moment
+    d = 4
+    crafted = _crafted(OfflineLstsqSolver(), 3, OfflineLstsqSolver.layout(d), field, bad, 1)
+    rows = np.random.default_rng(7).standard_normal((3, d)) / 4
+    with pytest.raises(ValidationError, match="NaN or an infinity"):
+        run_protocol(crafted, [(r, 0.1) for r in rows], [], lstsq_budget_bits(d), seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_offline_separator_refuses_a_crafted_nonfinite_message(bad):
+    # unchecked, the perceptron scores no mistake on the poisoned row and
+    # returns a finite separator of the others
+    d, n = 4, 6
+    x = np.random.default_rng(7).standard_normal((n, d))
+    points = [(p, 1.0 if p[0] > 0 else -1.0) for p in x]
+    layout = OfflineSeparatorSolver.layout(n, d)
+    crafted = _crafted(OfflineSeparatorSolver(), n, layout, "rows", bad, 2 * (d + 1) + 1)
+    with pytest.raises(ValidationError, match="NaN or an infinity"):
+        run_protocol(crafted, points, [], separator_budget_bits(d, n), seed=1)
+
+
 def test_lstsq_solver_matches_offline_least_squares():
     inst = gen_lr_from_anv(gen_anv_conditioned(32, CF, seed=4), seed=4)
     samples = list(zip(inst.a, inst.b))

@@ -110,6 +110,51 @@ def test_first_coord_tail_matches_tight_quadrature(d):
     assert checked >= 5
 
 
+# the tail against scipy's betainc, relative: scipy itself strays from
+# 50-digit mpmath by up to 9.3e-14 at these d and by 1.6e-13 at d = 2048
+TAIL_DS = (2, 3, 4, 5, 8, 16, 64, 65, 256, 1000, 1024)
+TAIL_CFS = (0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99)
+# where scipy's tail is subnormal (850..857 at cf = 0.9, 4895..4945 at
+# cf = 0.5) or 0, first_coord_tail returns 0.0; the d just below keeps a
+# normal tail
+TAIL_FLUSHED = ((850, 0.9), (857, 0.9), (858, 0.9), (2048, 0.9), (4895, 0.5), (4945, 0.5),
+                (4946, 0.5))
+TAIL_NORMAL_EDGE = ((849, 0.9), (4894, 0.5))
+
+
+def _betainc_tail(d, cf):
+    return 0.5 * scipy.special.betainc((d - 1) / 2, 0.5, (1.0 - cf) * (1.0 + cf))
+
+
+def _tail_gaps(tail):
+    gaps = []
+    for d in TAIL_DS:
+        for cf in TAIL_CFS:
+            ref = _betainc_tail(d, cf)
+            if ref >= sys.float_info.min:
+                gaps.append(abs(tail(d, cf) / ref - 1.0))
+    return gaps
+
+
+def test_first_coord_tail_matches_scipy_betainc():
+    gaps = _tail_gaps(first_coord_tail)
+    assert len(gaps) >= 100
+    assert max(gaps) <= 1e-13
+    for d, cf in TAIL_FLUSHED:
+        assert _betainc_tail(d, cf) < sys.float_info.min
+        assert first_coord_tail(d, cf) == 0.0
+    for d, cf in TAIL_NORMAL_EDGE:
+        ref = _betainc_tail(d, cf)
+        assert ref >= sys.float_info.min
+        assert abs(first_coord_tail(d, cf) / ref - 1.0) <= 1e-13
+
+
+def test_tail_check_catches_the_tail_of_d_minus_2():
+    # the planted defect: the series and complement of d - 2
+    gaps = _tail_gaps(lambda d, cf: first_coord_tail(max(d - 2, 2), cf))
+    assert max(gaps) > 1e-13
+
+
 def test_first_coord_tail_monotone_in_cf():
     vals = [first_coord_tail(32, cf) for cf in (0.0, 0.1, 0.3, 0.6, 0.9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -18,11 +18,12 @@ the verdict itself added, so a change of oracle that keeps every verdict
 leaves it as it is.  The verify-marginal case is the `nullstream verify
 marginal` golden run.
 
-The certificate's oracle is the closed form first_coord_cdf.  The trapezoid
-grid it replaced stays here as a test-only reference: the grid digests pin
-its bytes, and the closed form must agree with it, with the elementary laws
-at d = 2, 3 and 4, and with its own Taylor line next to x = 0, where the
-tail's 1 - x^2 orientation loses digits.
+The certificate's oracle is the closed form first_coord_cdf, a finite sum
+of positive terms.  Two test-only references check it: scipy's betainc, on
+451 points of [-1, 1] at nine d, and the trapezoid grid the closed form
+replaced, whose digests pin its bytes.  It must also agree with the
+elementary laws at d = 2, 3 and 4, and with its own Taylor line next to
+x = 0, where the tail's 1 - x^2 orientation loses digits.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ import math
 import numpy as np
 import pytest
 
+from nullstream import instances
 from nullstream.cli import main
 from nullstream.config import DEFAULTS
 from nullstream.serialize import dumps, report_to_json
@@ -40,19 +42,19 @@ CF, SEED = 0.2, 3
 
 # (d, samples) -> sha256 of report_to_json(sphere_marginal_tests(d, samples, CF, SEED))
 MARGINAL_CASES = {
-    (4, 16383): "7274644f8b4008a323e929e34ef879af9789c2418f40bf0156ede70d9669e700",
-    (4, 16384): "fc3908ddc0c273d6412dc38788f54e3211f946e9e4e50ac507b296feafbaf18d",
-    (4, 16385): "d58aa32cef9c879f2037416e4b979eaf3179d4347945a5ce441ecc1c32aff43e",
-    (4, 57344): "ca3e0e1bc8485b6ce2fb97f00c1faefe0ff0823e360a1e30b5aacbc4daf01403",
-    (64, 1023): "0d887b5a3b7c25d8bdcc477b1e7154c51447610f4221d36867fc5ecf20b3de55",
-    (64, 1024): "194903d208289d5f0c223aee417e9876bdbdf049fd26f004312713d4301c9efe",
-    (64, 1025): "62c1c83d97b73a4ec396fc49e6ddbb13986f65521d4a0802e7438d026fa94f0d",
-    (64, 3584): "45c6043179d21c757fc2c9a4e77090c0b7cec96f9884943cc62a9ace94837124",
-    (64, 100000): "d25b16ef49c91f307b4939ced1dbe8d9de8709061c75982f5d87da14b470fd30",
-    (1000, 64): "e33cae60196a30fbc50dd14504b59cf81648f1b8478f40a08578264baf557619",
-    (1000, 65): "b4fe25a7db61a81e7d3b9763142a4779c4f7fc2514bc64f50cece66359f9554d",
-    (1000, 66): "7ccfdeab5fd3ba051f997076cc7c1255397f89749f2dd4511064038c455b9da8",
-    (1000, 227): "317ec6bf850f5d88ff7e22d2d1eb5ed103ac25066787ce5878bdd33b5f05fbb2",
+    (4, 16383): "6badc0fe6f1a9853a6cb163933a1aa3199482d681c16689b52cf49d46947870d",
+    (4, 16384): "1a59b8334e1a21ab0d627078c9fad91131922dfca2e6fe4db78db4d8a65a1102",
+    (4, 16385): "4ef7b18098496405bfc7e19d4ab90689fb38ddcf832de8175ce5f3bf9385c890",
+    (4, 57344): "d8177c5cf511f200b556b17f7467e57c430d2d173097846510c8beaea0391b2e",
+    (64, 1023): "a3d67e961158799935c5ba9d138577ab1ff263b22574c1e7cf1a7224b141f872",
+    (64, 1024): "cd801aeb990fcedea50c5b974e6fb2d233f373b4f7b3db2fd39200a2d08d537a",
+    (64, 1025): "337483afff485b71222211198e45af5e197152215369557696d7fb3ff17588df",
+    (64, 3584): "bdca63fb28b305c470828a5f6f950c7f00875cb32f6cd13e89a205a751fe14e4",
+    (64, 100000): "47237e7aa0a5d14af52f602639d64d40c86904b0f10e603458ffcea53b8a3a3b",
+    (1000, 64): "c6bed243265b3fbf73ff0c2b9b9eb0e9d6f7dcb9f1dce972196874eb093a58dd",
+    (1000, 65): "4dbf6b196fca8a853ca9878ae8d0764e3537daa8a1bbaa37606e6cfef67a3ab9",
+    (1000, 66): "7c3572cb662242e2a3f6e2d29e72fc9356a5066d10fc803dd58ca425a447a2ab",
+    (1000, 227): "dec7fdd2a174ee533962104ea550aaa4d2c9cae4baef0ae07858876fb6cf3367",
 }
 
 
@@ -66,19 +68,19 @@ def test_sphere_marginal_report_bytes(case):
 
 # (d, samples) -> sha256 of the sample-derived fields of the same report
 SAMPLE_CASES = {
-    (4, 16383): "50f2e4ec137d88013927e3ce84fdf71f2d0693001a0ed4f108b415ccf22fbd8b",
-    (4, 16384): "0ce8a5d2126386e3144e5f967277bdf3f0afd4a3893c2b1d76ad463d4b0429fc",
-    (4, 16385): "d1bb14014eade133de2b7ad6686f08ab20769964644903a7822a39ae9bc988cf",
+    (4, 16383): "1c6397a7a1044ce363e3a957293952ae4db02cb9ac3623bea3d6d4c6190254c8",
+    (4, 16384): "b84b9219bcb2f0a2893a91213eb4c4185ceabb94d106117b5da1f6a7498eeeb5",
+    (4, 16385): "a1b192236599eb21e68d2f26b09709a3addf83b4f8ad69cfe5222de868704ca3",
     (4, 57344): "f4b7a98f00710198862a2fdf38262038f95a7705c03f9e555d149c20c7a262a4",
-    (64, 1023): "79a20b82514a49a69de7110050bade625a1ce4e98783406a5ab447ca3f48bcd0",
-    (64, 1024): "0e8bf9e12cd2b6f54910ab1b33b884d35e184412ed596aef60baed07f4a8010a",
-    (64, 1025): "397ed4a5e853eb76fe07c94196a9b1884f7abf2927e0a91e293e534b162fcd09",
+    (64, 1023): "1b69a77ed055f42adeceb40bdc3224ddc15a20220ead9213f74f301f78112c7a",
+    (64, 1024): "a071d1fbfc49b3c4fbf3912f80f273c3feed54354a642558d6c569eef79ceba1",
+    (64, 1025): "bab902d2c33c7e88bf34ef226f3e0b1185aefd515f2572528e2bbd96f7ddde55",
     (64, 3584): "6282bfc8bd81c6a6f34fb9bd4c6af657e8818723209b69174fa5b8d2c3ec0b79",
-    (64, 100000): "d8b689ebccce7cadddee82fb8e43e9129e0fb38b20ccb1d166faf2edb0494f43",
-    (1000, 64): "123a28030c0e1597fbbc4e4ac95e04deef8cba231d23fec994cd9a5c9aaddacd",
+    (64, 100000): "1103d3d744f30965a256f65145f7034119ef63db35b9fb5692ea978d3b9e209e",
+    (1000, 64): "3607a1b56518f62fc15d16ad018f46b5a5b3864fde15ee3a172b59c0ba139ad8",
     (1000, 65): "9d368590baf04c1664937b110d4e011e5bed1a45cde795b59bcbf1c1cd89a6e6",
-    (1000, 66): "3bd7295a9806a4766a7e2a0cfe0e51ef2efb138f50546e1e8636291522225174",
-    (1000, 227): "c906071e24f44a434443011c5a64fe548f6d76a578016d347b947eff324de770",
+    (1000, 66): "5c9944664e564e86d2915b3a638ac74fe293c3e3aaf6deabfc86690c04ea5282",
+    (1000, 227): "fe85cdc17ad505fceb26829f8cf28cc5e979ae8c777a50312b40455501162c51",
 }
 VERIFY_SAMPLES = "fb6905381afb89fc31fcac96351a4cca1887bd008359d990fc2b428cbfced36a"
 
@@ -143,22 +145,22 @@ def test_cdf_grid_bytes(d):
 
 # (d, samples) -> sha256 of the verdict and of the same report without ks_exact
 VERDICT_CASES = {
-    (4, 16383): "347f3ff9435c9d9a9cb246367f5d0e984bd0f2ee30b9fe8ccf77332c744e8827",
-    (4, 16384): "285ec4fa177789a9d1790147ca5cebc8f3f00260fd154a30632570e0eb0b3075",
-    (4, 16385): "b3a2f0a52457df9358193a8bcf00bfaf8e677379d993f96748af8dc551334a0c",
-    (4, 57344): "13eedbb3d986da4cdf424ff2d9e070e9bb5d1b741895587019d63f5bfe597680",
-    (64, 1023): "af9cbeb51452157d27baf34eccd34dd3620ff3d0619e08c912e03a7d57d46be1",
-    (64, 1024): "0321ca2cf7b7ff3d1aeb17951e74c9d36e04185e691c734431690591ac2f9021",
-    (64, 1025): "f7fc6345d847a2543d90d13d585cbada1bf522e4acd5a0b39f2858d0e958e6f1",
-    (64, 3584): "3b05f046f32287036c6256fc9b9821604766d6d07ca03c12abdf0a2809b0e484",
-    (64, 100000): "153d4b4cfdf0a52d6fa6c44b9597083819e5a46cbf7bf6289529badb1e31e5bd",
-    (1000, 64): "335770e4ede9c378debc0b0c28876322defb0faab142e21aa2dd3348c23bf161",
-    (1000, 65): "5e36a80651594fce314cc9aa4e339c209abef4842964b1f7381b4628152f0693",
-    (1000, 66): "b59749cadc61fbe501ef6becc3fac561da970ce52fedd882a1cbfb5236d86247",
-    (1000, 227): "d87c38b8ecf019efb1f541f4dd4ef713d5c0acfe8aa2abfc62776bcf86eaf00a",
+    (4, 16383): "59610b3c0301f2acd22b398641aaccca681fb14832012b46865c3b7fc8e67477",
+    (4, 16384): "d151437b61c93b5daeef77b9bd9893f8225d7765c12b869d53164c57dc85ce22",
+    (4, 16385): "c051bb0d691f3fe89c65d10d27974b2329c6a94eee00adafc5256e946e0e2f85",
+    (4, 57344): "56146c4c37e09313c84ba185f04d7c1dfd63bcee0e89e2ec31112606e2cea03b",
+    (64, 1023): "bade552364926a8d613bdb42a45e54d79746461a8f07a24bbdabba7ae7708786",
+    (64, 1024): "dce642c7dc6a83c221157763ba7dc253b2e4fb8d7f4bf31106754808e51aa320",
+    (64, 1025): "bf6c520adacc2692162897de3890caa5f9a25963483f7628f257e4ede29ede67",
+    (64, 3584): "46d9c45009f1ac1a162a814d239b10fcc4dede0fde9642ff58e319fd5fafbfaa",
+    (64, 100000): "ed8b10bbfbd5e73ddf70a5cd4d0f297597990646e41ba50b5347879114c7b423",
+    (1000, 64): "7788a0185745e599312af1955d57001f259e72f393fb71f144cc0f21631fff4c",
+    (1000, 65): "911951e402f5785439903c0496d65ecb0d6faa79e1836889991a0406c683f4a8",
+    (1000, 66): "1cc0667db763679634647ee4979a97d269fac51ec10a952ff6e500f24c4d3169",
+    (1000, 227): "d1c3c1c9f539d03f20be3352463512f9ef991ec2c7ca1effd085793aa7d7f1d0",
 }
 # the verify-marginal run: (exit code, verdict digest)
-VERIFY_VERDICT = (1, "1625b21a9d15ac9da5fb84b722f44e934c9b08be4e197c98a78655b1e6b0977a")
+VERIFY_VERDICT = (1, "e28c52572b3be80f91988d17e6fb188e63ed41777539a221dade8a08b1e9dd1f")
 
 
 def _verdict_digest(report):
@@ -203,6 +205,35 @@ ELEMENTARY_LAWS = {
 def test_closed_form_cdf_matches_elementary_laws(d):
     x = np.linspace(-1.0, 1.0, 20_001)
     assert np.abs(first_coord_cdf(d, x) - ELEMENTARY_LAWS[d](x)).max() <= 1e-15
+
+
+# d -> the largest |F - scipy's| allowed on 451 points of [-1, 1]; against
+# 40-digit mpmath the finite sum errs by up to 5.9e-15 at d = 1024 and
+# scipy's betainc by 4.6e-16
+CDF_GAP_BOUNDS = {2: 1e-15, 3: 1e-15, 4: 1e-15, 5: 1e-15, 16: 1e-15, 64: 1e-15, 65: 1e-15,
+                  256: 1e-14, 1024: 1e-14}
+
+
+def _gap_from_betainc(cdf, d):
+    import scipy.special
+
+    x = np.linspace(-1.0, 1.0, 451)
+    ref = 0.5 * (1.0 + np.sign(x) * scipy.special.betainc(0.5, (d - 1) / 2, x * x))
+    return np.abs(cdf(d, x) - ref).max()
+
+
+@pytest.mark.parametrize("d", sorted(CDF_GAP_BOUNDS))
+def test_closed_form_cdf_matches_scipy_betainc(d):
+    assert _gap_from_betainc(first_coord_cdf, d) <= CDF_GAP_BOUNDS[d]
+
+
+@pytest.mark.parametrize("d", [d for d in sorted(CDF_GAP_BOUNDS) if d >= 4])
+def test_cdf_check_catches_the_coefficients_of_d_minus_2(monkeypatch, d):
+    # the planted defect: the finite sum run on the coefficient table of
+    # m - 2 in place of m = d - 2
+    table = instances._reduction_coefficients
+    monkeypatch.setattr(instances, "_reduction_coefficients", lambda m: table(m - 2))
+    assert _gap_from_betainc(first_coord_cdf, d) > CDF_GAP_BOUNDS[d]
 
 
 def _tail_oriented_cdf(d, x):

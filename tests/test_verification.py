@@ -313,7 +313,8 @@ def test_sphere_marginal_at_calibrated_point():
 
 
 def test_ks_statistic_matches_scipy_kstest_bit_for_bit():
-    # ks_normal is _ks_statistic on ndtr; scipy.stats is only the oracle here
+    # ks_normal is _ks_statistic on the normal CDF; scipy.stats is only the
+    # oracle here, and kstest takes its D from ndtr, so ndtr feeds both
     import scipy.stats
 
     rng = np.random.default_rng(17)
@@ -325,6 +326,12 @@ def test_ks_statistic_matches_scipy_kstest_bit_for_bit():
         z.sort()
         expected = scipy.stats.kstest(z, "norm").statistic
         assert _ks_statistic(z, ndtr(z)) == expected, (case, n)
+
+
+def test_normal_cdf_matches_ndtr():
+    # the marginal's normal reference is libm's erfc, block by block
+    z = np.linspace(-40.0, 40.0, 200_001)
+    assert np.abs(verification._normal_cdf(z) - ndtr(z)).max() <= 3e-16
 
 
 def test_exact_tail_decays_exponentially_in_dimension():

@@ -41,7 +41,7 @@ VERIFY_CASES = {
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
         (0, "129276cc128a419ef76798bfe94e93285302fc6535118cb1fa70b1b7c217521e"),
     ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
-        (1, "1a07a931b9a7f09e93f8d71f974b524fb9bf7fccf93fb76d278aeab308cbe309"),
+        (1, "4fefb927f9f214868447464f935b89fefc2671fbd7524261241a0fed13e769cf"),
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
         (0, "95e27e4f723c74e9e574c9c6ad9e2bc27ba0c887d3eeb086514974d3e923cc4f"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
