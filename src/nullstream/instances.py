@@ -210,6 +210,8 @@ TWO_OVER_PI = 2.0 / math.pi
 # tail is above 0.15 there, so the complement keeps its relative digits, and
 # above it the tail's own series converges within about 40 / cf^2 terms
 TAIL_COMPLEMENT_MAX = 1.0
+# bits kept in the numerator and denominator of each reduction coefficient
+RATIO_BITS = 192
 
 
 @functools.lru_cache(maxsize=8)
@@ -218,16 +220,22 @@ def _reduction_coefficients(m: int) -> tuple:
     j = 2 - m mod 2, 4 - m mod 2, ..., m.
 
     a_j = a_{j-2} (j - 2) / (j - 1) from a_1 = 1 or a_2 = 2/pi.  Each a_j is
-    that exact product of ratios, times 2/pi (its double) for even j, held as
-    an integer numerator and denominator and rounded once, by Python's
-    correctly rounded integer division; the integers grow by one factor per
-    coefficient, so the d = 1024 table takes under a millisecond."""
+    that product of ratios, times 2/pi (its double) for even j, held as an
+    integer numerator and denominator and rounded once, by Python's
+    correctly rounded integer division.  Both integers are cut to about
+    RATIO_BITS bits as they grow, which moves the ratio by under 2^-180
+    relative per step, far below the one rounding; exact integers would
+    grow by a factor per coefficient and cost O(m^2), 8 s at d = 10^5."""
     first, (num, den) = (1, (1, 1)) if m % 2 else (2, TWO_OVER_PI.as_integer_ratio())
     coefs = []
     for j in range(first, m + 1, 2):
         if j > first:
             num *= j - 2
             den *= j - 1
+            shift = min(num.bit_length(), den.bit_length()) - RATIO_BITS
+            if shift > 0:
+                num >>= shift
+                den >>= shift
         coefs.append(num / den)
     return tuple(coefs)
 

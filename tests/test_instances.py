@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ def test_first_coord_tail_matches_tight_quadrature(d):
             assert_allclose(first_coord_tail(d, cf), ref, rtol=1e-12, atol=0.0)
             checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 62, 63, 1022, 1023, 4998])
+def test_reduction_coefficients_are_the_exact_ratios_rounded_once(m):
+    # the table cuts its integer ratio to RATIO_BITS bits as it grows; the
+    # reference keeps every a_j = 1 / (j W_j) exact until its one rounding
+    scale = Fraction(1) if m % 2 else Fraction(2.0 / math.pi)
+    first = 2 - m % 2
+    ratio, exact = Fraction(1), []
+    for j in range(first, m + 1, 2):
+        if j > first:
+            ratio *= Fraction(j - 2, j - 1)
+        exact.append(float(ratio * scale))
+    assert instances._reduction_coefficients(m) == tuple(exact)
 
 
 # the tail against scipy's betainc, relative: scipy itself strays from
