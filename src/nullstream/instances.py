@@ -55,6 +55,9 @@ SPHERE_CONDITIONED = "sphere-conditioned"
 WITNESS_RESIDUAL_TOL = 1e-9
 UNIT_TOL = 1e-10
 DEFAULT_MAX_ATTEMPTS = 20000
+# the chance of any acceptance below which a conditioned generator refuses
+# before its first attempt
+HOPELESS = 2.0**-40
 EPS = float(np.finfo(float).eps)
 SCREEN_SAFETY = 4.0
 
@@ -419,20 +422,25 @@ def _too_rare(d: int, cf: float, max_attempts: int) -> AcceptanceTooRare:
     )
 
 
-def _refuse_underflow(d: int, cf: float) -> None:
-    # no attempt can meet a tail that underflows to 0.  The tail lies below
-    # (1/2)(1 - cf^2)^((d-1)/2), so only a bound under 1e-300 pays for the
-    # closed form's series
-    if 0.5 * ((1.0 - cf) * (1.0 + cf)) ** ((d - 1) / 2) < 1e-300 and not first_coord_tail(d, cf):
-        msg = "exact tail underflows to 0 at d=%d cf=%g; no attempt made" % (d, cf)
-        raise AcceptanceTooRare(msg, tail_estimate=0.0)
+def _refuse_hopeless(d: int, cf: float, max_attempts: int) -> None:
+    # max_attempts attempts accept with probability at most max_attempts *
+    # tail, and the tail lies below (1/2)(1 - cf^2)^((d-1)/2); only when that
+    # bound refuses is the closed form's series paid, for the report
+    if max_attempts * 0.5 * ((1.0 - cf) * (1.0 + cf)) ** ((d - 1) / 2) < HOPELESS:
+        tail = first_coord_tail(d, cf)
+        if tail:
+            why = ("exact tail %.3e at d=%d cf=%g: %d attempts would accept with "
+                   "probability below 2^-40" % (tail, d, cf, max_attempts))
+        else:
+            why = "exact tail underflows to 0 at d=%d cf=%g" % (d, cf)
+        raise AcceptanceTooRare(why + "; no attempt made", tail_estimate=tail)
 
 
 def gen_anv_conditioned(
     d: int, cf: float, seed, max_attempts: int = DEFAULT_MAX_ATTEMPTS
 ) -> AnvInstance:
     _check_conditioning(d, cf, "max_attempts", max_attempts)
-    _refuse_underflow(d, cf)
+    _refuse_hopeless(d, cf, max_attempts)
     rng = _as_rng(seed)
     for _ in range(max_attempts):
         thetas, w = _conditioned_attempt(d, cf, rng)
@@ -549,7 +557,7 @@ def gen_lsp_hard(
     if m < d:
         raise ValidationError("need m >= d")
     _check_conditioning(d, cf, "max_attempts", max_attempts)
-    _refuse_underflow(d, cf)
+    _refuse_hopeless(d, cf, max_attempts)
     rng = _as_rng(seed)
     for _ in range(max_attempts):
         v = sample_grassmannian(d // 2, d, rng)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
-    EmptyList,
     NullstreamError,
     RankDeficient,
     ValidationError,
@@ -61,17 +60,6 @@ class Subspace:
             if not (np.abs(gram, out=gram).max() <= ORTHO_TOL):
                 raise DegenerateInput("basis rows are not orthonormal to 1e-10")
         object.__setattr__(self, "basis", b)
-
-
-@dataclass(frozen=True)
-class EigCertificate:
-    """Smallest eigenvalue of a symmetric PSD matrix plus the eigenvector
-    achieving it.  The witness makes "for every unit v" claims checkable
-    without enumerating a net: v*Mv >= lambda_min for all unit v.
-    """
-
-    lambda_min: float
-    witness: np.ndarray
 
 
 def _as_matrix(vectors) -> np.ndarray:
@@ -196,9 +184,11 @@ def kernel_vector(vectors) -> np.ndarray:
 def chordal_distance(u: Subspace, v: Subspace) -> float:
     """sqrt(sum sin^2 theta_i) over the principal angles.
 
-    The sines are taken as the singular values of B_u (I - P_v), which equals
-    sin of the principal angles for equal-dim subspaces but stays accurate for
-    tiny angles where arccos near 1 loses half the significant digits.
+    The singular values of the residual B_u - (B_u B_v^T) B_v = B_u (I - P_v)
+    are the sines of the principal angles for equal-dim subspaces, so the
+    sum of their squares is the residual's squared Frobenius norm, and no
+    SVD is needed.  The residual keeps tiny angles accurate where arccos of
+    a cosine near 1 loses half the significant digits.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
@@ -207,31 +197,7 @@ def chordal_distance(u: Subspace, v: Subspace) -> float:
     if u.dim == 0:
         return 0.0
     resid = u.basis - (u.basis @ v.basis.T) @ v.basis
-    sines = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
-    return float(np.sqrt(np.sum(sines**2)))
-
-
-def min_eig_projector_sum(subspaces) -> EigCertificate:
-    """Certificate for lambda_min of sum_i P_i over the given subspaces.
-
-    Since min over unit v of sum_i ||Proj_i(v)||^2 equals this eigenvalue, a
-    strictly positive lambda_min certifies that no direction is simultaneously
-    near-orthogonal to every subspace in the list.
-    """
-    subspaces = list(subspaces)
-    if not subspaces:
-        raise EmptyList("need at least one subspace")
-    d = subspaces[0].ambient_dim
-    m = np.zeros((d, d))
-    for s in subspaces:
-        if s.ambient_dim != d:
-            raise DimensionMismatch("mixed ambient dimensions")
-        if s.dim:
-            m += s.basis.T @ s.basis
-    evals, evecs = np.linalg.eigh(m)
-    lam = max(float(evals[0]), 0.0)
-    w = evecs[:, 0]
-    return EigCertificate(lambda_min=lam, witness=w / np.linalg.norm(w))
+    return float(np.sqrt(np.sum(resid * resid)))
 
 
 def check_seed(seed):

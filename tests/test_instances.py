@@ -20,7 +20,9 @@ from nullstream.errors import (
 )
 from nullstream.instances import (
     AnvInstance,
+    DEFAULT_MAX_ATTEMPTS,
     GAUSSIAN_RAW,
+    HOPELESS,
     LrInstance,
     LspDataset,
     SPHERE_CONDITIONED,
@@ -226,19 +228,63 @@ def test_conditioned_generators_refuse_an_underflowing_tail_before_drawing(monke
     assert info.value.tail_estimate == 0.0
 
 
-def test_conditioned_generator_still_draws_at_the_smallest_tail_above_0(monkeypatch):
-    # the last d at cf = 0.9 whose tail is still a float above 0
-    d = next(d for d in range(600, 1024) if first_coord_tail(d + 1, 0.9) == 0.0)
-    assert first_coord_tail(d, 0.9) > 0.0
+@pytest.mark.parametrize("call", [
+    lambda: gen_anv_conditioned(1024, 0.5, seed=0),
+    lambda: gen_lsp_hard(1024, 1024, 0.5, 0.2, seed=0),
+], ids=["anv", "lsp-hard"])
+def test_conditioned_generators_refuse_a_hopeless_tail_before_drawing(monkeypatch, call):
+    # the tail is 3.1e-66, so 20 000 attempts would accept with probability
+    # 6e-62; the draws would take about 30 minutes
+    for name in ("_conditioned_attempt", "_accepted_witness", "sample_grassmannian"):
+        monkeypatch.setattr(instances, name, _no_attempt)
+    with pytest.raises(AcceptanceTooRare, match="no attempt made") as info:
+        call()
+    assert info.value.tail_estimate == first_coord_tail(1024, 0.5)
+    assert 3.0e-66 < info.value.tail_estimate < 3.2e-66
+
+
+def _draws_an_attempt(d, cf):
+    try:
+        gen_anv_conditioned(d, cf, seed=0)
+    except AssertionError:  # _no_attempt was called
+        return True
+    except AcceptanceTooRare:
+        return False
+    raise AssertionError("neither drew nor refused")
+
+
+def test_conditioned_generator_refuses_only_below_hopeless(monkeypatch):
+    # at the default max_attempts and cf = 0.5, d = 200 has
+    # max_attempts * tail = 4.1e-10 and draws.  The refusal starts at the
+    # first d whose bound (1/2)(1 - cf^2)^((d-1)/2) puts the product under
+    # HOPELESS: every d it refuses has max_attempts * tail under HOPELESS,
+    # and the first is within the bound's factor of 30 below it
     monkeypatch.setattr(instances, "_conditioned_attempt", _no_attempt)
-    with pytest.raises(AssertionError, match="an attempt was drawn"):
-        gen_anv_conditioned(d, 0.9, seed=0)
+    assert DEFAULT_MAX_ATTEMPTS * first_coord_tail(200, 0.5) >= HOPELESS
+    drawn = [d for d in range(200, 300) if _draws_an_attempt(d, 0.5)]
+    first_refused = drawn[-1] + 1
+    assert drawn == list(range(200, first_refused))
+    for d in (first_refused, 299):
+        assert DEFAULT_MAX_ATTEMPTS * first_coord_tail(d, 0.5) < HOPELESS
+    assert DEFAULT_MAX_ATTEMPTS * first_coord_tail(first_refused, 0.5) * 30 >= HOPELESS
+
+
+def test_reduction_draw_never_computes_the_tail(monkeypatch):
+    # reduce-d64's draw at (64, 0.2): max_attempts times the bound is about
+    # 2 800, far above HOPELESS, so no series is paid before the attempts
+    def no_tail(*args):
+        raise AssertionError("the tail was computed")
+
+    monkeypatch.setattr(instances, "first_coord_tail", no_tail)
+    inst = gen_anv_conditioned(64, 0.2, seed=0)
+    assert inst.witness[0] >= 0.2
 
 
 def test_underflow_screen_bounds_the_tail_from_above():
-    # the screen calls first_coord_tail only when (1/2)(1 - cf^2)^((d-1)/2)
-    # is below 1e-300, which is sound because that bound is never below the
-    # tail; it is also close to it, within 30x at these points
+    # the refusal calls first_coord_tail only when max_attempts times
+    # (1/2)(1 - cf^2)^((d-1)/2) is below HOPELESS, which is sound because
+    # that bound is never below the tail; it is also close to it, within 30x
+    # at these points
     d = np.arange(2, 2996, 7)[:, None]
     cf = np.linspace(0.0, 0.98, 50)[None, :]
     tail = 0.5 * scipy.special.betainc((d - 1) / 2, 0.5, (1.0 - cf) * (1.0 + cf))

@@ -162,6 +162,34 @@ def test_chordal_distance_small_cases():
     assert_allclose(linalg.chordal_distance(u, v), 1.0, atol=ATOL)
 
 
+def _chordal_by_svd(u, v):
+    # the reference: the residual's singular values are the sines of the
+    # principal angles, clipped to [0, 1]
+    resid = u.basis - (u.basis @ v.basis.T) @ v.basis
+    sines = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
+    return float(np.sqrt(np.sum(sines**2)))
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (3, 8), (16, 32), (63, 64), (100, 256), (300, 1024)])
+def test_chordal_distance_is_the_svd_formula(k, d):
+    rng = np.random.default_rng(k + d)
+    u = linalg.sample_grassmannian(k, d, rng)
+    v = linalg.sample_grassmannian(k, d, rng)
+    assert_allclose(linalg.chordal_distance(u, v), _chordal_by_svd(u, v), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("angle", [1e-3, 1e-6, 1e-9])
+def test_chordal_distance_is_the_svd_formula_near_identical_subspaces(angle):
+    # v is u with its span tilted by about angle, so every principal angle is
+    # at most about angle and the distance is far below 1
+    rng = np.random.default_rng(7)
+    u = linalg.sample_grassmannian(12, 40, rng)
+    v = linalg.orthonormalize(u.basis + angle * rng.standard_normal((12, 40)))
+    dist = linalg.chordal_distance(u, v)
+    assert 0.0 < dist < 100 * angle
+    assert_allclose(dist, _chordal_by_svd(u, v), rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("d", [8, 16, 32])
 def test_chordal_complement_symmetry(d):
     rng = np.random.default_rng(100 + d)
@@ -197,53 +225,6 @@ def test_singular_value_decomposition_consistency():
     lhs = np.linalg.norm(m @ v) ** 2
     rhs = np.sum(lam**2 * svals**2)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, rhs)
-
-
-def test_min_eig_projector_sum_singleton_is_zero():
-    rng = np.random.default_rng(23)
-    s = linalg.sample_grassmannian(3, 7, rng)
-    cert = linalg.min_eig_projector_sum([s])
-    assert cert.lambda_min <= 1e-10
-    # witness lies in the complement
-    assert np.linalg.norm(s.basis.T @ (s.basis @ cert.witness)) < 1e-6
-
-
-def test_min_eig_projector_sum_identity():
-    e = np.eye(2)
-    cert = linalg.min_eig_projector_sum(
-        [linalg.orthonormalize([e[0]]), linalg.orthonormalize([e[1]])]
-    )
-    assert_allclose(cert.lambda_min, 1.0, atol=1e-12)
-
-
-def test_min_eig_projector_sum_kernel_witness():
-    # V + U has dim d-1, so the sum of the two projectors annihilates exactly
-    # the kernel direction of the stacked bases; oracle is kernel_vector.
-    rng = np.random.default_rng(29)
-    d = 32
-    v = linalg.sample_grassmannian(d // 2, d, rng)
-    u = linalg.sample_grassmannian(d // 2 - 1, d, rng)
-    cert = linalg.min_eig_projector_sum([v, u])
-    assert cert.lambda_min <= 1e-10
-    ker = linalg.kernel_vector(np.vstack([v.basis, u.basis]))
-    assert_allclose(abs(cert.witness @ ker), 1.0, atol=1e-6)
-
-
-def test_min_eig_projector_sum_certificate_residual():
-    rng = np.random.default_rng(31)
-    subs = [linalg.sample_grassmannian(5, 12, rng) for _ in range(3)]
-    cert = linalg.min_eig_projector_sum(subs)
-    m = np.zeros((12, 12))
-    for s in subs:
-        m += s.basis.T @ s.basis
-    residual = abs(cert.witness @ m @ cert.witness - cert.lambda_min)
-    assert residual <= 1e-8 * max(1.0, cert.lambda_min)
-    assert abs(np.linalg.norm(cert.witness) - 1.0) <= 1e-10
-
-
-def test_min_eig_projector_sum_empty():
-    with pytest.raises(EmptyList):
-        linalg.min_eig_projector_sum([])
 
 
 def test_sample_sphere_d1_signs():

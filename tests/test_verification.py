@@ -19,9 +19,9 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from nullstream import verification
-from nullstream.errors import ValidationError
+from nullstream.errors import DimensionMismatch, EmptyList, ValidationError
 from nullstream.instances import first_coord_tail
-from nullstream.linalg import orthonormalize, sample_grassmannian
+from nullstream.linalg import chordal_distance, orthonormalize, sample_grassmannian
 from nullstream.verification import (
     LemmaReport,
     _ks_statistic,
@@ -112,6 +112,55 @@ def test_two_subspace_pair_always_degenerate():
         v = sample_grassmannian(16, 32, rng)
         u = sample_grassmannian(15, 32, rng)
         assert joint_sol_lambda_min([v, u]) <= DEGENERATE_TOL
+
+
+def test_joint_sol_lambda_min_of_a_singleton_is_zero():
+    # a proper subspace leaves its complement as an escape direction
+    s = sample_grassmannian(3, 7, np.random.default_rng(23))
+    assert joint_sol_lambda_min([s]) <= DEGENERATE_TOL
+
+
+def test_joint_sol_lambda_min_of_complementary_axes_is_one():
+    e = np.eye(2)
+    lam = joint_sol_lambda_min([orthonormalize([e[0]]), orthonormalize([e[1]])])
+    assert_allclose(lam, 1.0, atol=1e-12)
+
+
+def test_joint_sol_lambda_min_refuses_empty_and_mixed_lists():
+    with pytest.raises(EmptyList):
+        joint_sol_lambda_min([])
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionMismatch):
+        joint_sol_lambda_min([sample_grassmannian(2, 8, rng), sample_grassmannian(2, 9, rng)])
+
+
+@pytest.mark.parametrize("d", [8, 16, 64, 128])
+def test_joint_sol_lambda_min_is_the_eigh_reference(d):
+    # the reference forms the eigenvectors too and clamps at 0 alike
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        subs = [sample_grassmannian(k, d, rng) for k in (d // 2, d // 2, d // 2 - 1)]
+        m = sum(s.basis.T @ s.basis for s in subs)
+        reference = max(float(np.linalg.eigh(m)[0][0]), 0.0)
+        assert abs(joint_sol_lambda_min(subs) - reference) <= 1e-13
+
+
+def test_no_joint_sol_probe_frame_spans_the_pivoted_frame(monkeypatch):
+    # the probe's Haar frame in V1-perp coordinates spans what the pivoted
+    # QR of the same Gaussian draw spans
+    haar_frame, frames = verification.haar_frame, []
+
+    def recorded(a):
+        draw = a.T.copy()
+        frames.append((draw, haar_frame(a)))
+        return frames[-1][1]
+
+    monkeypatch.setattr(verification, "haar_frame", recorded)
+    r = certify_no_joint_sol(32, 0.5, 6, seed=3)
+    assert len(frames) == r.statistics["counted"] > 0
+    for draw, frame in frames:
+        assert frame.dim == draw.shape[0] == 2
+        assert chordal_distance(frame, orthonormalize(draw)) <= 1e-12
 
 
 def test_no_joint_sol_rejects_odd_dimension():
@@ -402,6 +451,41 @@ def test_concentration_std_halving_ratios():
     stds = [sphere_concentration_test(d, 10_000, seed=2).statistics["std"] for d in (64, 128, 256)]
     for a, b in zip(stds, stds[1:]):
         assert 0.5 <= b / a <= 0.9
+
+
+# The certifier's sqrt(Beta(d/4, d/4)) draw against the dense reference: the
+# norms of normalized N(0, I_d) rows projected by one product onto a
+# Grassmannian subspace of dimension k.  A two-sample KS test at
+# CONCENTRATION_SAME_LAW_SAMPLES samples a side from fixed seeds, judged at
+# SAME_LAW_ALPHA.  The planted control projects onto a subspace of
+# dimension 5d/8 instead of d/2, and the test must reject it.
+CONCENTRATION_SAME_LAW_SAMPLES = 4000
+
+
+def _concentration_same_law_pvalue(d, k):
+    rng = np.random.default_rng(1)
+    sub = sample_grassmannian(k, d, rng)
+    ys = rng.standard_normal((CONCENTRATION_SAME_LAW_SAMPLES, d))
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    dense = np.linalg.norm(ys @ sub.basis.T, axis=1)
+    beta = verification._projection_norms(d, CONCENTRATION_SAME_LAW_SAMPLES,
+                                          np.random.default_rng(2))
+    return scipy.stats.ks_2samp(dense, beta).pvalue
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_concentration_beta_form_has_the_dense_law(d):
+    # alpha = 1e-3; and the report's statistics are those of this draw
+    assert _concentration_same_law_pvalue(d, d // 2) > SAME_LAW_ALPHA
+    f = verification._projection_norms(d, 500, verification._trial_rng(3, 0))
+    stats = sphere_concentration_test(d, 500, seed=3).statistics
+    assert (stats["std"], stats["mean"]) == (float(np.std(f)), float(np.mean(f)))
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_concentration_same_law_check_rejects_a_five_eighths_subspace(d):
+    # alpha = 1e-3
+    assert _concentration_same_law_pvalue(d, 5 * d // 8) <= SAME_LAW_ALPHA
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ threshold: at delta 0.99 every no-joint-sol trial is skipped, so its pass
 fraction is 0.0 and it fails; sandwich at t = 0.01 passes 13 of 20 trials and
 fails, and at t = 0.13 passes 19 of 20 and meets its 0.95 rule.  The separator outputs pin the
 quantization range and pass limits through the separator each run returns.
-The sandwich and singular bytes are also compared across one and two BLAS
-threads, and so are those of a d = 1024 `gen` and sweep and of `verify
-comorth` at d = 128, which differed before the CLI pinned one thread.
+The sandwich, singular, no-joint-sol, concentration and marginal bytes are
+also compared across one and two BLAS threads, and so are those of a
+d = 1024 `gen` and sweep and of `verify comorth` at d = 128, which differed
+before the CLI pinned one thread.
 """
 
 import hashlib
@@ -35,7 +36,7 @@ from nullstream.verification import certify_sandwich
 # argv after "verify" -> (exit code, sha256 of stdout)
 VERIFY_CASES = {
     ("no-joint-sol", "--d", "16", "--trials", "6", "--seed", "3"):
-        (0, "f6db216309cc1cc8cab1f935f409a69228abb27c0126830b6bf234fa7a38d512"),
+        (0, "8a1c32393a7d54433a36e0b4ed4dc079b0f15520221e6003221196d409aa4ad2"),
     ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"):
         (0, "5075213488aeee83e3c8d957f0c692b1299403272310a96fd732e47f455675a8"),
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
@@ -43,11 +44,11 @@ VERIFY_CASES = {
     ("marginal", "--d", "16", "--samples", "2000", "--seed", "3"):
         (1, "4fefb927f9f214868447464f935b89fefc2671fbd7524261241a0fed13e769cf"),
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
-        (0, "95e27e4f723c74e9e574c9c6ad9e2bc27ba0c887d3eeb086514974d3e923cc4f"),
+        (0, "41b63213e90cb8c8b17754bc778e86dbcd9c79d474e262cdac6d186c5c3ddeb4"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
-        (0, "88152c37b2df7b0b968283f550569e79b5635c2130be2d22c002045237d08783"),
+        (0, "f2cfb554f0817d9e6f1c83f32696a2da8d25ff1d9588e8948fd2da32c17a127e"),
     ("no-joint-sol", "--d", "8", "--delta", "0.99", "--trials", "3"):
-        (1, "24729bff876f609eb50cf6e9ec217f2310b0fee7214804cdc1d9429c0d7ad3a9"),
+        (1, "0e4787f926e5d5b059c7d54b64e0544be3f492bd780908b794e11e72e4ed43c7"),
     ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20", "--seed", "3"):
         (1, "acf4fb7b9366501fe669156c354368f2705031da708226c7e0a60b26efb095c3"),
     ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "2"):
@@ -127,6 +128,16 @@ def test_verify_singular_bytes_do_not_depend_on_blas_threads():
     # no dense matrix is formed, and dlasq1 does no matrix product to split
     one, two = _verify_stdout_at_one_and_two_blas_threads(
         "singular", "--d", "256", "--trials", "20")
+    assert one == two
+
+
+@pytest.mark.parametrize("argv", [
+    ("no-joint-sol", "--d", "128", "--trials", "5"),
+    ("concentration", "--d", "256", "--trials", "2000"),
+    ("marginal", "--d", "256", "--samples", "20000"),
+], ids=lambda argv: argv[0])
+def test_verify_certificate_bytes_do_not_depend_on_blas_threads(argv):
+    one, two = _verify_stdout_at_one_and_two_blas_threads(*argv)
     assert one == two
 
 
