@@ -243,9 +243,9 @@ def test_conditioned_generators_refuse_a_hopeless_tail_before_drawing(monkeypatc
     assert 3.0e-66 < info.value.tail_estimate < 3.2e-66
 
 
-def _draws_an_attempt(d, cf):
+def _draws_an_attempt(d, cf, max_attempts=DEFAULT_MAX_ATTEMPTS):
     try:
-        gen_anv_conditioned(d, cf, seed=0)
+        gen_anv_conditioned(d, cf, seed=0, max_attempts=max_attempts)
     except AssertionError:  # _no_attempt was called
         return True
     except AcceptanceTooRare:
@@ -258,7 +258,8 @@ def test_conditioned_generator_refuses_only_below_hopeless(monkeypatch):
     # max_attempts * tail = 4.1e-10 and draws.  The refusal starts at the
     # first d whose bound (1/2)(1 - cf^2)^((d-1)/2) puts the product under
     # HOPELESS: every d it refuses has max_attempts * tail under HOPELESS,
-    # and the first is within the bound's factor of 30 below it
+    # the first is within the bound's factor of 30 below it, and more
+    # attempts there draw again
     monkeypatch.setattr(instances, "_conditioned_attempt", _no_attempt)
     assert DEFAULT_MAX_ATTEMPTS * first_coord_tail(200, 0.5) >= HOPELESS
     drawn = [d for d in range(200, 300) if _draws_an_attempt(d, 0.5)]
@@ -267,6 +268,7 @@ def test_conditioned_generator_refuses_only_below_hopeless(monkeypatch):
     for d in (first_refused, 299):
         assert DEFAULT_MAX_ATTEMPTS * first_coord_tail(d, 0.5) < HOPELESS
     assert DEFAULT_MAX_ATTEMPTS * first_coord_tail(first_refused, 0.5) * 30 >= HOPELESS
+    assert _draws_an_attempt(first_refused, 0.5, max_attempts=2 * DEFAULT_MAX_ATTEMPTS)
 
 
 def test_reduction_draw_never_computes_the_tail(monkeypatch):

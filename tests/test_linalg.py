@@ -17,7 +17,6 @@ from nullstream import linalg
 from nullstream.errors import (
     DegenerateInput,
     DimensionMismatch,
-    EmptyList,
     NullstreamError,
     RankDeficient,
     ValidationError,
