@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algorithms import build_algorithm
+from .algorithms import REGISTRY, build_algorithm
 from .config import DEFAULTS
 from .errors import (
     AcceptanceTooRare,
@@ -303,6 +303,10 @@ def cmd_gen(args) -> int:
 
 def _run_report(inst, algorithm: str, budget_bits: int, seed: int, order: str) -> dict:
     kind = KINDS[type(inst)]
+    if algorithm not in REGISTRY:
+        raise ValidationError(
+            "unknown algorithm %r (have: %s)" % (algorithm, ", ".join(sorted(REGISTRY)))
+        )
     if algorithm not in kind.algorithms:
         raise ValidationError(
             "algorithm %s does not accept %s instances (try: %s)"

@@ -84,37 +84,28 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pivoted_qr(a: np.ndarray) -> np.ndarray:
-    """|diag R| of the pivoted QR A P = Q R of a d x n Fortran-ordered
-    array, n <= d, which it overwrites with Q's n columns: the calls and
-    workspace queries of scipy.linalg.qr(a, mode="economic", pivoting=True),
-    so the factors are its bytes."""
-    d, n = a.shape
-    lda = max(1, d)
-    tau = np.empty(n)
-    _lapack("dgeqp3", d, n, a, lda, np.zeros(n, dtype=_LAPACK.int_dtype), tau, lwork=-1)
-    diag = np.abs(a.diagonal())
-    _lapack("dorgqr", d, n, n, a, lda, tau, lwork=-1)
-    return diag
-
-
 def orthonormalize(vectors) -> Subspace:
     """Span of the given vectors as a Subspace; the argument is not written.
 
-    Rank is detected by Householder QR with column pivoting: diagonal entries
-    of R below 1e-10 relative to the largest are treated as zero.  Infinite
-    or NaN entries raise ValueError.
+    Rank is decided by the SVD, by kernel_vector's rule: singular values at
+    or below 1e-10 relative to the largest count as zero, and the basis is
+    the leading rank rows of V^T.  A NaN or an infinity raises
+    ValidationError.  No run path calls it; Grassmannian points and
+    projection bases come from haar_frame.
     """
-    m = np.asarray_chkfinite(_as_matrix(vectors))
+    m = _as_matrix(vectors)
     n, d = m.shape
+    # the SVD raises numpy's bare LinAlgError on a NaN and may never return
+    # on an infinity, so both are refused before it
+    if not np.isfinite(m).all():
+        raise ValidationError("orthonormalize: the vectors hold a NaN or an infinity")
     if n > d:
         raise DimensionMismatch("more vectors (%d) than ambient dimension (%d)" % (n, d))
-    a = np.array(m.T, order="F")
-    diag = _pivoted_qr(a)
-    if diag.size == 0 or diag[0] <= 0.0:
+    _, svals, vt = np.linalg.svd(m, full_matrices=False)
+    if svals.size == 0 or svals[0] <= 0.0:
         raise DegenerateInput("all input vectors are numerically zero")
-    rank = int(np.sum(diag > RANK_REL_TOL * diag[0]))
-    return Subspace(ambient_dim=d, dim=rank, basis=a[:, :rank].T)
+    rank = int(np.sum(svals > RANK_REL_TOL * svals[0]))
+    return Subspace(ambient_dim=d, dim=rank, basis=vt[:rank])
 
 
 def haar_frame(a: np.ndarray) -> Subspace:
@@ -237,19 +228,17 @@ def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
 
 class _Lapack(NamedTuple):
     """The LAPACK the package calls: the library handle (None on the
-    fallback), its Fortran integer as a ctypes type and as a numpy dtype,
-    and each routine by name."""
+    fallback), its Fortran integer as a ctypes type, and each routine by
+    name."""
 
     library: ctypes.CDLL | None
     integer: type
-    int_dtype: np.dtype
     routines: dict
 
 
 # each routine called, with its count of by-reference arguments and of
 # one-letter character arguments, whose hidden lengths follow the rest
 _ROUTINES = {
-    "dgeqp3": (9, 0),
     "dorgqr": (9, 0),
     "dgeqrf": (8, 0),
     "dormqr": (13, 2),
@@ -278,7 +267,7 @@ def _load_lapack(numpy_file: str = np.__file__) -> _Lapack:
                         "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         lib = ctypes.CDLL(path)
-        return _Lapack(lib, ctypes.c_int64, np.dtype(np.int64), {
+        return _Lapack(lib, ctypes.c_int64, {
             name: _prototype(name)(("scipy_%s_64_" % name, lib)) for name in _ROUTINES})
     from scipy.linalg import cython_lapack
 
@@ -290,7 +279,7 @@ def _load_lapack(numpy_file: str = np.__file__) -> _Lapack:
     for name in _ROUTINES:
         capsule = cython_lapack.__pyx_capi__[name]
         routines[name] = _prototype(name)(get_pointer(capsule, get_name(capsule)))
-    return _Lapack(None, ctypes.c_int, np.dtype(np.intc), routines)
+    return _Lapack(None, ctypes.c_int, routines)
 
 
 # chosen once, at import; nothing selects the fallback but its absence
@@ -300,8 +289,8 @@ _LAPACK = _load_lapack()
 def _lapack(name: str, *args, lwork=None) -> int:
     """Call a LAPACK routine and return its info, raising ValueError when
     info reports an illegal argument.  Each argument goes by reference: an
-    int as the library's integer, a one-letter str as a character, an array
-    as its data, which must be contiguous.  With lwork, a workspace of that
+    int as the library's integer, a one-letter str as a character, a
+    float64 array as its data, which must be contiguous.  With lwork, a workspace of that
     many values and its size are passed after the arguments; lwork=-1 first
     asks the routine for its optimal size, as scipy.linalg does.
     """
@@ -309,8 +298,8 @@ def _lapack(name: str, *args, lwork=None) -> int:
 
     def ref(x):
         if isinstance(x, np.ndarray):
-            if not (x.flags.f_contiguous and x.dtype in (np.float64, _LAPACK.int_dtype)):
-                raise ValueError("LAPACK %s takes contiguous float64 or integer arrays" % name)
+            if not (x.flags.f_contiguous and x.dtype == np.float64):
+                raise ValueError("LAPACK %s takes contiguous float64 arrays" % name)
             return x.ctypes.data
         keep.append(ctypes.c_char(x.encode()) if isinstance(x, str) else _LAPACK.integer(x))
         return ctypes.addressof(keep[-1])

@@ -226,13 +226,15 @@ def test_run_rejects_incompatible_algorithm(tmp_path, capsys):
         "--budget", "99999", "--seed", "0",
     )
     assert code == 2
-    assert "does not accept" in stderr
-    code, _, _ = run_cli(
+    assert "algorithm offline-lstsq does not accept anv instances (try: " in stderr
+    code, _, stderr = run_cli(
         capsys,
         "run", "--instance", str(inst_path), "--alg", "no-such-thing",
         "--budget", "64", "--seed", "0",
     )
     assert code == 2
+    assert "unknown algorithm 'no-such-thing'" in stderr
+    assert "does not accept" not in stderr
 
 
 def test_run_appends_csv_rows(tmp_path, capsys):
@@ -646,6 +648,10 @@ def test_experiment_malformed_spec_exits_2(tmp_path, capsys):
         bad.write_text(json.dumps({**SWEEP, "problem": "lsp-hard", "params": params}))
         code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
         assert code == 2 and "%r" % key in err
+    # a misspelled algorithm is named as unknown, not as a kind mismatch
+    bad.write_text(json.dumps({**SWEEP, "grid": {**SWEEP["grid"], "algorithm": ["bogus"]}}))
+    code, _, err = run_cli(capsys, "experiment", "--spec", str(bad), "--out", str(out))
+    assert code == 2 and "unknown algorithm 'bogus'" in err
     assert not out.exists()
 
 

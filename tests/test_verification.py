@@ -146,8 +146,8 @@ def test_joint_sol_lambda_min_is_the_eigh_reference(d):
 
 
 def test_no_joint_sol_probe_frame_spans_the_pivoted_frame(monkeypatch):
-    # the probe's Haar frame in V1-perp coordinates spans what the pivoted
-    # QR of the same Gaussian draw spans
+    # the probe's Haar frame in V1-perp coordinates spans what
+    # orthonormalize's SVD basis of the same Gaussian draw spans
     haar_frame, frames = verification.haar_frame, []
 
     def recorded(a):
