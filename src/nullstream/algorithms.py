@@ -9,12 +9,16 @@ Each state-carrying algorithm declares its state format once, as the Layout
 its code reads and writes (see the class docstrings); its budget function is
 that layout's nbits, and every write through the layout checks that budget
 and declares those bits, so the accounting and the format cannot disagree.
+
+ALGORITHMS is the one table of the names `run` and `experiment` accept, each
+with its constructor from (d, seed) and the instance classes it reads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .errors import (
     NotSeparableInProjection,
     ValidationError,
 )
+from .instances import AnvInstance, LrInstance, LspDataset
 from .linalg import BLOCK_VALUES, Subspace, check_seed, kernel_vector, sample_uniform_sphere
 # the projection hands its fresh draw over to be factored in place; it is
 # called through this module-level name, which a profiler may rebind
@@ -47,6 +52,14 @@ _HEADER_ONLY = Layout(header=_HEADER)
 def _header(payload) -> tuple[int, int]:
     count, d = _HEADER_ONLY.read(payload, "header").tolist()
     return count, d
+
+
+def _stored_count(payload, d: int) -> int:
+    """The header's count, once the d it holds (if any) is checked against d."""
+    count, dim = _header(payload)
+    if count and dim != d:
+        raise DimensionMismatch("sample dimension changed mid-stream")
+    return count
 
 
 class ZeroPredictor(OnePassAlgorithm):
@@ -94,9 +107,7 @@ class OfflineKernelSolver(OnePassAlgorithm):
     def update(self, i, sample, state, shared):
         vec = _sample_vector(sample)
         d = vec.shape[0]
-        count, dim = _header(state.payload)
-        if count and dim != d:
-            raise DimensionMismatch("sample dimension changed mid-stream")
+        count = _stored_count(state.payload, d)
         layout = self.layout(count + 1, d)
         layout.write(state, "header", [count + 1, d])
         layout.write(state, "vectors", vec, start=count * d)
@@ -143,9 +154,7 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         row = np.asarray(sample[0], dtype=float)
         target = float(sample[1])
         d = row.shape[0]
-        count, dim = _header(state.payload)
-        if count and dim != d:
-            raise DimensionMismatch("sample dimension changed mid-stream")
+        count = _stored_count(state.payload, d)
         # the all-zero initial state reads as a zero Gram matrix and moment
         layout = self.layout(d)
         gram = layout.read(state.payload, "gram") + np.outer(row, row).take(_upper_triangle(d))
@@ -262,9 +271,7 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
     def update(self, i, sample, state, shared):
         x, y = _labeled(sample)
         d = x.shape[0]
-        count, dim = _header(state.payload)
-        if count and dim != d:
-            raise DimensionMismatch("sample dimension changed mid-stream")
+        count = _stored_count(state.payload, d)
         layout = self.layout(count + 1, d)
         layout.write(state, "header", [count + 1, d])
         layout.write(state, "rows", np.append(x, y), start=count * (d + 1))
@@ -432,10 +439,7 @@ class ProjectionSeparator(OnePassAlgorithm):
     def update(self, i, sample, state, shared):
         x, y, coords, keep, slot = sample
         d = x.shape[0]
-        count, dim = _header(state.payload)
-        if count and dim != d:
-            raise DimensionMismatch("sample dimension changed mid-stream")
-        count += 1
+        count = _stored_count(state.payload, d) + 1
         self._layout.write(state, "header", [count, d])
         if count <= self.subsample:
             self._write_slot(state, count - 1, y, coords)
@@ -458,27 +462,36 @@ def proj_state_bits(dprime: int, subsample: int, quant_bits: int) -> int:
     return ProjectionSeparator.layout(dprime, subsample, quant_bits).nbits
 
 
-# name -> constructor from (d, seed); REGISTRY lists the names in this order
-_BUILDERS = {
-    "zero": lambda d, seed: ZeroPredictor(),
-    "random-unit": RandomUnitPredictor,
-    "offline-kernel": lambda d, seed: OfflineKernelSolver(),
-    "offline-lstsq": lambda d, seed: OfflineLstsqSolver(),
-    "offline-separator": lambda d, seed: OfflineSeparatorSolver(),
-    "proj-separator": lambda d, seed: ProjectionSeparator(
-        dprime=min(DEFAULTS.separator.dprime, d),
-        subsample_size=DEFAULTS.separator.subsample,
-        quant_bits=DEFAULTS.separator.quant_bits,
-        seed=seed,
-    ),
+class Algorithm(NamedTuple):
+    """What `run` and a sweep know of one registered algorithm."""
+
+    build: Callable  # (d, seed) -> a fresh instance
+    takes: tuple  # the instance classes whose stream it reads
+
+
+# REGISTRY, and each "(try: ...)" list `run` prints, keep this order
+ALGORITHMS = {
+    # the null-vector objective scores unit candidates only, so the zero
+    # baseline is meaningful just for separators and regression
+    "zero": Algorithm(lambda d, seed: ZeroPredictor(), (LspDataset, LrInstance)),
+    "random-unit": Algorithm(RandomUnitPredictor, (AnvInstance, LspDataset, LrInstance)),
+    "offline-kernel": Algorithm(lambda d, seed: OfflineKernelSolver(), (AnvInstance,)),
+    "offline-lstsq": Algorithm(lambda d, seed: OfflineLstsqSolver(), (LrInstance,)),
+    "offline-separator": Algorithm(lambda d, seed: OfflineSeparatorSolver(), (LspDataset,)),
+    "proj-separator": Algorithm(lambda d, seed: ProjectionSeparator(
+        dprime=min(DEFAULTS.separator.dprime, d), subsample_size=DEFAULTS.separator.subsample,
+        quant_bits=DEFAULTS.separator.quant_bits, seed=seed,
+    ), (LspDataset,)),
 }
-REGISTRY = tuple(_BUILDERS)
+REGISTRY = tuple(ALGORITHMS)
 
 
 def build_algorithm(name: str, d: int, seed: int) -> OnePassAlgorithm:
-    """Registry constructor for the CLI-addressable algorithms."""
-    if name not in _BUILDERS:
+    """Registry constructor for the CLI-addressable algorithms; any name that
+    is not a registered string, hashable or not, is a validation failure."""
+    entry = ALGORITHMS.get(name) if isinstance(name, str) else None
+    if entry is None:
         raise ValidationError(
-            "unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(_BUILDERS)))
+            "unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(ALGORITHMS)))
         )
-    return _BUILDERS[name](d, seed)
+    return entry.build(d, seed)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algorithms import REGISTRY, build_algorithm
+from .algorithms import ALGORITHMS, build_algorithm
 from .config import DEFAULTS
 from .errors import (
     AcceptanceTooRare,
@@ -97,28 +97,19 @@ class Kind(NamedTuple):
 
     name: str  # instance_type in reports
     samples: Callable  # instance -> its stream in fixed order
-    metrics: Callable  # (instance, output) -> {metric column: value}
-    algorithms: tuple  # the registered algorithms its stream can feed
     diagnostics: Callable  # instance -> the lines `gen` prints
+    metrics: Callable  # (instance, output) -> {metric column: value}
 
 
 # The lambdas look the metric functions up when they run, so a rebound module
-# name reaches every report. The null-vector objective scores unit candidates
-# only, so the zero baseline is meaningful just for the other two types.
+# name reaches every report.
 KINDS = {
-    AnvInstance: Kind(
-        "anv", lambda inst: list(inst.vectors), lambda inst, w: {"loss": anv_loss(inst, w)},
-        ("random-unit", "offline-kernel"), _anv_diagnostics,
-    ),
-    LspDataset: Kind(
-        "lsp", lambda inst: inst.points(),
-        lambda inst, w: {"error": classification_error(w, inst), "margin": margin_of(w, inst)},
-        ("zero", "random-unit", "offline-separator", "proj-separator"), _lsp_diagnostics,
-    ),
-    LrInstance: Kind(
-        "lr", lambda inst: list(zip(inst.a, inst.b)), lambda inst, w: {"loss": lr_loss(inst, w)},
-        ("zero", "random-unit", "offline-lstsq"), _lr_diagnostics,
-    ),
+    AnvInstance: Kind("anv", lambda inst: list(inst.vectors), _anv_diagnostics,
+                      lambda inst, w: {"loss": anv_loss(inst, w)}),
+    LspDataset: Kind("lsp", lambda inst: inst.points(), _lsp_diagnostics, lambda inst, w: {
+        "error": classification_error(w, inst), "margin": margin_of(w, inst)}),
+    LrInstance: Kind("lr", lambda inst: list(zip(inst.a, inst.b)), _lr_diagnostics,
+                     lambda inst, w: {"loss": lr_loss(inst, w)}),
 }
 
 # the sweep status and exit code of each deliberate failure that is not a
@@ -303,19 +294,17 @@ def cmd_gen(args) -> int:
 
 def _run_report(inst, algorithm: str, budget_bits: int, seed: int, order: str) -> dict:
     kind = KINDS[type(inst)]
-    if algorithm not in REGISTRY:
-        raise ValidationError(
-            "unknown algorithm %r (have: %s)" % (algorithm, ", ".join(sorted(REGISTRY)))
-        )
-    if algorithm not in kind.algorithms:
+    # refuses an unknown name before any kind mismatch; constructors draw nothing
+    alg = build_algorithm(algorithm, inst.d, seed)
+    if type(inst) not in ALGORITHMS[algorithm].takes:
+        accepted = [name for name, entry in ALGORITHMS.items() if type(inst) in entry.takes]
         raise ValidationError(
             "algorithm %s does not accept %s instances (try: %s)"
-            % (algorithm, kind.name, ", ".join(kind.algorithms))
+            % (algorithm, kind.name, ", ".join(accepted))
         )
     samples = kind.samples(inst)
     if order == "shuffled":
         samples = shuffle(samples, _shuffle_seed(seed))
-    alg = build_algorithm(algorithm, inst.d, seed)
     w, stats = run_one_pass_stats(alg, samples, budget_bits, seed)
     return {
         "instance_type": kind.name,
@@ -393,14 +382,7 @@ def _load_spec(path: str) -> dict:
     for key in ("problem", "trials", "seed"):
         if key not in doc:
             raise ValidationError("experiment spec missing %r" % key)
-    spec = {
-        "problem": doc["problem"],
-        "params": doc.get("params", {}),
-        "grid": doc.get("grid", {}),
-        "trials": doc["trials"],
-        "seed": doc["seed"],
-        "order": doc.get("order", "fixed"),
-    }
+    spec = {"params": {}, "grid": {}, "order": "fixed", **doc}
     if not isinstance(spec["params"], dict) or not isinstance(spec["grid"], dict):
         raise ValidationError("params and grid must be JSON objects")
     for key in ("trials", "seed"):

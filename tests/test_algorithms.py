@@ -21,6 +21,7 @@ from nullstream.algorithms import (
     OfflineLstsqSolver,
     OfflineSeparatorSolver,
     ProjectionSeparator,
+    REGISTRY,
     RandomUnitPredictor,
     ZeroPredictor,
     _dequantize,
@@ -637,8 +638,7 @@ def test_quantization_error_bounded_by_half_step(qb, seed):
 
 
 def test_registry_builds_every_algorithm():
-    names = ("zero", "random-unit", "offline-kernel", "offline-lstsq", "offline-separator", "proj-separator")
-    for name in names:
+    for name in REGISTRY:
         alg = build_algorithm(name, d=16, seed=0)
         assert hasattr(alg, "update") and hasattr(alg, "finalize")
 
@@ -646,6 +646,16 @@ def test_registry_builds_every_algorithm():
 def test_registry_unknown_name():
     with pytest.raises(ValidationError):
         build_algorithm("does-not-exist", d=16, seed=0)
+
+
+@pytest.mark.parametrize("name", [["zero"], {"zero": 1}, None], ids=repr)
+def test_registry_refuses_a_name_that_is_not_a_string(name):
+    # a list or a dict is unhashable, yet is refused like any unknown name
+    have = ("(have: offline-kernel, offline-lstsq, offline-separator, proj-separator, "
+            "random-unit, zero)")
+    with pytest.raises(ValidationError) as info:
+        build_algorithm(name, d=16, seed=0)
+    assert str(info.value) == "unknown algorithm %r %s" % (name, have)
 
 
 def test_registry_proj_separator_caps_dprime_at_d():

@@ -14,7 +14,8 @@ from nullstream import cli, errors
 from nullstream.algorithms import kernel_budget_bits
 from nullstream.cli import main
 from nullstream.config import DEFAULTS
-from nullstream.serialize import instance_from_json
+from nullstream.instances import gen_anv_conditioned, gen_lr_from_anv, gen_lsp_margin
+from nullstream.serialize import instance_from_json, instance_to_json
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +236,127 @@ def test_run_rejects_incompatible_algorithm(tmp_path, capsys):
     assert code == 2
     assert "unknown algorithm 'no-such-thing'" in stderr
     assert "does not accept" not in stderr
+
+
+# Every instance kind against every registered algorithm and one unknown name:
+# the run, or the exact error text, of each pairing. None means the pairing runs.
+UNKNOWN_BOGUS = ("unknown algorithm 'bogus' (have: offline-kernel, offline-lstsq, "
+                 "offline-separator, proj-separator, random-unit, zero)")
+DISPATCH = {
+    ("anv", "zero"):
+        "algorithm zero does not accept anv instances (try: random-unit, offline-kernel)",
+    ("anv", "random-unit"): None,
+    ("anv", "offline-kernel"): None,
+    ("anv", "offline-lstsq"):
+        "algorithm offline-lstsq does not accept anv instances (try: random-unit, offline-kernel)",
+    ("anv", "offline-separator"):
+        "algorithm offline-separator does not accept anv instances "
+        "(try: random-unit, offline-kernel)",
+    ("anv", "proj-separator"):
+        "algorithm proj-separator does not accept anv instances (try: random-unit, offline-kernel)",
+    ("anv", "bogus"): UNKNOWN_BOGUS,
+    ("lsp", "zero"): None,
+    ("lsp", "random-unit"): None,
+    ("lsp", "offline-kernel"):
+        "algorithm offline-kernel does not accept lsp instances "
+        "(try: zero, random-unit, offline-separator, proj-separator)",
+    ("lsp", "offline-lstsq"):
+        "algorithm offline-lstsq does not accept lsp instances "
+        "(try: zero, random-unit, offline-separator, proj-separator)",
+    ("lsp", "offline-separator"): None,
+    ("lsp", "proj-separator"): None,
+    ("lsp", "bogus"): UNKNOWN_BOGUS,
+    ("lr", "zero"): None,
+    ("lr", "random-unit"): None,
+    ("lr", "offline-kernel"):
+        "algorithm offline-kernel does not accept lr instances "
+        "(try: zero, random-unit, offline-lstsq)",
+    ("lr", "offline-lstsq"): None,
+    ("lr", "offline-separator"):
+        "algorithm offline-separator does not accept lr instances "
+        "(try: zero, random-unit, offline-lstsq)",
+    ("lr", "proj-separator"):
+        "algorithm proj-separator does not accept lr instances "
+        "(try: zero, random-unit, offline-lstsq)",
+    ("lr", "bogus"): UNKNOWN_BOGUS,
+}
+# the experiment generators of the anv and lsp kinds, at d = 8; no generator
+# a sweep names makes lr instances
+DISPATCH_PROBLEMS = {
+    "anv": ("anv-conditioned", {"d": 8, "cf": 0.2}),
+    "lsp": ("lsp-margin", {"d": 8, "m": 12, "gamma": 0.25}),
+}
+# enough for every state at d = 8 (proj-separator's is 77 464 bits)
+DISPATCH_BUDGET = 100_000
+
+
+@pytest.fixture(scope="module")
+def dispatch_instances(tmp_path_factory):
+    anv = gen_anv_conditioned(d=8, cf=0.2, seed=0)
+    insts = {"anv": anv, "lsp": gen_lsp_margin(d=8, m=12, gamma=0.25, seed=0),
+             "lr": gen_lr_from_anv(anv, 0)}
+    paths = {}
+    for kind, inst in insts.items():
+        paths[kind] = tmp_path_factory.mktemp("dispatch") / (kind + ".json")
+        paths[kind].write_text(instance_to_json(inst, 0))
+    return paths
+
+
+@pytest.mark.parametrize("kind, alg", sorted(DISPATCH), ids="-".join)
+def test_run_dispatch_runs_or_names_the_mismatch(dispatch_instances, capsys, kind, alg):
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--instance", str(dispatch_instances[kind]), "--alg", alg,
+        "--budget", str(DISPATCH_BUDGET), "--seed", "0",
+    )
+    if DISPATCH[kind, alg] is None:
+        assert code == 0 and stderr == ""
+        assert json.loads(stdout)["algorithm"] == alg
+    else:
+        assert code == 2 and stdout == ""
+        assert stderr.splitlines() == ["error: " + DISPATCH[kind, alg]]
+
+
+@pytest.mark.parametrize("kind, alg", sorted(k for k in DISPATCH if k[0] in DISPATCH_PROBLEMS),
+                         ids="-".join)
+def test_experiment_dispatch_runs_or_names_the_mismatch(tmp_path, capsys, kind, alg):
+    problem, params = DISPATCH_PROBLEMS[kind]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "problem": problem, "trials": 1, "seed": 0,
+        "params": {**params, "algorithm": alg, "budget_bits": DISPATCH_BUDGET},
+    }))
+    out = tmp_path / "rows.csv"
+    code, _, stderr = run_cli(capsys, "experiment", "--spec", str(spec), "--out", str(out))
+    if DISPATCH[kind, alg] is None:
+        assert code == 0 and stderr == ""
+        assert ",ok," in out.read_text()
+    else:
+        assert code == 2
+        assert stderr.splitlines() == ["error: " + DISPATCH[kind, alg]]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [["proj-separator"], {"proj-separator": 1}, None], ids=repr)
+@pytest.mark.parametrize("where", ["params", "grid"])
+def test_experiment_non_string_algorithm_exits_2(tmp_path, capsys, name, where):
+    # a list or a dict is unhashable: no table lookup may raise a bare TypeError
+    spec = {"problem": "lsp-margin", "trials": 1, "seed": 0,
+            "params": {"d": 8, "m": 12, "gamma": 0.25, "budget_bits": DISPATCH_BUDGET}}
+    if where == "params":
+        spec["params"]["algorithm"] = name
+    else:
+        spec["grid"] = {"algorithm": [name]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    code, stdout, stderr = run_cli(
+        capsys, "experiment", "--spec", str(spec_path), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr.splitlines() == [
+        "error: unknown algorithm %r (have: offline-kernel, offline-lstsq, offline-separator, "
+        "proj-separator, random-unit, zero)" % (name,)
+    ]
+    assert not out.exists()
 
 
 def test_run_appends_csv_rows(tmp_path, capsys):
