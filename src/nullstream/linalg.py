@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,24 +110,52 @@ def orthonormalize(vectors) -> Subspace:
 
 
 def haar_frame(a: np.ndarray) -> Subspace:
-    """The span of the columns of a d x n Fortran-ordered Gaussian array that
-    the caller hands over, n <= d, with a Haar-distributed basis.
+    """A Haar-distributed n-frame of R^d, n <= d, made from a d x n
+    Fortran-ordered array of independent N(0, 1) draws that the caller hands
+    over: the basis is a's own memory, and a must not be used afterwards.
 
-    An unpivoted Householder QR A = Q R factors a in place, so the basis is
-    a's own memory and a must not be used afterwards.  Each column of Q is
-    multiplied by the sign of R's diagonal entry, which makes R's diagonal
-    positive and the factorization unique, so Q is Haar-distributed when A
-    is Gaussian (F. Mezzadri, Notices AMS 54, 2007).  Q is orthonormal
-    whatever A's rank, so nothing detects rank.
+    In the Householder QR A = Q R of a Gaussian A, step k's reflector is
+    built from the trailing d - k entries of column k as the earlier
+    reflectors left it, which is again N(0, I_{d-k}) and independent of them
+    (G. W. Stewart, SIAM J. Numer. Anal. 17, 1980).  So column k's own
+    entries k..d-1 are taken as that input, and dgeqrf's trailing updates
+    are never made.  Each reflector is formed by dlarfg's rule, one dorgqr
+    forms Q, and each column of Q is multiplied by the sign of R's diagonal
+    entry, which makes R's diagonal positive and Q Haar-distributed
+    (F. Mezzadri, Notices AMS 54, 2007).  The frame has Q's law but does not
+    span a's columns.  It is orthonormal whatever a holds, so nothing
+    detects rank.
     """
+    # refused before any value of a is written
+    _lapack_array("dorgqr", a)
     d, n = a.shape
-    lda = max(1, d)
-    tau = np.empty(n)
-    _lapack("dgeqrf", d, n, a, lda, tau, lwork=-1)
+    # xnorm_k, the norm of a[k+1:, k], a block of columns (BLOCK_VALUES
+    # values) at a time: einsum sums the squares of the rows below the
+    # block's diagonal without forming them, and only the block's triangle
+    # is copied, to zero what lies on and above the diagonal
+    xnorm = np.empty(n)
+    cols = max(1, BLOCK_VALUES // max(1, d))
+    for start in range(0, n, cols):
+        stop = min(start + cols, n)
+        rect, tri = a[stop:, start:stop], np.tril(a[start + 1 : stop, start:stop])
+        xnorm[start:stop] = np.einsum("ij,ij->j", rect, rect) + np.einsum("ij,ij->j", tri, tri)
+    np.sqrt(xnorm, out=xnorm)
+    # dlarfg: beta = -sign(alpha) |(alpha, x)|, tau = (beta - alpha) / beta and
+    # v = x / (alpha - beta); with x = 0 it is H = I (tau = 0, beta = alpha).
+    # Its rescaling of a beta below the smallest normal number is left out,
+    # since a Gaussian column is never that short
+    alpha = a.diagonal()
+    reflect = xnorm > 0.0
+    beta = np.where(reflect, -np.copysign(np.hypot(alpha, xnorm), alpha), alpha)
+    tau = np.divide(beta - alpha, beta, out=np.zeros(n), where=reflect)
+    # dorgqr reads only the strict lower triangle, so whole columns are
+    # scaled; a column with tau = 0 keeps its (zero) entries
+    a *= np.divide(1.0, alpha - beta, out=np.ones(n), where=reflect)
+    # 32 columns of workspace, dorgqr's block size, is the size a query
+    # returns, so none is made
+    _lapack("dorgqr", d, n, n, a, max(1, d), tau, lwork=32 * max(1, n))
     # copysign is never 0, where np.sign of a zero diagonal entry would be
-    signs = np.copysign(1.0, a.diagonal())
-    _lapack("dorgqr", d, n, n, a, lda, tau, lwork=-1)
-    a *= signs
+    a *= np.copysign(1.0, beta)
     return Subspace(ambient_dim=d, dim=n, basis=a.T)
 
 
@@ -227,11 +256,12 @@ def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
 
 
 class _Lapack(NamedTuple):
-    """The LAPACK the package calls: the library handle (None on the
-    fallback), its Fortran integer as a ctypes type, and each routine by
+    """The LAPACK the package calls: the OpenBLAS function that sets the
+    thread count of the library the routines run in (None where that library
+    is not found), its Fortran integer as a ctypes type, and each routine by
     name."""
 
-    library: ctypes.CDLL | None
+    set_threads: Callable[[int], None] | None
     integer: type
     routines: dict
 
@@ -252,6 +282,12 @@ def _prototype(name: str):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * refs, *[ctypes.c_size_t] * chars)
 
 
+def _thread_setter(lib: ctypes.CDLL, name: str):
+    set_threads = getattr(lib, name)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return set_threads
+
+
 def _load_lapack(numpy_file: str = np.__file__) -> _Lapack:
     """numpy's bundled OpenBLAS, found beside the numpy package as
     numpy.libs/libscipy_openblas64_*.so: the library that already serves
@@ -261,14 +297,16 @@ def _load_lapack(numpy_file: str = np.__file__) -> _Lapack:
     Where it is not found (a numpy built against another BLAS), the routines
     come from the table scipy.linalg.cython_lapack exports to Cython, with
     32-bit integers: scipy's own LAPACK, the one scipy.linalg.qr and
-    scipy.linalg.lapack call.
+    scipy.linalg.lapack call, whose threads are those of the OpenBLAS scipy
+    bundles as scipy.libs/libscipy_openblas-*.so.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(numpy_file))),
                         "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         lib = ctypes.CDLL(path)
-        return _Lapack(lib, ctypes.c_int64, {
-            name: _prototype(name)(("scipy_%s_64_" % name, lib)) for name in _ROUTINES})
+        return _Lapack(_thread_setter(lib, "scipy_openblas_set_num_threads64_"), ctypes.c_int64,
+                       {name: _prototype(name)(("scipy_%s_64_" % name, lib)) for name in _ROUTINES})
+    import scipy
     from scipy.linalg import cython_lapack
 
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -279,11 +317,22 @@ def _load_lapack(numpy_file: str = np.__file__) -> _Lapack:
     for name in _ROUTINES:
         capsule = cython_lapack.__pyx_capi__[name]
         routines[name] = _prototype(name)(get_pointer(capsule, get_name(capsule)))
-    return _Lapack(None, ctypes.c_int, routines)
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas-*.so")))
+    set_threads = (_thread_setter(ctypes.CDLL(paths[0]), "scipy_openblas_set_num_threads")
+                   if paths else None)
+    return _Lapack(set_threads, ctypes.c_int, routines)
 
 
 # chosen once, at import; nothing selects the fallback but its absence
 _LAPACK = _load_lapack()
+
+
+def _lapack_array(name: str, x: np.ndarray):
+    """Raise ValueError unless x is an array LAPACK name can take: a
+    Fortran-contiguous float64 array."""
+    if not (x.flags.f_contiguous and x.dtype == np.float64):
+        raise ValueError("LAPACK %s takes contiguous float64 arrays" % name)
 
 
 def _lapack(name: str, *args, lwork=None) -> int:
@@ -298,8 +347,7 @@ def _lapack(name: str, *args, lwork=None) -> int:
 
     def ref(x):
         if isinstance(x, np.ndarray):
-            if not (x.flags.f_contiguous and x.dtype == np.float64):
-                raise ValueError("LAPACK %s takes contiguous float64 arrays" % name)
+            _lapack_array(name, x)
             return x.ctypes.data
         keep.append(ctypes.c_char(x.encode()) if isinstance(x, str) else _LAPACK.integer(x))
         return ctypes.addressof(keep[-1])
@@ -322,13 +370,13 @@ def _lapack(name: str, *args, lwork=None) -> int:
 
 
 def use_one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread from here on, so products
-    and factorizations round alike at any OPENBLAS_NUM_THREADS.  On the
-    fallback it does nothing, and bytes are promised at one BLAS thread only."""
-    if _LAPACK.library is not None:
-        set_threads = _LAPACK.library.scipy_openblas_set_num_threads64_
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+    """Run the OpenBLAS that _lapack calls on one thread from here on, so
+    factorizations round alike at any OPENBLAS_NUM_THREADS: numpy's bundled
+    library, which also serves numpy's products, or on the fallback scipy's
+    own.  Where the fallback finds no scipy OpenBLAS it pins nothing, and
+    bytes are promised at one BLAS thread only."""
+    if _LAPACK.set_threads is not None:
+        _LAPACK.set_threads(1)
 
 
 def householder_kernel(rows: np.ndarray):

@@ -361,8 +361,9 @@ class Layout:
     Every path stores the same bits.  A write of at most _FEW Python ints (a
     header [count, d], a label bit) and a read of at most _FEW integer
     elements pack and unpack them with Python int arithmetic; fields 8, 16,
-    32 or 64 bits wide move arrays with one big-endian numpy cast; other
-    widths are re-aligned bit by bit in numpy.
+    32 or 64 bits wide move arrays with one big-endian numpy cast, written
+    straight into the payload when the run starts on a byte; other widths
+    are re-aligned bit by bit in numpy.
     """
 
     __slots__ = ("fields", "nbits")
@@ -409,21 +410,28 @@ class Layout:
         if is_float:
             raw = np.asarray(values, dtype="<f8").tobytes()
             count = len(raw) // 8
+            lo = self._span(buf, name, start, count)
         else:
             few = values if isinstance(values, (list, tuple)) else (values,)
-            if len(few) <= _FEW and all(isinstance(v, int) for v in few):
+            if len(few) <= _FEW:
                 # a few Python ints are packed into one int without numpy;
-                # a negative value shifts to -1, so it fails the fit test too
-                if any(v >> width for v in few):
-                    raise BudgetViolation(
-                        "a value of field %s does not fit in %d bits" % (name, width)
-                    )
-                lo = self._span(buf, name, start, len(few))
-                packed = 0
+                # a negative value shifts to -1, so it fails the fit test too.
+                # A value that is not a Python int sends the run to numpy,
+                # which checks types before any fit
+                packed = over = 0
                 for v in few:
+                    if not isinstance(v, int):
+                        break
                     packed = packed << width | v
-                _put_int(buf, lo, packed, len(few) * width)
-                return
+                    over |= v >> width
+                else:
+                    if over:
+                        raise BudgetViolation(
+                            "a value of field %s does not fit in %d bits" % (name, width)
+                        )
+                    lo = self._span(buf, name, start, len(few))
+                    _put_int(buf, lo, packed, len(few) * width)
+                    return
             ints = np.asarray(values).reshape(-1)
             if ints.dtype.kind not in "ui":  # Python ints past the int64 range
                 ints = np.asarray(values, dtype=object).reshape(-1)
@@ -435,13 +443,17 @@ class Layout:
                 or ints.dtype.kind != "u" and np.minimum.reduce(ints) < 0
             ):
                 raise BudgetViolation("a value of field %s does not fit in %d bits" % (name, width))
+            count = ints.size
+            lo = self._span(buf, name, start, count)
+            if width in _WHOLE_BYTES and lo % 8 == 0:
+                # cast straight into the payload's bytes, with no copy between
+                np.frombuffer(buf, ">u%d" % (width // 8), count, lo // 8)[...] = ints
+                return
             if width in _WHOLE_BYTES:
                 raw = ints.astype(">u%d" % (width // 8)).tobytes()
             else:
                 bits = np.unpackbits(ints.astype(">u8").view(np.uint8)).reshape(-1, 64)
                 raw = np.packbits(bits[:, 64 - width :]).tobytes()
-            count = ints.size
-        lo = self._span(buf, name, start, count)
         _put(buf, lo, raw, count * width)
 
     def read(self, payload, name: str, start: int = 0, count: int | None = None) -> np.ndarray:

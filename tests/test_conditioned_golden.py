@@ -88,8 +88,8 @@ def test_conditioned_acceptance_counts(case):
 
 # seed -> sha256 over the dataset (points, labels, witness, margin) and both bases
 LSP_HARD_CASES = {
-    1: "66789cd0699bd3206c00a35775db5c5b72e889c83834c0c45f2e2af9899a6085",
-    2: "2446dc9d4ee6edbb732714203e68a15e436b4cf1b3b998e18a452108066bed76",
+    1: "ff7e2ca2ba6de30f3ba76876a1361e703093187e0e4d50f434a097996f0a9845",
+    2: "a5042a10aa536a93c0199e4c37a46e5816804590a9c7aa2ba696298a82f8a211",
 }
 
 

@@ -38,13 +38,13 @@ GEN_CASES = {
         "78900f58da101071403ab9f24629967041c974487437e291b7d3e7a1ed9f34c3",
     ),
     ("lsp-hard", "--d", "8", "--m", "8", "--seed", "3"): (
-        "504c28a5ff383784d998db57001dbb86e0823a76bee7a9b83f9824ba6222e25f",
-        "6cfe0f83b33dbd50cc148c86233409e4a5ca8e2999182622b3c70ed34828a9c4",
+        "9303a4fd1764a791e4f5e18abb500d6a6195f6dde62969b9880a4d3f725e2868",
+        "586c6f292f694fdaee4128c817cc54aa1008803ca0aea0fefb2b25cd5c35ffb9",
     ),
     ("lsp-hard", "--d", "8", "--m", "10", "--cf", "0.1", "--c", "0.3",
      "--max-attempts", "500", "--seed", "3"): (
-        "dde247736da12de0d1bdfa24dcde96d7c0a20543050297cf601f390c183c512b",
-        "bf7e3c8644a8748110b1aad15756d75cccf4c9e2d75306a3ae8a2026183fb8b7",
+        "7b0b3f705ea23bc0ebde4140924bec4bd34b035703514085cdf5cfa1ab862db1",
+        "ce3386f5d26e852f2116f8a272be591b03c23e85045e64427c45c1aeebbd964c",
     ),
     ("lsp-from-anv", "--instance", "anv.json"): (
         "46103eeacc23c017b909ad7cd5d1ba4aa201efda46fc811c8388547b64f7d092",

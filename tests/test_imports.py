@@ -4,7 +4,7 @@ The package and its CLI import numpy and nothing from scipy, and nothing on
 the run path loads it later.  The LAPACK routines beyond np.linalg are
 reached through numpy's bundled OpenBLAS, so a conditioned draw (the
 rejection screen's QR), a proj-separator run (the projection basis's
-Householder QR) and every `verify` certificate (among them comorth's
+dorgqr) and every `verify` certificate (among them comorth's
 complement QR and singular's dlasq1) leave scipy.linalg unloaded.  The
 sphere marginal's law is finite sums in numpy and math: the closed-form tail
 first_coord_tail, the marginal certificate's exact CDF and its normal
@@ -16,6 +16,7 @@ check holds on the bundled path only.  It runs in a fresh interpreter,
 since this one has imported scipy for the tests' references.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -59,7 +60,8 @@ except nullstream.AcceptanceTooRare:
 """
 
 
-@pytest.mark.skipif(linalg._LAPACK.library is None,
+# the fallback, and only it, takes 32-bit integers
+@pytest.mark.skipif(linalg._LAPACK.integer is ctypes.c_int,
                     reason="numpy's bundled OpenBLAS not found: the LAPACK fallback loads scipy")
 def test_import_loads_no_stats_integrate_or_special():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

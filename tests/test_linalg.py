@@ -1,6 +1,9 @@
 import ctypes
 import glob
+import hashlib
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -402,7 +405,7 @@ def _lapack_outputs():
 @pytest.fixture
 def scipy_blas_on_one_thread():
     """scipy's own OpenBLAS on one thread, as conftest runs numpy's: at
-    1024 x 600 each library splits the QR across threads, which rounds
+    1024 x 600 each library splits dorgqr across threads, which rounds
     differently, so the two are compared at one thread each."""
     scipy_libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
     paths = glob.glob(os.path.join(scipy_libs, "libscipy_openblas*.so"))
@@ -416,21 +419,57 @@ def scipy_blas_on_one_thread():
     lib.scipy_openblas_set_num_threads(before)
 
 
-def test_fallback_lapack_gives_the_same_bytes(monkeypatch, tmp_path, scipy_blas_on_one_thread):
+def _fallback(tmp_path):
     # a numpy with no bundled OpenBLAS beside it: the routines come from
     # scipy.linalg's own LAPACK, with 32-bit integers
-    fallback = linalg._load_lapack(str(tmp_path / "numpy" / "__init__.py"))
-    assert fallback.library is None and fallback.integer is ctypes.c_int
+    return linalg._load_lapack(str(tmp_path / "numpy" / "__init__.py"))
+
+
+def test_fallback_lapack_gives_the_same_bytes(monkeypatch, tmp_path, scipy_blas_on_one_thread):
+    fallback = _fallback(tmp_path)
+    assert fallback.integer is ctypes.c_int
     bundled = _lapack_outputs()
     monkeypatch.setattr(linalg, "_LAPACK", fallback)
     assert _lapack_outputs() == bundled
     linalg.use_one_blas_thread()
 
 
+# a fresh interpreter at OPENBLAS_NUM_THREADS=2 that takes the fallback, pins
+# it with use_one_blas_thread and prints the sha256 of each LAPACK output
+FALLBACK_AT_TWO_THREADS = """
+import hashlib, sys
+from nullstream import linalg
+linalg._LAPACK = linalg._load_lapack(sys.argv[1])
+linalg.use_one_blas_thread()
+from test_linalg import _lapack_outputs
+for out in _lapack_outputs():
+    print(hashlib.sha256(out).hexdigest())
+"""
+
+
+def test_fallback_bytes_do_not_depend_on_blas_threads(monkeypatch, tmp_path,
+                                                       scipy_blas_on_one_thread):
+    monkeypatch.setattr(linalg, "_LAPACK", _fallback(tmp_path))
+    one = [hashlib.sha256(out).hexdigest() for out in _lapack_outputs()]
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FALLBACK_AT_TWO_THREADS, str(tmp_path / "numpy" / "__init__.py")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == one
+
+
 def test_lapack_refuses_a_strided_array():
-    a = np.zeros((8, 8))[:, ::2]
-    with pytest.raises(ValueError, match="contiguous"):
-        linalg.haar_frame(a)
+    # haar_frame scales its draw in place before its one LAPACK call, so it
+    # refuses a strided or non-float64 array before it writes a value
+    draw = np.random.default_rng(0).standard_normal((8, 8))
+    before = draw.copy()
+    for a in (draw[:, ::2], np.asfortranarray(draw, dtype=np.float32)):
+        with pytest.raises(ValueError, match="contiguous"):
+            linalg.haar_frame(a)
+    assert np.array_equal(draw, before)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -445,18 +484,24 @@ def test_orthonormalize_leaves_its_argument_unchanged(order):
 
 
 @pytest.mark.parametrize("k, d", [(7, 40), (32, 64), (600, 1024)])
-def test_sample_grassmannian_spans_its_draw(k, d):
-    # the Haar frame and orthonormalize's SVD basis of the same Gaussian
-    # draw differ in their bases only: the span is the draw's row span
-    s = linalg.sample_grassmannian(k, d, np.random.default_rng(3))
-    g = np.random.default_rng(3).standard_normal((k, d))
-    assert s.dim == k
-    assert linalg.chordal_distance(s, linalg.orthonormalize(g)) <= 1e-12
+def test_sample_grassmannian_is_the_haar_frame_of_its_draw(k, d):
+    # a k x d orthonormal basis made from exactly one k x d Gaussian draw,
+    # the same bytes from the same draw; its law is the Haar tests' below
+    rng = np.random.default_rng(3)
+    s = linalg.sample_grassmannian(k, d, rng)
+    assert s.dim == k and s.basis.shape == (k, d)
+    assert np.abs(s.basis @ s.basis.T - np.eye(k)).max() <= 1e-13
+    again = np.random.default_rng(3)
+    frame = linalg.haar_frame(again.standard_normal((k, d)).T)
+    assert frame.basis.tobytes() == s.basis.tobytes()
+    assert rng.random() == again.random()
 
 
-# the Haar test: over HAAR_DRAWS frames at (HAAR_K, HAAR_D), Q[0, 0] is the
-# first coordinate of a uniform unit vector in R^HAAR_D, which a KS test at
-# level HAAR_ALPHA must not reject
+# the Haar test: over HAAR_DRAWS frames at (HAAR_K, HAAR_D), Q[0, 0] and
+# Q[0, HAAR_K - 1] are each the first coordinate of a uniform unit vector in
+# R^HAAR_D, which a KS test at level HAAR_ALPHA must not reject.  Q[0, 0]
+# depends on the first Householder reflector alone, the last frame vector on
+# every one of them
 HAAR_K, HAAR_D, HAAR_DRAWS, HAAR_ALPHA = 3, 16, 4000, 1e-3
 
 
@@ -464,24 +509,40 @@ def _haar_pvalue(first_coords):
     return scipy.stats.kstest(first_coords, lambda x: first_coord_cdf(HAAR_D, x)).pvalue
 
 
+def _draws():
+    rng = np.random.default_rng(23)
+    return [rng.standard_normal((HAAR_K, HAAR_D)) for _ in range(HAAR_DRAWS)]
+
+
+def _first_and_last_vector_pvalues(frames):
+    return (_haar_pvalue([f.basis[0, 0] for f in frames]),
+            _haar_pvalue([f.basis[HAAR_K - 1, 0] for f in frames]))
+
+
 def test_sample_grassmannian_frame_is_haar():
     rng = np.random.default_rng(23)
-    q00 = np.array([linalg.sample_grassmannian(HAAR_K, HAAR_D, rng).basis[0, 0]
-                    for _ in range(HAAR_DRAWS)])
-    assert _haar_pvalue(q00) > HAAR_ALPHA
+    frames = [linalg.sample_grassmannian(HAAR_K, HAAR_D, rng) for _ in range(HAAR_DRAWS)]
+    first, last = _first_and_last_vector_pvalues(frames)
+    assert first > HAAR_ALPHA and last > HAAR_ALPHA
+
+
+def test_frame_with_one_householder_input_fails_the_haar_test():
+    # the planted control: every reflector built from the draw's first
+    # column.  The first frame vector is untouched and passes; the last one
+    # is not Haar, and the test must reject it
+    frames = [linalg.haar_frame(np.array(np.repeat(g[:1], HAAR_K, axis=0).T, order="F"))
+              for g in _draws()]
+    first, last = _first_and_last_vector_pvalues(frames)
+    assert first > HAAR_ALPHA
+    assert last <= HAAR_ALPHA
 
 
 def test_frame_without_the_sign_fix_fails_the_haar_test():
-    # the planted control: the same Householder QR (numpy's dgeqrf and
-    # dorgqr) on the same draws without the sign fix.  dgeqrf sets
-    # R_00 = -sign(a_00) |a_0|, so Q_00 = a_00 / R_00 is never positive, and
-    # the test must reject it
-    rng = np.random.default_rng(23)
-    draws = [rng.standard_normal((HAAR_K, HAAR_D)) for _ in range(HAAR_DRAWS)]
-    q, r = np.linalg.qr(draws[0].T)
-    fixed = linalg.haar_frame(np.array(draws[0].T, order="F"))
-    assert fixed.basis.tobytes() == (q * np.copysign(1.0, np.diag(r))).T.tobytes()
-    q00 = np.array([np.linalg.qr(g.T).Q[0, 0] for g in draws])
+    # the planted control: a Householder QR of the same draws without the
+    # sign fix.  Q_00 = 1 - tau_0 = a_00 / R_00 depends on the first
+    # reflector alone, and dlarfg sets R_00 = -sign(a_00) |a_0|, so Q_00 is
+    # never positive, and the test must reject it
+    q00 = np.array([np.linalg.qr(g.T).Q[0, 0] for g in _draws()])
     assert np.all(q00 < 0)
     assert _haar_pvalue(q00) <= HAAR_ALPHA
 

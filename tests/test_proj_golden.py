@@ -25,8 +25,8 @@ D, M, GAMMA = 64, 700, 0.25
 
 # order -> sha256 of the experiment CSV bytes
 SWEEP_CASES = {
-    "fixed": "b854cee8f22baa81bacb05582c9170f6d1eaf973fb8bf9d4cd641ada01be3a37",
-    "shuffled": "a850b4c4094644f0389a12b5e1b105ccb848bd9e2c5e8bf911a3e27eeb056b6c",
+    "fixed": "c14f78a4a53a940d9620843672c5686e841fe103caa815a8b204d03b9db88697",
+    "shuffled": "62eb3a147a12e39ecf387787d3a3231b3b9cf2f262847d9b0920fe77429fbd04",
 }
 
 

@@ -76,12 +76,12 @@ def test_solver_state_bytes_pinned(name):
 # (d', slots, quant_bits): aligned 16/8/32-bit, unaligned packed, aligned
 # and unaligned raw float64
 PROJ_CASES = {
-    (16, 8, 16): (64 + 8 + 8 * 16 * 16, "69611493997cdb02ff38502e4144a7bb289cce7d74f755b6c2ccdaf15e925d12"),
-    (16, 8, 8): (64 + 8 + 8 * 16 * 8, "fe45e52393627197e7f79f78280b75a667ad60228fb74489c5e702bae0894fc5"),
-    (5, 8, 32): (64 + 8 + 8 * 5 * 32, "8f9fb446e501af7b80144f314d869c96b2e83692b8855a4c004ef988b78bdc9f"),
-    (11, 7, 5): (64 + 7 + 7 * 11 * 5, "2a7cfc0552168e7f6ae1fa8e90425d2bc7cb3c9e626f4f2012a567b0504fb2d6"),
-    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "83052750f9cfdbefeb73a179e7eef20a3fa2696ce795b3388a6c6b9defcfaa9a"),
-    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "8df5827dd5315bbb6ed746c2a67f5a795b8358150d02a1a53303e377cf5f0610"),
+    (16, 8, 16): (64 + 8 + 8 * 16 * 16, "3c061239655eb6f9c0f2b3146bc162100e56925bdfe4190d4788b3fce2300fcd"),
+    (16, 8, 8): (64 + 8 + 8 * 16 * 8, "3b15015991801fb70de63a61798178ba976089b8babc5e4023feab9ff6606194"),
+    (5, 8, 32): (64 + 8 + 8 * 5 * 32, "fd7c5c512c61cff58534ec6ddff73f812ca4d4aeed7071ac1882f71ee2025f7d"),
+    (11, 7, 5): (64 + 7 + 7 * 11 * 5, "d01a23675176a267da827e7e5b21b3be8dd06233e22c7f1ace6f1731c3a5653a"),
+    (9, 8, 0): (64 + 8 + 8 * 9 * 64, "fc8b5114806134952aa91487a021ad63db07ed690bd8f3919abd20da59a1514a"),
+    (9, 7, 0): (64 + 7 + 7 * 9 * 64, "ad9246e6992c7ed76b73e7b239b5590e3f908295d3a7e45a991acb905954aaeb"),
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 
 from nullstream.algorithms import ProjectionSeparator, proj_state_bits
-from nullstream.errors import BudgetViolation, ValidationError
+from nullstream.errors import BudgetViolation, NullstreamError, ValidationError
 from nullstream.instances import gen_lsp_margin
 from nullstream.reductions import ReductionConfig, anv_via_lsp
 from nullstream.streaming import (
@@ -342,15 +342,21 @@ def test_self_stashing_defeated_by_protocol_split():
 
 
 def _split_run(make, samples, budget, seed, split):
-    """(final payload, output) of a run split after sample `split`: party 1
+    """(final payload, outcome) of a run split after sample `split`: party 1
     and party 2 are fresh algorithms, as in the protocol simulation, and
-    share only the payload bytes.  split = 0 is the one-pass run."""
+    share only the payload bytes.  The outcome is the output's bytes, or the
+    type and message of the NullstreamError finalize raised, so a refusal
+    must be the same at every split too.  split = 0 is the one-pass run."""
     first = make()
     state = _advance(first, samples[:split], BitState(budget), SharedRandomness(seed), 1)
     second = make()
     shared = SharedRandomness(seed)
     state = _advance(second, samples[split:], BitState(budget, state.payload), shared, split + 1)
-    return bytes(state.payload), np.asarray(second.finalize(state, shared)).tobytes()
+    try:
+        outcome = np.asarray(second.finalize(state, shared)).tobytes()
+    except NullstreamError as e:
+        outcome = (type(e), str(e))
+    return bytes(state.payload), outcome
 
 
 class PrepareLog(Counting):

@@ -21,7 +21,7 @@ from scipy.special import ndtr
 from nullstream import verification
 from nullstream.errors import DimensionMismatch, EmptyList, ValidationError
 from nullstream.instances import first_coord_tail
-from nullstream.linalg import chordal_distance, orthonormalize, sample_grassmannian
+from nullstream.linalg import orthonormalize, sample_grassmannian
 from nullstream.verification import (
     LemmaReport,
     _ks_statistic,
@@ -43,7 +43,7 @@ DEGENERATE_TOL = 1e-10
 # the sandwich pair straddles its 0.95 rule, every trial of the second
 # no-joint-sol case is skipped, and the marginal misses its KS cap
 CERTIFIER_CASES = {
-    "no-joint-sol": (lambda: certify_no_joint_sol(16, 0.5, 6, seed=3), 6, 2, 2, True),
+    "no-joint-sol": (lambda: certify_no_joint_sol(16, 0.5, 6, seed=3), 6, 3, 3, True),
     "no-joint-sol-all-skipped":
         (lambda: certify_no_joint_sol(8, 0.99, 3, seed=0), 3, 0, 0, False),
     "sandwich-19-of-20": (lambda: certify_sandwich(16, 0.13, 20, seed=2), 20, 20, 19, True),
@@ -145,13 +145,14 @@ def test_joint_sol_lambda_min_is_the_eigh_reference(d):
         assert abs(joint_sol_lambda_min(subs) - reference) <= 1e-13
 
 
-def test_no_joint_sol_probe_frame_spans_the_pivoted_frame(monkeypatch):
-    # the probe's Haar frame in V1-perp coordinates spans what
-    # orthonormalize's SVD basis of the same Gaussian draw spans
+def test_no_joint_sol_probe_frame_is_the_haar_frame_of_its_draw(monkeypatch):
+    # the probe's frame in V1-perp coordinates: probe_dim orthonormal rows
+    # whose bytes are haar_frame's of the same Gaussian draw, whose law the
+    # Haar tests in test_linalg judge
     haar_frame, frames = verification.haar_frame, []
 
     def recorded(a):
-        draw = a.T.copy()
+        draw = np.array(a, order="F")
         frames.append((draw, haar_frame(a)))
         return frames[-1][1]
 
@@ -159,8 +160,9 @@ def test_no_joint_sol_probe_frame_spans_the_pivoted_frame(monkeypatch):
     r = certify_no_joint_sol(32, 0.5, 6, seed=3)
     assert len(frames) == r.statistics["counted"] > 0
     for draw, frame in frames:
-        assert frame.dim == draw.shape[0] == 2
-        assert chordal_distance(frame, orthonormalize(draw)) <= 1e-12
+        assert frame.basis.shape == (2, 16) == draw.T.shape
+        assert np.abs(frame.basis @ frame.basis.T - np.eye(2)).max() <= 1e-13
+        assert haar_frame(draw).basis.tobytes() == frame.basis.tobytes()
 
 
 def test_no_joint_sol_rejects_odd_dimension():

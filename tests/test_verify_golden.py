@@ -36,7 +36,7 @@ from nullstream.verification import certify_sandwich
 # argv after "verify" -> (exit code, sha256 of stdout)
 VERIFY_CASES = {
     ("no-joint-sol", "--d", "16", "--trials", "6", "--seed", "3"):
-        (0, "8a1c32393a7d54433a36e0b4ed4dc079b0f15520221e6003221196d409aa4ad2"),
+        (0, "3a7dd220af2935f13d2c1ab62238921a726e6fa8fe057d47190f2d5a2b1e0a39"),
     ("sandwich", "--d", "16", "--trials", "6", "--seed", "3"):
         (0, "5075213488aeee83e3c8d957f0c692b1299403272310a96fd732e47f455675a8"),
     ("singular", "--d", "12", "--trials", "20", "--seed", "3"):
@@ -46,9 +46,9 @@ VERIFY_CASES = {
     ("concentration", "--d", "16", "--trials", "500", "--seed", "3"):
         (0, "41b63213e90cb8c8b17754bc778e86dbcd9c79d474e262cdac6d186c5c3ddeb4"),
     ("comorth", "--d", "12", "--trials", "10", "--seed", "3"):
-        (0, "f2cfb554f0817d9e6f1c83f32696a2da8d25ff1d9588e8948fd2da32c17a127e"),
+        (0, "9b76d9ee2dbda9c8f0c00b9bd2747b2bd7dfe5d82902047219b1ff953301ff99"),
     ("no-joint-sol", "--d", "8", "--delta", "0.99", "--trials", "3"):
-        (1, "0e4787f926e5d5b059c7d54b64e0544be3f492bd780908b794e11e72e4ed43c7"),
+        (1, "91458cd28a2fc2da115e6514ed209666b3ca0537acae4798cf656397df7d19db"),
     ("sandwich", "--d", "16", "--t", "0.01", "--trials", "20", "--seed", "3"):
         (1, "acf4fb7b9366501fe669156c354368f2705031da708226c7e0a60b26efb095c3"),
     ("sandwich", "--d", "16", "--t", "0.13", "--trials", "20", "--seed", "2"):
@@ -143,7 +143,7 @@ def test_verify_certificate_bytes_do_not_depend_on_blas_threads(argv):
 
 def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
     # at two threads OpenBLAS splits gen_lsp_margin's 700 x 1024 gemv, the
-    # 1024 x 600 Householder QR of the projection basis and comorth's QRs at
+    # dorgqr of the 1024 x 600 projection basis and comorth's QRs at
     # d = 128, each of which rounds differently; `nullstream` runs numpy's
     # bundled OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says
     spec = tmp_path / "sweep.json"
@@ -183,8 +183,8 @@ BUDGETS = {
 SEPARATOR_CASES = {
     ("offline-separator", 1): "a70d5ab6c5a5171f9363746c43b4b9156b6267f4807d729c2b38303b8f1eeabb",
     ("offline-separator", 2): "36d6ad4bf41a81da6a5e297264da7925c043ca83140811ba1a1541b7c925cbfe",
-    ("proj-separator", 1): "211c2f2723bc1a493ad08fd4fff5eef6d429a0202da35c918bd1cad928bab220",
-    ("proj-separator", 2): "6d53fec9649570a99e642b2499c7aaacbff98cd3ba0868d43dde1d606a5a3383",
+    ("proj-separator", 1): "57fc15c0cf382c31d2688b622cc2f1873c41d92870ab0b0b96214612d339ee49",
+    ("proj-separator", 2): "84ffbc5c40c2828ac9bdd8e7d92d087cf86a8b60bd1870bce4dc92f3eb150de6",
 }
 
 
