@@ -182,8 +182,18 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         gram = np.zeros((d, d))
         gram.put(_upper_triangle(d), upper)
         gram = gram + np.triu(gram, 1).T
-        w = np.linalg.pinv(gram, hermitian=True) @ moment
-        norm = np.linalg.norm(w)
+        # finite crafted sums can still overflow: pinv(1e-300 I) @ 1e300 is
+        # inf, and (1e200, ...) is finite but its norm is not, so the
+        # overflow is checked, not printed, and such a w is clipped through
+        # its largest entry; honest sums meet neither
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.linalg.pinv(gram, hermitian=True) @ moment
+            norm = np.linalg.norm(w)
+        if not np.isfinite(w).all():
+            raise ValidationError("least-squares solution overflows")
+        if norm == np.inf:
+            w = w / np.abs(w).max()
+            norm = np.linalg.norm(w)
         if norm > 1.0:
             w = w / norm
         return w

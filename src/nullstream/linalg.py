@@ -4,7 +4,14 @@ Subspaces are stored as orthonormal row bases.  Everything here is a pure
 function of its arguments (randomness enters through an explicit numpy
 Generator), dense, and O(d^3) at worst; the testbed targets d up to ~2048.
 The few LAPACK routines np.linalg does not expose are called through ctypes
-on numpy's own bundled OpenBLAS (see _load_lapack).
+on numpy's own bundled OpenBLAS (see _load_lapack), once per slice of a
+stack, with the scalar arguments converted once per stack.
+
+The subspace kernels haar_frames, sample_grassmannians, complements and
+chordal_distances take stacks of bases of one shape, s x k x d, and give
+each slice the bytes it gets on its own; the caller bounds a stack's size.
+haar_frame, sample_grassmannian, complement and chordal_distance are their
+stacks of one, on Subspace.
 """
 
 from __future__ import annotations
@@ -109,10 +116,12 @@ def orthonormalize(vectors) -> Subspace:
     return Subspace(ambient_dim=d, dim=rank, basis=vt[:rank])
 
 
-def haar_frame(a: np.ndarray) -> Subspace:
-    """A Haar-distributed n-frame of R^d, n <= d, made from a d x n
-    Fortran-ordered array of independent N(0, 1) draws that the caller hands
-    over: the basis is a's own memory, and a must not be used afterwards.
+def haar_frames(a: np.ndarray) -> np.ndarray:
+    """A stack of Haar-distributed n-frames of R^d, n <= d, made from an
+    s x d x n array of independent N(0, 1) draws, each slice Fortran-ordered
+    (the transpose of an s x n x d C-ordered draw), that the caller hands
+    over: the s x n x d stack of row bases returned is a's own memory
+    transposed, and a must not be used afterwards.
 
     In the Householder QR A = Q R of a Gaussian A, step k's reflector is
     built from the trailing d - k entries of column k as the earlier
@@ -120,57 +129,75 @@ def haar_frame(a: np.ndarray) -> Subspace:
     (G. W. Stewart, SIAM J. Numer. Anal. 17, 1980).  So column k's own
     entries k..d-1 are taken as that input, and dgeqrf's trailing updates
     are never made.  Each reflector is formed by dlarfg's rule, one dorgqr
-    forms Q, and each column of Q is multiplied by the sign of R's diagonal
-    entry, which makes R's diagonal positive and Q Haar-distributed
-    (F. Mezzadri, Notices AMS 54, 2007).  The frame has Q's law but does not
-    span a's columns.  It is orthonormal whatever a holds, so nothing
-    detects rank.
+    per slice forms Q, and each column of Q is multiplied by the sign of R's
+    diagonal entry, which makes R's diagonal positive and Q Haar-distributed
+    (F. Mezzadri, Notices AMS 54, 2007).  A frame has Q's law but does not
+    span its draw.  It is orthonormal whatever a holds, so nothing detects
+    rank.  Each slice's bytes are those of the slice on its own: the
+    reductions run per column and the rest is elementwise.
     """
     # refused before any value of a is written
     _lapack_array("dorgqr", a)
-    d, n = a.shape
+    s, d, n = a.shape
     # xnorm_k, the norm of a[k+1:, k], a block of columns (BLOCK_VALUES
-    # values) at a time: einsum sums the squares of the rows below the
-    # block's diagonal without forming them, and only the block's triangle
-    # is copied, to zero what lies on and above the diagonal
-    xnorm = np.empty(n)
+    # values of a slice) at a time: einsum sums the squares of the rows below
+    # the block's diagonal without forming them, and only the block's
+    # triangle is copied, to zero what lies on and above the diagonal
+    xnorm = np.empty((s, n))
     cols = max(1, BLOCK_VALUES // max(1, d))
     for start in range(0, n, cols):
         stop = min(start + cols, n)
-        rect, tri = a[stop:, start:stop], np.tril(a[start + 1 : stop, start:stop])
-        xnorm[start:stop] = np.einsum("ij,ij->j", rect, rect) + np.einsum("ij,ij->j", tri, tri)
+        rect, tri = a[:, stop:, start:stop], np.tril(a[:, start + 1 : stop, start:stop])
+        xnorm[:, start:stop] = (np.einsum("sij,sij->sj", rect, rect)
+                                + np.einsum("sij,sij->sj", tri, tri))
     np.sqrt(xnorm, out=xnorm)
     # dlarfg: beta = -sign(alpha) |(alpha, x)|, tau = (beta - alpha) / beta and
     # v = x / (alpha - beta); with x = 0 it is H = I (tau = 0, beta = alpha).
     # Its rescaling of a beta below the smallest normal number is left out,
     # since a Gaussian column is never that short
-    alpha = a.diagonal()
+    alpha = a.diagonal(axis1=1, axis2=2)
     reflect = xnorm > 0.0
     beta = np.where(reflect, -np.copysign(np.hypot(alpha, xnorm), alpha), alpha)
-    tau = np.divide(beta - alpha, beta, out=np.zeros(n), where=reflect)
+    tau = np.divide(beta - alpha, beta, out=np.zeros((s, n)), where=reflect)
     # dorgqr reads only the strict lower triangle, so whole columns are
     # scaled; a column with tau = 0 keeps its (zero) entries
-    a *= np.divide(1.0, alpha - beta, out=np.ones(n), where=reflect)
+    a *= np.divide(1.0, alpha - beta, out=np.ones((s, n)), where=reflect)[:, None, :]
     # 32 columns of workspace, dorgqr's block size, is the size a query
     # returns, so none is made
     _lapack("dorgqr", d, n, n, a, max(1, d), tau, lwork=32 * max(1, n))
     # copysign is never 0, where np.sign of a zero diagonal entry would be
-    a *= np.copysign(1.0, beta)
-    return Subspace(ambient_dim=d, dim=n, basis=a.T)
+    a *= np.copysign(1.0, beta)[:, None, :]
+    return a.transpose(0, 2, 1)
+
+
+def haar_frame(a: np.ndarray) -> Subspace:
+    """haar_frames of a stack of one: the frame of a d x n Fortran-ordered
+    Gaussian draw, made in a's own memory, as a checked Subspace."""
+    d, n = a.shape
+    return Subspace(ambient_dim=d, dim=n, basis=haar_frames(a[None])[0])
+
+
+def complements(bases: np.ndarray) -> np.ndarray:
+    """The orthogonal complements of an s x k x d stack of orthonormal row
+    bases, as an s x (d - k) x d stack of C-ordered row bases: the trailing
+    columns of each basis's complete QR, one np.linalg.qr over the stack,
+    which factors each slice as it would on its own."""
+    s, k, d = bases.shape
+    if k == 0:
+        return np.tile(np.eye(d), (s, 1, 1))
+    if k == d:
+        return np.zeros((s, 0, d))
+    q = np.linalg.qr(np.asarray_chkfinite(bases.transpose(0, 2, 1)), mode="complete").Q
+    # np.linalg.qr returns Q in C order, so the transpose of its trailing
+    # columns is a strided view; products with a strided basis round
+    # differently, so the rows are copied to C order
+    return np.ascontiguousarray(q[:, :, k:].transpose(0, 2, 1))
 
 
 def complement(s: Subspace) -> Subspace:
     """The orthogonal complement (dim d - k), as a C-ordered row basis."""
     d, k = s.ambient_dim, s.dim
-    if k == 0:
-        return Subspace(ambient_dim=d, dim=d, basis=np.eye(d))
-    if k == d:
-        return Subspace(ambient_dim=d, dim=0, basis=np.zeros((0, d)))
-    q = np.linalg.qr(np.asarray_chkfinite(s.basis.T), mode="complete").Q
-    # np.linalg.qr returns Q in C order, so the transpose of its trailing
-    # columns is a strided view; products with a strided basis round
-    # differently, so the rows are copied to C order
-    return Subspace(ambient_dim=d, dim=d - k, basis=np.ascontiguousarray(q[:, k:].T))
+    return Subspace(ambient_dim=d, dim=d - k, basis=complements(s.basis[None])[0])
 
 
 def kernel_vector(vectors) -> np.ndarray:
@@ -201,23 +228,30 @@ def kernel_vector(vectors) -> np.ndarray:
     return w
 
 
-def chordal_distance(u: Subspace, v: Subspace) -> float:
-    """sqrt(sum sin^2 theta_i) over the principal angles.
+def chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sqrt(sum sin^2 theta_i) over the principal angles of each pair of
+    row bases in two s x k x d stacks of orthonormal bases.
 
     The singular values of the residual B_u - (B_u B_v^T) B_v = B_u (I - P_v)
     are the sines of the principal angles for equal-dim subspaces, so the
     sum of their squares is the residual's squared Frobenius norm, and no
     SVD is needed.  The residual keeps tiny angles accurate where arccos of
-    a cosine near 1 loses half the significant digits.
+    a cosine near 1 loses half the significant digits.  Each residual is
+    summed as one row of k d values, as np.sum sums a lone k x d residual.
     """
-    if u.ambient_dim != v.ambient_dim:
+    if u.shape[2] != v.shape[2]:
         raise DimensionMismatch("ambient dimensions differ")
-    if u.dim != v.dim:
-        raise DimensionMismatch("chordal distance needs equal dims (%d vs %d)" % (u.dim, v.dim))
-    if u.dim == 0:
-        return 0.0
-    resid = u.basis - (u.basis @ v.basis.T) @ v.basis
-    return float(np.sqrt(np.sum(resid * resid)))
+    if u.shape[1] != v.shape[1]:
+        raise DimensionMismatch("chordal distance needs equal dims (%d vs %d)"
+                                % (u.shape[1], v.shape[1]))
+    resid = u - (u @ v.transpose(0, 2, 1)) @ v
+    resid *= resid
+    return np.sqrt(np.add.reduce(resid.reshape(resid.shape[0], -1), axis=1))
+
+
+def chordal_distance(u: Subspace, v: Subspace) -> float:
+    """chordal_distances of one pair of subspaces."""
+    return float(chordal_distances(u.basis[None], v.basis[None])[0])
 
 
 def check_seed(seed):
@@ -248,11 +282,21 @@ def sample_uniform_subsphere(s: Subspace, rng: np.random.Generator) -> np.ndarra
             return s.basis.T @ (g / n)
 
 
-def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
-    """Uniform (rotation-invariant) random k-dimensional subspace of R^d."""
+def sample_grassmannians(k: int, d: int, rngs) -> np.ndarray:
+    """An s x k x d stack of row bases of uniform (rotation-invariant) random
+    k-dimensional subspaces of R^d, one k x d Gaussian draw from each of the
+    s generators in rngs, in their order, and one haar_frames call."""
     if not (1 <= k <= d):
         raise DimensionMismatch("need 1 <= k <= d")
-    return haar_frame(rng.standard_normal((k, d)).T)
+    g = np.empty((len(rngs), k, d))
+    for rng, out in zip(rngs, g):
+        rng.standard_normal(out=out)
+    return haar_frames(g.transpose(0, 2, 1))
+
+
+def sample_grassmannian(k: int, d: int, rng: np.random.Generator) -> Subspace:
+    """Uniform (rotation-invariant) random k-dimensional subspace of R^d."""
+    return Subspace(ambient_dim=d, dim=k, basis=sample_grassmannians(k, d, [rng])[0])
 
 
 class _Lapack(NamedTuple):
@@ -329,44 +373,48 @@ _LAPACK = _load_lapack()
 
 
 def _lapack_array(name: str, x: np.ndarray):
-    """Raise ValueError unless x is an array LAPACK name can take: a
-    Fortran-contiguous float64 array."""
-    if not (x.flags.f_contiguous and x.dtype == np.float64):
+    """Raise ValueError unless x is a stack LAPACK name can take: float64
+    slices along its first axis, each Fortran-contiguous."""
+    if not (x.dtype == np.float64 and x.ndim >= 2 and x[0].flags.f_contiguous):
         raise ValueError("LAPACK %s takes contiguous float64 arrays" % name)
 
 
-def _lapack(name: str, *args, lwork=None) -> int:
-    """Call a LAPACK routine and return its info, raising ValueError when
-    info reports an illegal argument.  Each argument goes by reference: an
-    int as the library's integer, a one-letter str as a character, a
-    float64 array as its data, which must be contiguous.  With lwork, a workspace of that
-    many values and its size are passed after the arguments; lwork=-1 first
-    asks the routine for its optimal size, as scipy.linalg does.
+def _lapack(name: str, *args, lwork=None) -> list:
+    """Call a LAPACK routine once per slice of its array arguments, which
+    are stacks along their first axis, and return each call's info, raising
+    ValueError when one reports an illegal argument.  Each argument goes by
+    reference: an int as the library's integer and a one-letter str as a
+    character, each converted to ctypes once for the whole stack, and an
+    array slice as its data, which must be contiguous float64.  A stack of
+    one slice serves every call, as the workspace does: with lwork, one of
+    that many values and its size follow the arguments of every call.
     """
+    if lwork is not None:
+        args += (np.empty((1, max(1, lwork))), lwork)
+    calls = max(x.shape[0] for x in args if isinstance(x, np.ndarray))
     keep = []
-
-    def ref(x):
+    # (address, step): slice i of a stack is at its address plus i steps,
+    # and a scalar or a stack of one slice has step 0
+    refs = []
+    for x in args:
         if isinstance(x, np.ndarray):
             _lapack_array(name, x)
-            return x.ctypes.data
-        keep.append(ctypes.c_char(x.encode()) if isinstance(x, str) else _LAPACK.integer(x))
-        return ctypes.addressof(keep[-1])
-
-    refs = [ref(x) for x in args]
+            if x.shape[0] not in (1, calls):
+                raise ValueError("LAPACK %s takes stacks of one length" % name)
+            refs.append((x.ctypes.data, x.strides[0] if x.shape[0] > 1 else 0))
+        else:
+            keep.append(ctypes.c_char(x.encode()) if isinstance(x, str) else _LAPACK.integer(x))
+            refs.append((ctypes.addressof(keep[-1]), 0))
     chars = [1] * sum(isinstance(x, str) for x in args)
     info = _LAPACK.integer(0)
-
-    def call(*workspace):
-        _LAPACK.routines[name](*refs, *map(ref, workspace), ctypes.addressof(info), *chars)
+    infos = []
+    for i in range(calls):
+        _LAPACK.routines[name](*[base + i * step for base, step in refs],
+                               ctypes.addressof(info), *chars)
         if info.value < 0:
             raise ValueError("illegal value in argument %d of LAPACK %s" % (-info.value, name))
-        return info.value
-
-    if lwork == -1:
-        optimal = np.empty(1)
-        call(optimal, -1)
-        lwork = int(optimal[0])
-    return call() if lwork is None else call(np.empty(max(1, lwork)), lwork)
+        infos.append(info.value)
+    return infos
 
 
 def use_one_blas_thread():
@@ -389,13 +437,13 @@ def householder_kernel(rows: np.ndarray):
     qr = np.array(rows.T, order="F")
     tau = np.empty(n)
     # a workspace of 32 columns lets LAPACK take its blocked path
-    if _lapack("dgeqrf", d, n, qr, d, tau, lwork=32 * d):
+    if _lapack("dgeqrf", d, n, qr[None], d, tau[None], lwork=32 * d)[0]:
         return None
     q = np.zeros(d)
     q[-1] = 1.0
-    _lapack("dormqr", "L", "N", d, 1, n, qr, d, tau, q, d, lwork=1)
+    _lapack("dormqr", "L", "N", d, 1, n, qr[None], d, tau[None], q[None], d, lwork=1)
     r_inv = np.array(qr[:n], order="F")
-    if _lapack("dtrtri", "U", "N", n, r_inv, n):
+    if _lapack("dtrtri", "U", "N", n, r_inv[None], n)[0]:
         return None
     return q, r_inv
 
@@ -424,7 +472,7 @@ def gaussian_singular_values(n: int, d: int, rng: np.random.Generator) -> np.nda
     # bidiagonal matrix with diagonal d and superdiagonal e, to high relative
     # accuracy, written over d in decreasing order; e (length n) and work
     # (length 4n) are workspace, and info is nonzero when it failed
-    info = _lapack("dlasq1", d, b[:d], b[d:], np.empty(4 * d))
+    info, = _lapack("dlasq1", d, b[None, :d], b[None, d:], np.empty((1, 4 * d)))
     if info:
         raise NullstreamError("LAPACK dlasq1 failed with info = %d" % info)
     return b[:d]

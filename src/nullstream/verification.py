@@ -14,6 +14,15 @@ chi-bidiagonal law, a sphere coordinate as x / sqrt(x^2 + chi^2_{d-1}), and
 a projected sphere point's norm as sqrt(Beta(d/4, d/4)).  The dense draws
 have the same laws and are the tests' references.
 
+Each trial draws from its own generator, _trial_rng(seed, trial), in a
+fixed order, so the no-joint-sol and comorth certificates draw a chunk of
+trials and factor them together in stacks (linalg's stacked kernels) of at
+most BLOCK_VALUES values, or of one trial where a trial's d x d arrays are
+larger; every report byte is that of the trials taken one at a time.  The
+marginal's KS distance to the normal law screens every rank with a numpy
+Phi within 7.5e-8 and takes libm's exact Phi only at the ranks within
+2e-6 of the screened maximum, so it is the exact statistic bit for bit.
+
 Each certifier returns a LemmaReport carrying its verdict; per-trial rows
 ride along for CSV export, and the pass fraction is derived from them.
 """
@@ -30,11 +39,10 @@ from .instances import first_coord_cdf, first_coord_tail
 from .linalg import (
     BLOCK_VALUES,
     check_seed,
-    chordal_distance,
-    complement,
+    chordal_distances,
+    complements,
     gaussian_singular_values,
-    haar_frame,
-    sample_grassmannian,
+    sample_grassmannians,
 )
 
 COMORTH_TOL = 1e-8
@@ -71,6 +79,19 @@ class LemmaReport:
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((check_seed(int(seed)), int(trial)))
+
+
+# a chunk's generators are held until its trials are factored, about 1.7 KB
+# each, so a chunk holds at most this many (0.4 MiB) whatever its stacks take
+CHUNK_TRIALS = 256
+
+
+def _trial_chunks(trials: int, size: int) -> list:
+    """The trial indices in runs of size, or of CHUNK_TRIALS if that is
+    smaller (the last run may be shorter), each drawn and factored
+    together."""
+    size = min(size, CHUNK_TRIALS)
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 
 def _need_some(name: str, count: int):
@@ -112,33 +133,46 @@ def certify_no_joint_sol(
     _need_real("c_emp", c_emp, c_emp > 0.0, "above 0")
     rows = []
     threshold = 3.0 * c_emp * c_emp
-    probe_dim = max(1, d // 16)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        v1 = sample_grassmannian(d // 2, d, rng)
-        v2 = sample_grassmannian(d // 2, d, rng)
-        dist2 = chordal_distance(v1, v2) ** 2
-        if dist2 < delta_threshold * d / 2.0:
-            rows.append({"trial": t, "skipped": True, "dist2": dist2})
-            continue
-        # drawn after the skip: a skipped trial never uses U, and a counted
-        # one draws from its generator in the same order either way
-        u = sample_grassmannian(d // 2 - 1, d, rng)
-        lam = joint_sol_lambda_min([v1, v2, u])
-        perp = complement(v1)
-        coeff = haar_frame(rng.standard_normal((probe_dim, perp.dim)).T)
-        probe_basis = coeff.basis @ perp.basis
-        probe = float(np.linalg.svd(v2.basis @ probe_basis.T, compute_uv=False).min())
-        rows.append(
-            {
-                "trial": t,
-                "skipped": False,
-                "dist2": dist2,
-                "lambda_min": lam,
-                "probe_min_proj": probe,
-                "passed": bool(lam >= threshold),
-            }
-        )
+    half, probe_dim = d // 2, max(1, d // 16)
+    # a chunk's largest arrays, the projector sums and the product added to
+    # them, hold 2 d^2 values a trial
+    for trials_at in _trial_chunks(trials, max(1, BLOCK_VALUES // (2 * d * d))):
+        rngs = [_trial_rng(seed, t) for t in trials_at]
+        # V1 of each trial, then V2 of each: one stack, and per generator the
+        # same two draws in the same order
+        v = sample_grassmannians(half, d, rngs * 2)
+        dist2 = [float(x) ** 2 for x in chordal_distances(v[: len(rngs)], v[len(rngs) :])]
+        kept = [i for i, x in enumerate(dist2) if not x < delta_threshold * d / 2.0]
+        judged = {}
+        if kept:
+            # the counted trials' V1 and V2, and no other draw of the chunk
+            v1, v2 = v[kept], v[[len(rngs) + i for i in kept]]
+            del v
+            # drawn after the skip: a skipped trial never uses U or the
+            # probe, and a counted one draws U and then the probe's frame
+            # in V1-perp coordinates from its generator either way
+            kept_rngs = [rngs[i] for i in kept]
+            u = sample_grassmannians(half - 1, d, kept_rngs)
+            coeff = sample_grassmannians(probe_dim, d - half, kept_rngs)
+            lam = joint_sol_lambda_mins([v1, v2, u])
+            probe_basis = coeff @ complements(v1)
+            probe = np.linalg.svd(v2 @ probe_basis.transpose(0, 2, 1), compute_uv=False)
+            judged = dict(zip(kept, zip(lam.tolist(), probe.min(axis=1).tolist())))
+        for i, t in enumerate(trials_at):
+            if i not in judged:
+                rows.append({"trial": t, "skipped": True, "dist2": dist2[i]})
+                continue
+            lam_i, probe_i = judged[i]
+            rows.append(
+                {
+                    "trial": t,
+                    "skipped": False,
+                    "dist2": dist2[i],
+                    "lambda_min": lam_i,
+                    "probe_min_proj": probe_i,
+                    "passed": bool(lam_i >= threshold),
+                }
+            )
     counted = [r for r in rows if not r["skipped"]]
     stats = {
         "counted": float(len(counted)),
@@ -163,21 +197,28 @@ def certify_no_joint_sol(
     )
 
 
-def joint_sol_lambda_min(subspaces) -> float:
+def joint_sol_lambda_mins(stacks) -> np.ndarray:
     """Smallest eigenvalue of sum_i P_i, clamped at 0, from the eigenvalues
-    alone.  It is the min over unit v of sum_i ||Proj_i(v)||^2, so it is 0 iff
-    some unit vector escapes every subspace in the list."""
-    subspaces = list(subspaces)
-    if not subspaces:
+    alone, for each index of a stack: stacks holds one s x k_i x d stack of
+    orthonormal row bases per term of the sum.  It is the min over unit v of
+    sum_i ||Proj_i(v)||^2, so it is 0 iff some unit vector escapes every
+    subspace of that index."""
+    stacks = list(stacks)
+    if not stacks:
         raise EmptyList("need at least one subspace")
-    d = subspaces[0].ambient_dim
-    m = np.zeros((d, d))
-    for s in subspaces:
-        if s.ambient_dim != d:
+    count, _, d = stacks[0].shape
+    m = np.zeros((count, d, d))
+    for b in stacks:
+        if b.shape[2] != d:
             raise DimensionMismatch("mixed ambient dimensions")
-        if s.dim:
-            m += s.basis.T @ s.basis
-    return max(float(np.linalg.eigvalsh(m)[0]), 0.0)
+        if b.shape[1]:
+            m += b.transpose(0, 2, 1) @ b
+    return np.maximum(np.linalg.eigvalsh(m)[:, 0], 0.0)
+
+
+def joint_sol_lambda_min(subspaces) -> float:
+    """joint_sol_lambda_mins of one list of subspaces."""
+    return float(joint_sol_lambda_mins([s.basis[None] for s in subspaces])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +372,19 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
 # sphere marginals and concentration
 
 
+def _ks_deviations(f: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
+    # max(|F - i/n|, |F - (i-1)/n|) at the 1-based ranks i of a sorted sample
+    return np.maximum(np.abs(f - i / n), np.abs(f - (i - 1) / n))
+
+
 def _ks_statistic(sample: np.ndarray, cdf_at: np.ndarray) -> float:
-    # max |F - i/n| and |F - (i-1)/n| over blocks of BLOCK_VALUES values: a
-    # max is exact, so the blocks give the whole-array D
+    # the largest deviation over blocks of BLOCK_VALUES values: a max is
+    # exact, so the blocks give the whole-array D
     n = sample.shape[0]
     peaks = []
     for start in range(0, n, BLOCK_VALUES):
         f = cdf_at[start : start + BLOCK_VALUES]
-        i = np.arange(start + 1, start + f.shape[0] + 1)
-        peaks.append(np.maximum(np.abs(f - i / n), np.abs(f - (i - 1) / n)).max())
+        peaks.append(_ks_deviations(f, np.arange(start + 1, start + f.shape[0] + 1), n).max())
     return float(np.max(peaks))
 
 
@@ -353,6 +398,60 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
         phi[start : start + u.shape[0]] = np.fromiter(map(math.erfc, u), float, u.shape[0])
     phi *= 0.5
     return phi
+
+
+# Abramowitz and Stegun 7.1.26, erfc(x) ~ t (a1 + t (a2 + ... + t a5)) e^{-x^2}
+# with t = 1 / (1 + p x) for x >= 0, within 1.5e-7: its coefficients a5..a1
+_AS_P = 0.3275911
+_AS_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+# ks_normal's screen keeps every rank whose screened deviation is within
+# 2 KS_SCREEN_EPS of the screened maximum; the screen's Phi is within 7.5e-8
+# of _normal_cdf, far inside KS_SCREEN_EPS
+KS_SCREEN_EPS = 1e-6
+
+
+def _normal_cdf_screen(z: np.ndarray) -> np.ndarray:
+    """Phi(z) within 7.5e-8 (half of 7.1.26's bound on erfc), in numpy:
+    Phi(z) = erfc(|z| / sqrt(2)) / 2 for z < 0, and 1 minus that for z >= 0.
+    It holds three arrays of z's size."""
+    x = np.abs(z)
+    x *= math.sqrt(0.5)
+    t = _AS_P * x
+    t += 1.0
+    np.reciprocal(t, out=t)
+    phi = _AS_A[0] * t
+    for a in _AS_A[1:]:
+        phi += a
+        phi *= t
+    x *= x
+    np.negative(x, out=x)
+    phi *= np.exp(x, out=x)
+    phi *= 0.5
+    np.subtract(1.0, phi, out=phi, where=z >= 0.0)
+    return phi
+
+
+def _ks_normal(z: np.ndarray) -> float:
+    """_ks_statistic(z, _normal_cdf(z)) of a sorted z, bit for bit, with the
+    exact Phi taken only near the maximum.  Every deviation is screened with
+    _normal_cdf_screen, whose error moves it by less than KS_SCREEN_EPS, so
+    the largest exact deviation is at a rank whose screened deviation is
+    within 2 KS_SCREEN_EPS of the screened maximum; the exact Phi and the
+    same per-rank formula are evaluated at those ranks alone.  A block keeps
+    its ranks within 2 KS_SCREEN_EPS of the maximum so far, which can only
+    rise, so no rank near the final maximum is dropped and no array of z's
+    size is made."""
+    n = z.shape[0]
+    top, near, near_dev = -np.inf, [], []
+    for start in range(0, n, BLOCK_VALUES):
+        f = _normal_cdf_screen(z[start : start + BLOCK_VALUES])
+        dev = _ks_deviations(f, np.arange(start + 1, start + f.shape[0] + 1), n)
+        top = max(top, dev.max())
+        keep = np.flatnonzero(dev >= top - 2.0 * KS_SCREEN_EPS)
+        near.append(keep + start)
+        near_dev.append(dev[keep])
+    near = np.concatenate(near)[np.concatenate(near_dev) >= top - 2.0 * KS_SCREEN_EPS]
+    return float(_ks_deviations(_normal_cdf(z[near]), near + 1, n).max())
 
 
 def _first_coords(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -390,8 +489,7 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
     coords = _first_coords(d, samples, _trial_rng(seed, 0))
     coords.sort()
     ks_exact = _ks_statistic(coords, first_coord_cdf(d, coords))
-    z = math.sqrt(d) * coords
-    ks_normal = _ks_statistic(z, _normal_cdf(z))
+    ks_normal = _ks_normal(math.sqrt(d) * coords)
     emp_tail = float(np.mean(coords >= c_f))
     alpha = -math.log(exact_tail) / d
     passed = ks_exact <= KS_EXACT_MAX and ks_normal <= KS_NORMAL_MAX
@@ -472,13 +570,28 @@ def comorth_check(d: int, trials: int, seed: int) -> LemmaReport:
         raise ValidationError("need d >= 3")
     _need_some("trials", trials)
     rows = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        k = int(rng.integers(1, d))
-        u = sample_grassmannian(k, d, rng)
-        v = sample_grassmannian(k, d, rng)
-        dev = abs(chordal_distance(u, v) - chordal_distance(complement(u), complement(v)))
-        rows.append({"trial": trial, "deviation": dev, "passed": bool(dev <= COMORTH_TOL)})
+    # a stack holds one k: U and V of up to `stack` trials, so their frames
+    # together, or their complements together, hold at most 2 d^2 values a
+    # trial.  Each trial's k is its generator's first draw, so a chunk draws
+    # the k of d - 1 stacks' worth of trials, one stack a value of k on
+    # average, and then factors each k's trials
+    stack = max(1, BLOCK_VALUES // (2 * d * d))
+    for trials_at in _trial_chunks(trials, (d - 1) * stack):
+        rngs = [_trial_rng(seed, t) for t in trials_at]
+        ks = [int(rng.integers(1, d)) for rng in rngs]
+        dev = np.empty(len(rngs))
+        for k in sorted(set(ks)):
+            at_k = [i for i, ki in enumerate(ks) if ki == k]
+            for start in range(0, len(at_k), stack):
+                group = at_k[start : start + stack]
+                # U of each trial, then V of each: per generator the same
+                # two draws in the same order
+                uv = sample_grassmannians(k, d, [rngs[i] for i in group] * 2)
+                u, v = uv[: len(group)], uv[len(group) :]
+                dev[group] = np.abs(chordal_distances(u, v)
+                                    - chordal_distances(complements(u), complements(v)))
+        for t, dev_t in zip(trials_at, dev.tolist()):
+            rows.append({"trial": t, "deviation": dev_t, "passed": bool(dev_t <= COMORTH_TOL)})
     stats = {
         "max_deviation": max(r["deviation"] for r in rows),
         "tolerance": COMORTH_TOL,

@@ -244,6 +244,28 @@ def test_lstsq_solver_rejects_overflowing_sums(d):
         run_one_pass(OfflineLstsqSolver(), [(r, 1.0) for r in rows], lstsq_budget_bits(d), seed=1)
 
 
+def _lstsq_state(d, gram_diagonal, moment):
+    # a message party 2 could be sent: finite sums of one equation, the Gram
+    # matrix gram_diagonal * I and every moment entry equal
+    layout = OfflineLstsqSolver.layout(d)
+    state = BitState(layout.nbits)
+    layout.write(state, "header", [1, d])
+    layout.write(state, "gram", (gram_diagonal * np.eye(d))[np.triu_indices(d)])
+    layout.write(state, "moment", np.full(d, moment))
+    return state
+
+
+@pytest.mark.filterwarnings("error")
+def test_lstsq_finalize_on_crafted_finite_sums_warns_nothing():
+    # unchecked, pinv(1e-300 I) @ 1e300 overflowed in matmul and printed two
+    # warnings before an all-NaN output, and the 1e200 solution's norm
+    # overflowed in dot and printed one before the zero vector
+    with pytest.raises(ValidationError, match="overflows"):
+        OfflineLstsqSolver().finalize(_lstsq_state(4, 1e-300, 1e300), None)
+    w = OfflineLstsqSolver().finalize(_lstsq_state(4, 1e-100, 1e100), None)
+    assert w.tolist() == [0.5] * 4
+
+
 def test_lstsq_solver_shuffled_order_same_solution():
     inst = gen_lr_from_anv(gen_anv_conditioned(16, CF, seed=6), seed=6)
     samples = list(zip(inst.a, inst.b))

@@ -497,6 +497,86 @@ def test_sample_grassmannian_is_the_haar_frame_of_its_draw(k, d):
     assert rng.random() == again.random()
 
 
+# (k, d) of the frames the certificates draw as stacks: comorth's at d = 32
+# (k = 1, 16 and 31 of its 31 values), and no-joint-sol's at d = 64, its
+# probe in V1-perp (4 x 32), U (31 x 64) and V (32 x 64); 17 frames, past
+# two no-joint-sol chunks of 8 at d = 64.  The pins are the sha256 of 17 pairs (U_i, V_i) of
+# per-subspace haar_frame bytes, U's complements, and the chordal distances
+# of the pairs and of their complements, made one subspace at a time by the
+# code before it took stacks
+STACK_SHAPES = {
+    (1, 32): "85ac1a0e45579623d6278d11af318b1c465b96e6da63e817cdf4adee8e811b3d",
+    (16, 32): "3775ce8d50cf8870d428b0bc851c73e8e1f6313c2ba107cc13d8107b14babfef",
+    (31, 32): "097201f9144d9d8e2939d4498bf7f73e581f92c7366786fca45991de14dc58b8",
+    (4, 32): "51176359b0fc7c8a1245e99f43e2640a67ef74fee42be6f49232a3efeb1a278c",
+    (31, 64): "0ea03c6e2da88654ab9286cb9d03deba0ddf225b058ad73281dff19f83c2c8be",
+    (32, 64): "200a4dcb7b2f345350bb79023d484ee27ad88a91ecf20d49e428c4c605080690",
+}
+STACK = 17
+
+
+def _one_at_a_time(draws):
+    return [linalg.haar_frame(np.array(g.T, order="F")) for g in draws]
+
+
+@pytest.mark.parametrize("k, d", sorted(STACK_SHAPES))
+def test_stacked_kernels_equal_their_one_subspace_calls(k, d):
+    draws = np.random.default_rng(k * d).standard_normal((2, STACK, k, d))
+    u, v = _one_at_a_time(draws[0]), _one_at_a_time(draws[1])
+    stacks = [linalg.haar_frames(g.copy().transpose(0, 2, 1)) for g in draws]
+    assert [f.tobytes() for f in stacks[0]] == [s.basis.tobytes() for s in u]
+    assert [f.tobytes() for f in stacks[1]] == [s.basis.tobytes() for s in v]
+    perp = [linalg.complements(f) for f in stacks]
+    assert [c.tobytes() for c in perp[0]] == [linalg.complement(s).basis.tobytes() for s in u]
+    assert all(c.flags.c_contiguous for c in perp[0])
+    near = linalg.chordal_distances(*stacks)
+    far = linalg.chordal_distances(*perp)
+    assert near.tolist() == [linalg.chordal_distance(a, b) for a, b in zip(u, v)]
+    assert far.tolist() == [linalg.chordal_distance(linalg.complement(a), linalg.complement(b))
+                            for a, b in zip(u, v)]
+    digest = hashlib.sha256()
+    for s in u + v + [linalg.complement(s) for s in u]:
+        digest.update(s.basis.tobytes())
+    digest.update(near.tobytes())
+    digest.update(far.tobytes())
+    assert digest.hexdigest() == STACK_SHAPES[k, d]
+
+
+def test_sample_grassmannians_draws_as_the_one_subspace_calls():
+    # one k x d draw from each generator, in their order, and the bytes of
+    # sample_grassmannian from each generator on its own
+    rngs = [np.random.default_rng((4, t)) for t in range(5)]
+    again = [np.random.default_rng((4, t)) for t in range(5)]
+    stack = linalg.sample_grassmannians(7, 40, rngs * 2)
+    one = [linalg.sample_grassmannian(7, 40, rng) for rng in again * 2]
+    assert [f.tobytes() for f in stack] == [s.basis.tobytes() for s in one]
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in again]
+    with pytest.raises(DimensionMismatch):
+        linalg.sample_grassmannians(41, 40, rngs)
+
+
+# sha256 of each output of _lapack_outputs, made by the code before _lapack
+# took stacks: the 600 x 1024 frame is a stack of one, as sweep-proj draws it
+LAPACK_OUTPUT_PINS = [
+    "7c7522f1b72cff5d5821c0e930871ce529256f2bb933e7bee43c038d97bbad39",
+    "df96a3b4c321013f2d17000e9c685bff8590390f2acdea274d61dfb34a714e99",
+    "f43a277abcf9cd3b1034332c653792396c6397d4990144aff0f37e1376c4717c",
+    "1c7512553f2bfc9c996ce25a9e9df48613167d524ad975bde4396ed357fb607a",
+]
+
+
+def test_lapack_outputs_keep_their_bytes():
+    assert [hashlib.sha256(out).hexdigest() for out in _lapack_outputs()] == LAPACK_OUTPUT_PINS
+
+
+def test_lapack_refuses_stacks_of_two_lengths():
+    # three 4 x 2 Fortran-ordered slices against two tau vectors: refused
+    # before a call reads past the shorter stack
+    a = np.zeros((3, 2, 4)).transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="one length"):
+        linalg._lapack("dorgqr", 4, 2, 2, a, 4, np.zeros((2, 2)), lwork=64)
+
+
 # the Haar test: over HAAR_DRAWS frames at (HAAR_K, HAAR_D), Q[0, 0] and
 # Q[0, HAAR_K - 1] are each the first coordinate of a uniform unit vector in
 # R^HAAR_D, which a KS test at level HAAR_ALPHA must not reject.  Q[0, 0]

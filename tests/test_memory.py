@@ -4,6 +4,8 @@ Each path holds its m x d (or d' x d) array once: the array is edited in
 place or reduced in fixed row blocks, so the traced peak stays a small
 multiple of the output.  The whole-matrix formulas these replaced peaked at
 about 4.0x (gen_lsp_margin) and 4.3x (projection_for) the bound below.
+The certificates that factor their trials in stacks hold one chunk's
+stacks at a time, so their peaks do not grow with the trial count.
 sphere_concentration_test draws one value per trial from the exact law;
 its dense draw held the trials x d array and its projection, 7.9 MiB at
 10 000 x 64.  proj-separator's finalize peaked 8.5 MiB
@@ -17,7 +19,12 @@ import tracemalloc
 from nullstream.algorithms import build_algorithm, proj_state_bits
 from nullstream.instances import gen_lsp_margin
 from nullstream.streaming import STEP_BLOCK, BitState, SharedRandomness, _advance
-from nullstream.verification import sphere_concentration_test, sphere_marginal_tests
+from nullstream.verification import (
+    certify_no_joint_sol,
+    comorth_check,
+    sphere_concentration_test,
+    sphere_marginal_tests,
+)
 
 MIB = 2**20
 
@@ -95,3 +102,27 @@ def test_marginal_peak_is_under_seven_sample_arrays():
     _, peak = traced_peak(lambda: sphere_marginal_tests(d, samples, 0.2, 3))
     # the exact CDF is one array over the sorted samples, filled in place
     assert peak <= 7 * samples * 8
+
+
+def test_stacked_certificates_peak_under_the_marginal():
+    # certify's largest traced moment is the marginal's exact CDF and KS
+    # terms; no-joint-sol and comorth at their certify sizes stay under it,
+    # so their stacks cannot raise certify's peak
+    sphere_marginal_tests(8, 10, 0.2, 1)  # first-call imports
+    certify_no_joint_sol(16, 0.5, 2, 1)
+    comorth_check(8, 3, 1)
+    _, marginal = traced_peak(lambda: sphere_marginal_tests(64, 100_000, 0.2, 3))
+    _, joint = traced_peak(lambda: certify_no_joint_sol(64, 0.5, 50, 0))
+    _, comorth = traced_peak(lambda: comorth_check(32, 100, 0))
+    assert max(joint, comorth) < marginal
+
+
+def test_no_joint_sol_peak_at_large_d_is_one_chunk():
+    # at d = 512 a chunk is one trial, whose stacks are V1 and V2, U, the
+    # d x d projector sum and V1's complete QR; four trials peak at four
+    # d x d arrays, where one stack of all four would hold several times that
+    d = 512
+    certify_no_joint_sol(16, 0.0, 2, 1)  # first-call caches
+    r, peak = traced_peak(lambda: certify_no_joint_sol(d, 0.0, 4, 0))
+    assert r.statistics["counted"] == 4
+    assert peak <= 4 * d * d * 8

@@ -7,7 +7,9 @@ eigensolve of its two quadratic forms.  The marginal's closed-form CDF is
 checked against the quadrature grid in test_marginal_golden.
 """
 
+import copy
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -18,10 +20,10 @@ import scipy.stats
 from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
-from nullstream import verification
+from nullstream import linalg, verification
 from nullstream.errors import DimensionMismatch, EmptyList, ValidationError
 from nullstream.instances import first_coord_tail
-from nullstream.linalg import orthonormalize, sample_grassmannian
+from nullstream.linalg import haar_frame, orthonormalize, sample_grassmannian
 from nullstream.verification import (
     LemmaReport,
     _ks_statistic,
@@ -145,24 +147,43 @@ def test_joint_sol_lambda_min_is_the_eigh_reference(d):
         assert abs(joint_sol_lambda_min(subs) - reference) <= 1e-13
 
 
+# sha256 of joint_sol_lambda_min over 17 triples (V1, V2, U) of 32, 32 and
+# 31 rows at d = 64, one list at a time, made by the code before it took stacks
+JOINT_STACK_PIN = "5fe820c18ecd99bc7f3706b8d897f1dbab358f55194da939adbdeab0f0d693de"
+
+
+def test_stacked_joint_sol_lambda_min_equals_the_one_list_calls():
+    draws = np.random.default_rng(5).standard_normal((3, 17, 32, 64))
+    stacks = [linalg.haar_frames(g.copy().transpose(0, 2, 1)) for g in draws]
+    stacks[2] = np.ascontiguousarray(stacks[2][:, :31])
+    lam = verification.joint_sol_lambda_mins(stacks)
+    one = [joint_sol_lambda_min([linalg.Subspace(64, b.shape[0], b) for b in triple])
+           for triple in zip(*stacks)]
+    assert lam.tolist() == one
+    assert hashlib.sha256(lam.tobytes()).hexdigest() == JOINT_STACK_PIN
+
+
 def test_no_joint_sol_probe_frame_is_the_haar_frame_of_its_draw(monkeypatch):
-    # the probe's frame in V1-perp coordinates: probe_dim orthonormal rows
-    # whose bytes are haar_frame's of the same Gaussian draw, whose law the
-    # Haar tests in test_linalg judge
-    haar_frame, frames = verification.haar_frame, []
+    # the probe's frames in V1-perp coordinates, drawn in one stacked call a
+    # chunk: probe_dim orthonormal rows a counted trial, whose bytes are
+    # haar_frame's of that trial's own Gaussian draw, whose law the Haar
+    # tests in test_linalg judge
+    stacked, frames = verification.sample_grassmannians, []
 
-    def recorded(a):
-        draw = np.array(a, order="F")
-        frames.append((draw, haar_frame(a)))
-        return frames[-1][1]
+    def recorded(k, d, rngs):
+        draws = [copy.deepcopy(rng).standard_normal((k, d)) for rng in rngs]
+        out = stacked(k, d, rngs)
+        if (k, d) == (2, 16):
+            frames.extend(zip(draws, out))
+        return out
 
-    monkeypatch.setattr(verification, "haar_frame", recorded)
+    monkeypatch.setattr(verification, "sample_grassmannians", recorded)
     r = certify_no_joint_sol(32, 0.5, 6, seed=3)
     assert len(frames) == r.statistics["counted"] > 0
     for draw, frame in frames:
-        assert frame.basis.shape == (2, 16) == draw.T.shape
-        assert np.abs(frame.basis @ frame.basis.T - np.eye(2)).max() <= 1e-13
-        assert haar_frame(draw).basis.tobytes() == frame.basis.tobytes()
+        assert frame.shape == (2, 16) == draw.shape
+        assert np.abs(frame @ frame.T - np.eye(2)).max() <= 1e-13
+        assert haar_frame(np.array(draw.T, order="F")).basis.tobytes() == frame.tobytes()
 
 
 def test_no_joint_sol_rejects_odd_dimension():
@@ -383,6 +404,59 @@ def test_normal_cdf_matches_ndtr():
     # the marginal's normal reference is libm's erfc, block by block
     z = np.linspace(-40.0, 40.0, 200_001)
     assert np.abs(verification._normal_cdf(z) - ndtr(z)).max() <= 3e-16
+
+
+def test_normal_cdf_screen_is_within_its_stated_error():
+    # Abramowitz and Stegun 7.1.26 bounds erfc's error by 1.5e-7, so Phi's
+    # by 7.5e-8; 6.97e-8 is reached on this grid
+    z = np.linspace(-40.0, 40.0, 2_000_001)
+    err = np.abs(verification._normal_cdf_screen(z) - verification._normal_cdf(z)).max()
+    assert err <= 7.5e-8 < verification.KS_SCREEN_EPS
+
+
+def _unscreened_ks_normal(z):
+    return _ks_statistic(z, verification._normal_cdf(z))
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_screened_ks_normal_is_the_unscreened_statistic(d):
+    # the marginal's own samples, 100 000 of them over two blocks
+    for seed in range(10):
+        coords = verification._first_coords(d, 100_000, verification._trial_rng(seed, 0))
+        coords.sort()
+        z = math.sqrt(d) * coords
+        assert verification._ks_normal(z).hex() == _unscreened_ks_normal(z).hex(), seed
+
+
+def test_screened_ks_normal_is_the_unscreened_statistic_at_small_sizes():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 10, 1000):
+        z = np.sort(rng.standard_normal(n))
+        assert verification._ks_normal(z).hex() == _unscreened_ks_normal(z).hex(), n
+
+
+def _near_tie(n, seed):
+    # every rank's exact deviation is 1/(2n) up to a jitter of 1e-10, far
+    # below the screen's error, so the jitter alone decides the maximum
+    from scipy.special import ndtri
+
+    jitter = np.random.default_rng(seed).uniform(-1e-10, 1e-10, n)
+    return ndtri((np.arange(1, n + 1) - 0.5) / n + jitter)
+
+
+def test_screened_ks_normal_is_exact_on_near_ties():
+    for seed in range(5):
+        z = _near_tie(1000, seed)
+        assert verification._ks_normal(z).hex() == _unscreened_ks_normal(z).hex(), seed
+
+
+def test_screen_without_its_margin_misses_near_ties(monkeypatch):
+    # planted control: with no margin only the screened maximum's rank is
+    # evaluated exactly, and on a near-tie that is not the exact maximum's
+    monkeypatch.setattr(verification, "KS_SCREEN_EPS", 0.0)
+    for seed in range(5):
+        z = _near_tie(1000, seed)
+        assert verification._ks_normal(z) != _unscreened_ks_normal(z), seed
 
 
 def test_exact_tail_decays_exponentially_in_dimension():

@@ -27,11 +27,16 @@ import pytest
 
 import nullstream
 from nullstream.algorithms import build_algorithm, proj_state_bits, separator_budget_bits
-from nullstream.cli import main
+from nullstream.cli import main, report_to_json
 from nullstream.config import DEFAULTS
 from nullstream.instances import gen_lsp_margin
 from nullstream.streaming import run_one_pass
-from nullstream.verification import certify_sandwich
+from nullstream.verification import (
+    certify_no_joint_sol,
+    certify_sandwich,
+    comorth_check,
+    sphere_marginal_tests,
+)
 
 # argv after "verify" -> (exit code, sha256 of stdout)
 VERIFY_CASES = {
@@ -67,6 +72,33 @@ def test_verify_stdout_at_default_thresholds(argv, capsys):
     code = main(["verify", *argv])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == VERIFY_CASES[argv]
+
+
+# sha256 of report_to_json at the certify workload's sizes, made before the
+# certificates factored their trials in stacks: 50 no-joint-sol trials at
+# d = 64 span seven chunks of up to 8, 100 comorth trials at d = 32 are
+# stacked by k, and the marginal's 100 000 samples cross a block of the
+# screened KS statistic
+REPORT_CASES = {
+    ("no-joint-sol", 0): "1afffe630b62c2348f5d29fc1fff4e8c7ab7a35d879427cf5e376b3850d467e2",
+    ("no-joint-sol", 7): "121a04c1552267c8832f3c25b8351ef4542a33512012edc964ffcc0d439e9d12",
+    ("comorth", 0): "445638565252e66819a48b6d1cc4c8240dcc0dec05c5f658500312e9b5e45b41",
+    ("comorth", 7): "019050cd4d50b8d73356bf3e2d626920471009428b98e1b3adfc64a425526d66",
+    ("marginal", 0): "b27822d0b6509a31f071162d7e8fc1ca3cb3596c787b3a8907bf8050e14ef31d",
+    ("marginal", 7): "c9b0908cd56a358d24299c7205c8ad43d84763f6c889b3092219eb3ecad3fd67",
+}
+REPORTS = {
+    "no-joint-sol": lambda seed: certify_no_joint_sol(64, 0.5, 50, seed),
+    "comorth": lambda seed: comorth_check(32, 100, seed),
+    "marginal": lambda seed: sphere_marginal_tests(64, 100_000, 0.2, seed),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES), ids=str)
+def test_report_bytes_at_the_certify_workload_sizes(case):
+    lemma, seed = case
+    digest = hashlib.sha256(report_to_json(REPORTS[lemma](seed)).encode("utf-8")).hexdigest()
+    assert digest == REPORT_CASES[case]
 
 
 # the sandwich verdicts on their own, apart from the rho bytes the digests
