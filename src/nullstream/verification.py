@@ -142,8 +142,8 @@ def certify_no_joint_sol(
         # same two draws in the same order
         v = sample_grassmannians(half, d, rngs * 2)
         dist2 = [float(x) ** 2 for x in chordal_distances(v[: len(rngs)], v[len(rngs) :])]
+        chunk_rows = [{"trial": t, "skipped": True, "dist2": x} for t, x in zip(trials_at, dist2)]
         kept = [i for i, x in enumerate(dist2) if not x < delta_threshold * d / 2.0]
-        judged = {}
         if kept:
             # the counted trials' V1 and V2, and no other draw of the chunk
             v1, v2 = v[kept], v[[len(rngs) + i for i in kept]]
@@ -157,22 +157,10 @@ def certify_no_joint_sol(
             lam = joint_sol_lambda_mins([v1, v2, u])
             probe_basis = coeff @ complements(v1)
             probe = np.linalg.svd(v2 @ probe_basis.transpose(0, 2, 1), compute_uv=False)
-            judged = dict(zip(kept, zip(lam.tolist(), probe.min(axis=1).tolist())))
-        for i, t in enumerate(trials_at):
-            if i not in judged:
-                rows.append({"trial": t, "skipped": True, "dist2": dist2[i]})
-                continue
-            lam_i, probe_i = judged[i]
-            rows.append(
-                {
-                    "trial": t,
-                    "skipped": False,
-                    "dist2": dist2[i],
-                    "lambda_min": lam_i,
-                    "probe_min_proj": probe_i,
-                    "passed": bool(lam_i >= threshold),
-                }
-            )
+            for i, lam_i, probe_i in zip(kept, lam.tolist(), probe.min(axis=1).tolist()):
+                chunk_rows[i].update(skipped=False, lambda_min=lam_i, probe_min_proj=probe_i,
+                                     passed=bool(lam_i >= threshold))
+        rows += chunk_rows
     counted = [r for r in rows if not r["skipped"]]
     stats = {
         "counted": float(len(counted)),
