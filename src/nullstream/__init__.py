@@ -42,7 +42,7 @@ from .instances import (
     lr_loss,
     margin_of,
 )
-from .linalg import Subspace, chordal_distance, kernel_vector, orthonormalize
+from .linalg import Subspace, kernel_vector, orthonormalize
 from .reductions import ReductionConfig, anv_via_lr, anv_via_lsp
 from .serialize import instance_from_json, instance_to_json, report_to_csv, report_to_json
 from .streaming import (

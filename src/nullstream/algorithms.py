@@ -62,6 +62,16 @@ def _stored_count(payload, d: int) -> int:
     return count
 
 
+def _append(state, layout, field: str, row: np.ndarray, d: int):
+    """Store row after the count rows of field in a solver state whose
+    format is layout(count, d), and count it in the header."""
+    count = _stored_count(state.payload, d)
+    grown = layout(count + 1, d)
+    grown.write(state, "header", [count + 1, d])
+    # the field holds count + 1 rows of one length
+    grown.write(state, field, row, start=count * (grown.fields[field][2] // (count + 1)))
+
+
 class ZeroPredictor(OnePassAlgorithm):
     """Remembers only the ambient dimension; outputs the zero vector.
 
@@ -106,11 +116,7 @@ class OfflineKernelSolver(OnePassAlgorithm):
 
     def update(self, i, sample, state, shared):
         vec = _sample_vector(sample)
-        d = vec.shape[0]
-        count = _stored_count(state.payload, d)
-        layout = self.layout(count + 1, d)
-        layout.write(state, "header", [count + 1, d])
-        layout.write(state, "vectors", vec, start=count * d)
+        _append(state, self.layout, "vectors", vec, vec.shape[0])
         return state
 
     def finalize(self, state, shared):
@@ -280,11 +286,7 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
 
     def update(self, i, sample, state, shared):
         x, y = _labeled(sample)
-        d = x.shape[0]
-        count = _stored_count(state.payload, d)
-        layout = self.layout(count + 1, d)
-        layout.write(state, "header", [count + 1, d])
-        layout.write(state, "rows", np.append(x, y), start=count * (d + 1))
+        _append(state, self.layout, "rows", np.append(x, y), x.shape[0])
         return state
 
     def finalize(self, state, shared):

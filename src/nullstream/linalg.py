@@ -10,8 +10,8 @@ stack, with the scalar arguments converted once per stack.
 The subspace kernels haar_frames, sample_grassmannians, complements and
 chordal_distances take stacks of bases of one shape, s x k x d, and give
 each slice the bytes it gets on its own; the caller bounds a stack's size.
-haar_frame, sample_grassmannian, complement and chordal_distance are their
-stacks of one, on Subspace.
+haar_frame and sample_grassmannian are the first two's stacks of one, on
+Subspace.
 """
 
 from __future__ import annotations
@@ -194,12 +194,6 @@ def complements(bases: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q[:, :, k:].transpose(0, 2, 1))
 
 
-def complement(s: Subspace) -> Subspace:
-    """The orthogonal complement (dim d - k), as a C-ordered row basis."""
-    d, k = s.ambient_dim, s.dim
-    return Subspace(ambient_dim=d, dim=d - k, basis=complements(s.basis[None])[0])
-
-
 def kernel_vector(vectors) -> np.ndarray:
     """The unit vector orthogonal to d-1 independent vectors in R^d.
 
@@ -249,11 +243,6 @@ def chordal_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(resid.reshape(resid.shape[0], -1), axis=1))
 
 
-def chordal_distance(u: Subspace, v: Subspace) -> float:
-    """chordal_distances of one pair of subspaces."""
-    return float(chordal_distances(u.basis[None], v.basis[None])[0])
-
-
 def check_seed(seed):
     """The seed, unchanged, if numpy's default_rng takes it; a negative seed
     is a ValidationError rather than numpy's bare ValueError."""
@@ -273,13 +262,7 @@ def sample_uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_uniform_subsphere(s: Subspace, rng: np.random.Generator) -> np.ndarray:
-    if s.dim < 1:
-        raise ZeroDimensional("subsphere needs dim >= 1")
-    while True:
-        g = rng.standard_normal(s.dim)
-        n = np.linalg.norm(g)
-        if n > 0:
-            return s.basis.T @ (g / n)
+    return s.basis.T @ sample_uniform_sphere(s.dim, rng)
 
 
 def sample_grassmannians(k: int, d: int, rngs) -> np.ndarray:

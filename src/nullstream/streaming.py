@@ -41,9 +41,10 @@ from .errors import BudgetViolation, ValidationError
 
 _U64 = (1 << 64) - 1
 
-# Layout moves integer runs of up to _FEW elements given as Python ints with
-# int arithmetic, which costs less than numpy's dispatch on so few values,
-# and fields of these widths with one big-endian numpy cast
+# Layout.write packs integer runs of up to _FEW elements given as Python ints
+# with int arithmetic, which costs less than numpy's dispatch on so few
+# values; reads always go through numpy.  Fields of these widths move with
+# one big-endian numpy cast
 _FEW = 8
 _WHOLE_BYTES = (8, 16, 32, 64)
 
@@ -75,7 +76,12 @@ class BitState:
         if capacity_bits < 1:
             raise ValidationError("capacity must be at least 1 bit")
         want = (capacity_bits + 7) // 8
-        payload = bytearray(want) if payload is None else bytearray(payload)
+        try:
+            payload = bytearray(want) if payload is None else bytearray(payload)
+        except (OverflowError, MemoryError):
+            raise ValidationError(
+                "a %d-bit state does not fit in this process's memory" % capacity_bits
+            ) from None
         if len(payload) != want:
             raise ValidationError(
                 "payload is %d bytes, capacity %d bits needs %d"
@@ -359,11 +365,10 @@ class Layout:
     bare payload, since reads are not accounted.
 
     Every path stores the same bits.  A write of at most _FEW Python ints (a
-    header [count, d], a label bit) and a read of at most _FEW integer
-    elements pack and unpack them with Python int arithmetic; fields 8, 16,
-    32 or 64 bits wide move arrays with one big-endian numpy cast, written
-    straight into the payload when the run starts on a byte; other widths
-    are re-aligned bit by bit in numpy.
+    header [count, d], a label bit) packs them with Python int arithmetic.
+    Fields 8, 16, 32 or 64 bits wide are read with one big-endian numpy cast
+    and written with one straight into the payload when the run starts on a
+    byte; every other write and read is re-aligned bit by bit in numpy.
     """
 
     __slots__ = ("fields", "nbits")
@@ -449,11 +454,8 @@ class Layout:
                 # cast straight into the payload's bytes, with no copy between
                 np.frombuffer(buf, ">u%d" % (width // 8), count, lo // 8)[...] = ints
                 return
-            if width in _WHOLE_BYTES:
-                raw = ints.astype(">u%d" % (width // 8)).tobytes()
-            else:
-                bits = np.unpackbits(ints.astype(">u8").view(np.uint8)).reshape(-1, 64)
-                raw = np.packbits(bits[:, 64 - width :]).tobytes()
+            bits = np.unpackbits(ints.astype(">u8").view(np.uint8)).reshape(-1, 64)
+            raw = np.packbits(bits[:, 64 - width :]).tobytes()
         _put(buf, lo, raw, count * width)
 
     def read(self, payload, name: str, start: int = 0, count: int | None = None) -> np.ndarray:
@@ -465,11 +467,6 @@ class Layout:
         lo = self._span(payload, name, start, count)
         if is_float:
             return np.frombuffer(_get(payload, lo, count * width), dtype="<f8").copy()
-        if count <= _FEW:
-            packed = _get_int(payload, lo, count * width)
-            mask = (1 << width) - 1
-            shifts = range(width * (count - 1), -1, -width)
-            return np.array([packed >> s & mask for s in shifts], dtype=np.uint64)
         raw = _get(payload, lo, count * width)
         if width in _WHOLE_BYTES:
             return np.frombuffer(raw, dtype=">u%d" % (width // 8)).astype(np.uint64)

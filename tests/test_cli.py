@@ -5,6 +5,9 @@ stdout/stderr split are part of the contract, so tests assert on both.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -172,6 +175,60 @@ def test_run_malformed_instance_fields_exit_2(tmp_path, capsys):
         )
         assert code == 2
         assert stderr.startswith("error: ")
+
+
+# ceil(b / 8) bytes past sys.maxsize: bytearray raises OverflowError at once
+UNALLOCATABLE_BUDGET = 99999999999999999999999
+
+
+def test_run_budget_past_the_address_space_exits_2(tmp_path, capsys):
+    inst_path = gen_anv(capsys, tmp_path / "anv.json", d=8)
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--instance", str(inst_path), "--alg", "random-unit",
+        "--budget", str(UNALLOCATABLE_BUDGET), "--seed", "0",
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.splitlines() == [
+        "error: a %d-bit state does not fit in this process's memory" % UNALLOCATABLE_BUDGET]
+
+
+def test_experiment_budget_past_the_address_space_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "problem": "anv-conditioned", "trials": 1, "seed": 0,
+        "params": {"d": 8, "cf": 0.2, "algorithm": "random-unit",
+                   "budget_bits": UNALLOCATABLE_BUDGET},
+    }))
+    code, _, stderr = run_cli(
+        capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "rows.csv"))
+    assert code == 2
+    assert stderr.splitlines() == [
+        "error: a %d-bit state does not fit in this process's memory" % UNALLOCATABLE_BUDGET]
+
+
+# a child process that caps its own address space at 2 GB once its imports
+# are done, then runs with a budget of 2^60 bytes, which fits an index but
+# not the cap, so bytearray raises MemoryError; the host never allocates it
+MEMORY_CAPPED_RUN = """
+import resource, sys
+from nullstream.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_budget_past_the_memory_cap_exits_2(tmp_path, capsys):
+    inst_path = gen_anv(capsys, tmp_path / "anv.json", d=8)
+    budget = 2**63 - 1
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CAPPED_RUN, "run", "--instance", str(inst_path),
+         "--alg", "random-unit", "--budget", str(budget), "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: a %d-bit state does not fit in this process's memory" % budget]
 
 
 # the exit codes the cli module docstring documents

@@ -505,7 +505,8 @@ def test_sample_dv_projected_std(k_frac, alpha):
     s = linalg.sample_grassmannian(k, d, rng)
     u_in = s.basis[0]
     if alpha < 1.0:
-        u_out = linalg.sample_uniform_subsphere(linalg.complement(s), rng)
+        perp = linalg.complements(s.basis[None])[0]
+        u_out = linalg.sample_uniform_subsphere(linalg.Subspace(d, d - k, perp), rng)
         w = alpha * u_in + math.sqrt(1 - alpha**2) * u_out
     else:
         w = u_in
@@ -654,7 +655,7 @@ def test_conditioned_pool_matches_unconditioned_marginal():
         s += 1
         e1 = np.eye(d)[0]
         plane = linalg.orthonormalize([e1, inst.witness])
-        rest = linalg.complement(plane)
-        pooled.extend((inst.vectors @ rest.basis.T).ravel())
+        rest = linalg.complements(plane.basis[None])[0]
+        pooled.extend((inst.vectors @ rest.T).ravel())
     stat = scipy.stats.kstest(pooled, marginal_cdf(d)).statistic
     assert stat <= 0.03

@@ -78,6 +78,13 @@ def test_bitstate_shape_and_trailing_bits():
         BitState(16, bytes(1))
 
 
+def test_bitstate_refuses_a_budget_past_the_address_space():
+    # bytearray raises OverflowError for a size past sys.maxsize before it
+    # allocates anything; the state refuses it as bad input
+    with pytest.raises(ValidationError, match="does not fit in this process's memory"):
+        BitState(99999999999999999999999)
+
+
 def test_bitstate_pack_budget():
     layout = Layout(a=uint(8), b=uint(8))
     s = BitState(64)
@@ -476,8 +483,8 @@ def test_projection_separator_one_sample_prepare_equals_the_runners(quant_bits):
 
 # Layout.write and Layout.read are the package's bit writer and reader.
 
-# uint runs reach past the few elements Layout packs with Python ints, so
-# both its int and its numpy paths are drawn
+# uint runs reach past the few elements Layout.write packs with Python ints,
+# so both its int and its numpy write paths are drawn
 FIELD_SPECS = st.lists(
     st.one_of(
         st.builds(uint, st.integers(1, 64), st.integers(0, 12)),
@@ -573,9 +580,10 @@ def test_bit_writer_floats_roundtrip():
 @pytest.mark.parametrize("lead", [0, 3])
 @pytest.mark.parametrize("width", range(8, 65, 8))
 def test_whole_byte_fields_are_msb_first(width, lead):
-    # whole-byte widths bypass the bit re-alignment; pin their bytes, at an
-    # aligned and an unaligned offset, against the values' own bit strings,
-    # for a few Python ints and for an array too long for the int path
+    # whole-byte widths skip the bit re-alignment on a run that starts on a
+    # byte and take it on one that does not; pin their bytes, at an aligned
+    # and an unaligned offset, against the values' own bit strings, for a few
+    # Python ints and for an array too long for the int path
     few = [2**width - 1, 1, 0x0123456789ABCDEF >> (64 - width)]
     for values, given in ((few, few), (few * 4, np.array(few * 4, dtype=np.uint64))):
         layout = Layout(pad=uint(1, lead), vals=uint(width, len(values)))

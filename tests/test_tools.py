@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
-BENCH_PAIRS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_pairs.py")
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools")
+BENCH_PAIRS = os.path.join(TOOLS, "bench_pairs.py")
 
 
 def _result(metrics, attempted=10, failed=0, correct=True):
@@ -193,3 +195,58 @@ def test_bench_pairs_counts_failed_ops_and_flags_their_pairs(tmp_path, monkeypat
     assert [line.endswith("  FAILED OPS") for line in lines] == [False, True, True, False]
     pairs = json.loads(out.read_text())["pairs"]["certify"]
     assert pairs["failed_ops"] == "base 1 of 40, head 0 of 80"
+
+
+TOY = """\
+def sign(x):
+    if x > 0:
+        return 1
+    return -1
+
+
+def never():
+    total = 0
+    return total
+
+
+class Box:
+    def get(self):
+        return [v for v in (1, 2)]
+"""
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traffic_reports_the_lines_no_call_ran(tmp_path):
+    traffic = _load_tool("traffic")
+    path = tmp_path / "toy.py"
+    path.write_text(TOY)
+    spec = importlib.util.spec_from_file_location("toy", path)
+    toy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(toy)
+    functions = traffic.function_lines(str(path))
+    # def lines and the class body are not counted
+    assert functions == {"sign": {2, 3, 4}, "never": {8, 9}, "Box.get": {14},
+                         "Box.get.<locals>.<listcomp>": {14}}
+
+    def call():
+        # one branch here, the other in a thread the call starts
+        toy.sign(1)
+        worker = threading.Thread(target=toy.Box().get)
+        worker.start()
+        worker.join()
+
+    before = sys.gettrace(), threading.gettrace()
+    hits = traffic.traced([str(path)], call)
+    assert hits == {str(path): {2, 3, 14}}
+    assert (sys.gettrace(), threading.gettrace()) == before
+    assert traffic.report("toy.py", functions, hits[str(path)]) == [
+        "toy.py: 3 of 7 lines in functions unrun",
+        "  sign: 4",
+        "  never: 8-9 (never called)",
+    ]
