@@ -39,17 +39,21 @@ def function_lines(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         top = compile(fh.read(), path, "exec")
     out = {}
-    todo = [top]
+    # (code, its qualified name's prefix), as co_qualname of Python 3.11 has it
+    todo = [(c, "") for c in top.co_consts if inspect.iscode(c)]
     while todo:
-        code = todo.pop()
-        todo.extend(c for c in code.co_consts if inspect.iscode(c))
-        if code is top or not code.co_flags & inspect.CO_OPTIMIZED:
-            continue  # module and class bodies run at import
+        code, prefix = todo.pop()
+        name = prefix + code.co_name
+        function = code.co_flags & inspect.CO_OPTIMIZED
+        inner = name + (".<locals>." if function else ".")
+        todo.extend((c, inner) for c in code.co_consts if inspect.iscode(c))
+        if not function:
+            continue  # class bodies run at import
         lines = {line for _, _, line in code.co_lines() if line is not None}
         if not code.co_name.startswith("<"):
             lines.discard(code.co_firstlineno)
         if lines:
-            out.setdefault(code.co_qualname, set()).update(lines)
+            out.setdefault(name, set()).update(lines)
     return out
 
 
