@@ -38,10 +38,15 @@ from .streaming import STEP_BLOCK, Layout, OnePassAlgorithm, SharedRandomness, f
 
 
 def _sample_vector(sample) -> np.ndarray:
-    """The vector part of a sample: bare vectors, (x, label), (row, target)."""
+    """The vector part of a sample: bare vectors, (x, label), (row, target).
+    A scalar has no length to store, so it is refused."""
     if isinstance(sample, (tuple, list)) and len(sample) == 2 and np.ndim(sample[1]) == 0:
-        return np.asarray(sample[0], dtype=float)
-    return np.asarray(sample, dtype=float)
+        vec = np.asarray(sample[0], dtype=float)
+    else:
+        vec = np.asarray(sample, dtype=float)
+    if vec.ndim == 0:
+        raise ValidationError("a sample must be a vector, got the scalar %r" % float(vec))
+    return vec
 
 
 # every solver state opens with [u32 count][u32 d]
@@ -52,6 +57,14 @@ _HEADER_ONLY = Layout(header=_HEADER)
 def _header(payload) -> tuple[int, int]:
     count, d = _HEADER_ONLY.read(payload, "header").tolist()
     return count, d
+
+
+def _check_run_dimension(d: int, run_d: int):
+    """Refuse a d other than run_d, the dimension the algorithm was built
+    for: party 2 reads d from message bytes no runner checked, and a crafted
+    header would otherwise size its allocations."""
+    if d != run_d:
+        raise DimensionMismatch("state holds dimension %d, the run's is %d" % (d, run_d))
 
 
 def _stored_count(payload, d: int) -> int:
@@ -75,17 +88,27 @@ def _append(state, layout, field: str, row: np.ndarray, d: int):
 class ZeroPredictor(OnePassAlgorithm):
     """Remembers only the ambient dimension; outputs the zero vector.
 
-    State: Layout(d=uint(32)).
+    State: Layout(d=uint(32)).  finalize refuses a stored d other than the
+    d it was built for, and returns the zero vector of length 0 for a state
+    nothing was written to.
     """
 
     LAYOUT = Layout(d=uint(32))
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise ValidationError("need d >= 1")
+        self.d = int(d)
 
     def update(self, i, sample, state, shared):
         self.LAYOUT.write(state, "d", _sample_vector(sample).shape[0])
         return state
 
     def finalize(self, state, shared):
-        return np.zeros(int(self.LAYOUT.read(state.payload, "d")[0]))
+        d = int(self.LAYOUT.read(state.payload, "d")[0])
+        if d:  # 0 is a state nothing was written to
+            _check_run_dimension(d, self.d)
+        return np.zeros(d)
 
 
 class RandomUnitPredictor(OnePassAlgorithm):
@@ -344,7 +367,8 @@ class ProjectionSeparator(OnePassAlgorithm):
     with coords=f64(subsample * dprime) when quant_bits = 0.  The header holds
     the seen-count and the ambient d; slot j keeps its label bit (1 for +1)
     and coordinates j*dprime .. (j+1)*dprime-1, the quantized sqrt(d/d') P x
-    clipped to +-quant_range.
+    clipped to +-quant_range.  The projection is drawn only for the d the
+    instance was built for, so a header holding another d is refused.
     """
 
     # the clip applied before quantizing, and finalize's perceptron pass limit
@@ -353,6 +377,7 @@ class ProjectionSeparator(OnePassAlgorithm):
 
     def __init__(
         self,
+        d: int,
         dprime: int,
         subsample_size: int,
         quant_bits: int = 16,
@@ -362,6 +387,7 @@ class ProjectionSeparator(OnePassAlgorithm):
             raise ValidationError("dprime and subsample_size must be positive")
         if quant_bits and not (1 <= quant_bits <= 32):
             raise ValidationError("quant_bits must be 0 (off) or 1..32")
+        self.d = int(d)
         self.dprime = int(dprime)
         self.subsample = int(subsample_size)
         self.quant_bits = int(quant_bits)
@@ -372,6 +398,7 @@ class ProjectionSeparator(OnePassAlgorithm):
     # -- projection ---------------------------------------------------------
 
     def projection_for(self, d: int, shared: SharedRandomness) -> Subspace:
+        _check_run_dimension(d, self.d)
         if self.dprime > d:
             raise DimensionMismatch("dprime exceeds ambient dimension")
         key = (shared.seed, d)
@@ -463,10 +490,11 @@ class ProjectionSeparator(OnePassAlgorithm):
         count, d = _header(state.payload)
         if count == 0:
             raise DegenerateOutput("no points seen")
+        # the header's d is checked before the perceptron runs
+        basis = self.projection_for(d, shared).basis
         kept = min(count, self.subsample)
         w_p = perceptron(self._signed_points(state.payload, kept), self.max_passes)
-        proj = self.projection_for(d, shared)
-        w = proj.basis.T @ w_p
+        w = basis.T @ w_p
         return w / np.linalg.norm(w)
 
 
@@ -485,13 +513,13 @@ class Algorithm(NamedTuple):
 ALGORITHMS = {
     # the null-vector objective scores unit candidates only, so the zero
     # baseline is meaningful just for separators and regression
-    "zero": Algorithm(lambda d, seed: ZeroPredictor(), (LspDataset, LrInstance)),
+    "zero": Algorithm(lambda d, seed: ZeroPredictor(d), (LspDataset, LrInstance)),
     "random-unit": Algorithm(RandomUnitPredictor, (AnvInstance, LspDataset, LrInstance)),
     "offline-kernel": Algorithm(lambda d, seed: OfflineKernelSolver(), (AnvInstance,)),
     "offline-lstsq": Algorithm(lambda d, seed: OfflineLstsqSolver(), (LrInstance,)),
     "offline-separator": Algorithm(lambda d, seed: OfflineSeparatorSolver(), (LspDataset,)),
     "proj-separator": Algorithm(lambda d, seed: ProjectionSeparator(
-        dprime=min(DEFAULTS.separator.dprime, d), subsample_size=DEFAULTS.separator.subsample,
+        d, dprime=min(DEFAULTS.separator.dprime, d), subsample_size=DEFAULTS.separator.subsample,
         quant_bits=DEFAULTS.separator.quant_bits, seed=seed,
     ), (LspDataset,)),
 }

@@ -19,8 +19,11 @@ fixed order, so the no-joint-sol and comorth certificates draw a chunk of
 trials and factor them together in stacks (linalg's stacked kernels) of at
 most BLOCK_VALUES values, or of one trial where a trial's d x d arrays are
 larger; every report byte is that of the trials taken one at a time.  The
-marginal's KS distance to the normal law screens every rank with a numpy
-Phi within 7.5e-8 and takes libm's exact Phi only at the ranks within
+sphere marginal holds one array of its samples' size, the sorted
+coordinates: the chi-square part, the exact CDF and the KS terms are formed
+SAMPLE_BLOCK values at a time, and the normal reference scales the sample
+in place.  Its KS distance to the normal law screens every rank with a
+numpy Phi within 7.5e-8 and takes libm's exact Phi only at the ranks within
 2e-6 of the screened maximum, so it is the exact statistic bit for bit.
 
 Each certifier returns a LemmaReport carrying its verdict; per-trial rows
@@ -29,6 +32,7 @@ ride along for CSV export, and the pass fraction is derived from them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -104,6 +108,18 @@ def _need_real(name: str, value: float, valid: bool, rule: str):
     # valid is the parameter's own range test; NaN fails every comparison
     if not (math.isfinite(value) and valid):
         raise ValidationError("%s must be a finite number %s, got %r" % (name, rule, value))
+
+
+@contextlib.contextmanager
+def _fits(name: str, count: int):
+    # a sample count whose arrays this process cannot allocate is refused
+    # like any other invalid size, not reported as a failed criterion
+    try:
+        yield
+    except MemoryError:
+        raise ValidationError(
+            "%s = %d does not fit in this process's memory" % (name, count)
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +376,26 @@ def singular_value_experiment(N: int, d: int, t: float, trials: int, seed: int) 
 # sphere marginals and concentration
 
 
+# the marginal works on its sorted sample SAMPLE_BLOCK values at a time, so
+# the temporaries of first_coord_cdf's O(d) passes and of _ks_deviations
+# are 64 KiB each and stay in cache, and the sample is the one array of its
+# size that the certificate holds
+SAMPLE_BLOCK = BLOCK_VALUES // 8
+
+
 def _ks_deviations(f: np.ndarray, i: np.ndarray, n: int) -> np.ndarray:
     # max(|F - i/n|, |F - (i-1)/n|) at the 1-based ranks i of a sorted sample
     return np.maximum(np.abs(f - i / n), np.abs(f - (i - 1) / n))
 
 
-def _ks_statistic(sample: np.ndarray, cdf_at: np.ndarray) -> float:
-    # the largest deviation over blocks of BLOCK_VALUES values: a max is
-    # exact, so the blocks give the whole-array D
+def _ks_statistic(sample: np.ndarray, cdf) -> float:
+    # the largest deviation over blocks of SAMPLE_BLOCK values, with cdf
+    # called on each block: a max is exact, so the blocks give the
+    # whole-array D
     n = sample.shape[0]
     peaks = []
-    for start in range(0, n, BLOCK_VALUES):
-        f = cdf_at[start : start + BLOCK_VALUES]
+    for start in range(0, n, SAMPLE_BLOCK):
+        f = cdf(sample[start : start + SAMPLE_BLOCK])
         peaks.append(_ks_deviations(f, np.arange(start + 1, start + f.shape[0] + 1), n).max())
     return float(np.max(peaks))
 
@@ -420,7 +444,7 @@ def _normal_cdf_screen(z: np.ndarray) -> np.ndarray:
 
 
 def _ks_normal(z: np.ndarray) -> float:
-    """_ks_statistic(z, _normal_cdf(z)) of a sorted z, bit for bit, with the
+    """_ks_statistic(z, _normal_cdf) of a sorted z, bit for bit, with the
     exact Phi taken only near the maximum.  Every deviation is screened with
     _normal_cdf_screen, whose error moves it by less than KS_SCREEN_EPS, so
     the largest exact deviation is at a rank whose screened deviation is
@@ -431,8 +455,8 @@ def _ks_normal(z: np.ndarray) -> float:
     size is made."""
     n = z.shape[0]
     top, near, near_dev = -np.inf, [], []
-    for start in range(0, n, BLOCK_VALUES):
-        f = _normal_cdf_screen(z[start : start + BLOCK_VALUES])
+    for start in range(0, n, SAMPLE_BLOCK):
+        f = _normal_cdf_screen(z[start : start + SAMPLE_BLOCK])
         dev = _ks_deviations(f, np.arange(start + 1, start + f.shape[0] + 1), n)
         top = max(top, dev.max())
         keep = np.flatnonzero(dev >= top - 2.0 * KS_SCREEN_EPS)
@@ -443,13 +467,16 @@ def _ks_normal(z: np.ndarray) -> float:
 
 
 def _first_coords(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    # x / sqrt(x^2 + R), R ~ chi^2_{d-1} (see sphere_marginal_tests); R's
-    # buffer becomes the norm and is freed on return
+    # x / sqrt(x^2 + R), R ~ chi^2_{d-1} (see sphere_marginal_tests): the
+    # normals are drawn whole and R one SAMPLE_BLOCK at a time, which draws
+    # the same values as one call, and each block of x is divided in place
     x = rng.standard_normal(samples)
-    r = rng.chisquare(d - 1, samples)
-    r += x * x
-    np.sqrt(r, out=r)
-    x /= r
+    for start in range(0, samples, SAMPLE_BLOCK):
+        block = x[start : start + SAMPLE_BLOCK]
+        r = rng.chisquare(d - 1, block.shape[0])
+        r += block * block
+        np.sqrt(r, out=r)
+        block /= r
     return x
 
 
@@ -474,11 +501,15 @@ def sphere_marginal_tests(d: int, samples: int, c_f: float, seed: int) -> LemmaR
         raise ValidationError(
             "c_f %r: the exact tail at d = %d underflows to 0, so alpha is not finite" % (c_f, d)
         )
-    coords = _first_coords(d, samples, _trial_rng(seed, 0))
-    coords.sort()
-    ks_exact = _ks_statistic(coords, first_coord_cdf(d, coords))
-    ks_normal = _ks_normal(math.sqrt(d) * coords)
-    emp_tail = float(np.mean(coords >= c_f))
+    with _fits("samples", samples):
+        coords = _first_coords(d, samples, _trial_rng(seed, 0))
+        coords.sort()
+    ks_exact = _ks_statistic(coords, lambda block: first_coord_cdf(d, block))
+    # the sample is sorted, so the count at or above c_f is a search; the
+    # normal reference then scales the sample in place
+    emp_tail = (samples - int(np.searchsorted(coords, c_f))) / samples
+    coords *= math.sqrt(d)
+    ks_normal = _ks_normal(coords)
     alpha = -math.log(exact_tail) / d
     passed = ks_exact <= KS_EXACT_MAX and ks_normal <= KS_NORMAL_MAX
     stats = {
@@ -526,8 +557,9 @@ def sphere_concentration_test(d: int, trials: int, seed: int) -> LemmaReport:
     if trials == 1:
         # the cap bounds a std, and one sample's std is 0 whatever it is
         raise ValidationError("trials must be at least 2: the std of one sample is 0")
-    f = _projection_norms(d, trials, _trial_rng(seed, 0))
-    std = float(np.std(f))
+    with _fits("trials", trials):
+        f = _projection_norms(d, trials, _trial_rng(seed, 0))
+        std = float(np.std(f))
     mean = float(np.mean(f))
     passed = std <= STD_CAP / math.sqrt(d)
     stats = {

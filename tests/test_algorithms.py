@@ -8,6 +8,9 @@ mistake bound, and brute-force multinomial statistics for the reservoir.
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import nullstream
 from nullstream.algorithms import (
     OfflineKernelSolver,
     OfflineLstsqSolver,
@@ -79,7 +83,7 @@ SOLVER_TOL = 1e-12
 
 def test_zero_predictor_outputs_zeros():
     inst = gen_anv_conditioned(16, CF, seed=0)
-    out = run_one_pass(ZeroPredictor(), list(inst.vectors), 64, seed=1)
+    out = run_one_pass(ZeroPredictor(16), list(inst.vectors), 64, seed=1)
     assert out.shape == (16,)
     assert np.all(out == 0.0)
 
@@ -87,7 +91,7 @@ def test_zero_predictor_outputs_zeros():
 def test_zero_predictor_lr_loss_is_cf_squared():
     inst = gen_lr_from_anv(gen_anv_conditioned(32, CF, seed=2), seed=2)
     samples = list(zip(inst.a, inst.b))
-    out = run_one_pass(ZeroPredictor(), samples, 64, seed=1)
+    out = run_one_pass(ZeroPredictor(32), samples, 64, seed=1)
     assert_allclose(lr_loss(inst, out), CF**2, rtol=1e-12)
 
 
@@ -209,6 +213,86 @@ def test_offline_separator_refuses_a_crafted_nonfinite_message(bad):
         run_protocol(crafted, points, [], separator_budget_bits(d, n), seed=1)
 
 
+def _refuses_crafted_dimensions(alg, layout, field, start, input1, budget):
+    # party 1's honest message at d = 8 with its header's d set to 9, then
+    # to 2^32 - 1, where np.zeros(d) would take 32 GiB and the d' x d
+    # projection draw 16 GiB a row; d + 1 goes first, so code that does not
+    # refuse it fails there, before the larger d is tried
+    for bad in (9, 2**32 - 1):
+        crafted = _crafted(alg, len(input1), layout, field, bad, start)
+        with pytest.raises(ValidationError, match="state holds dimension %d, the run's is 8" % bad):
+            run_protocol(crafted, input1, [], budget, seed=1)
+
+
+def test_zero_predictor_refuses_a_crafted_header_dimension():
+    layout = ZeroPredictor.LAYOUT
+    _refuses_crafted_dimensions(ZeroPredictor(8), layout, "d", 0, [np.ones(8)], layout.nbits)
+
+
+def test_projection_separator_refuses_a_crafted_header_dimension():
+    alg = ProjectionSeparator(8, 6, 5, 8, seed=0)
+    points = [(np.ones(8), 1.0), (-np.ones(8), -1.0)]
+    budget = proj_state_bits(6, 5, 8)
+    _refuses_crafted_dimensions(alg, alg.layout(6, 5, 8), "header", 1, points, budget)
+
+
+def test_projection_for_refuses_a_dimension_other_than_the_runs():
+    alg = ProjectionSeparator(8, 6, 5, 8, seed=0)
+    with pytest.raises(ValidationError, match="state holds dimension 9, the run's is 8"):
+        alg.projection_for(9, SharedRandomness(0))
+
+
+def test_zero_predictor_keeps_the_empty_state_output():
+    # a state nothing was written to holds d = 0, and finalizes as before
+    assert run_one_pass(ZeroPredictor(8), [], 32, seed=1).shape == (0,)
+
+
+# party 2 finalizing a header that claims d = 2^32 - 1, in a child whose
+# address space is capped at 2 GB once its imports are done: a finalize
+# that allocated what the header says would raise MemoryError there, and
+# the host never allocates it
+CRAFTED_HEADER_RUN = """
+import resource, sys
+import numpy as np
+from nullstream.algorithms import ProjectionSeparator, ZeroPredictor
+from nullstream.streaming import BitState, Message, SharedRandomness, one_pass_to_protocol
+
+if sys.argv[1] == "zero":
+    alg, layout, field, start = ZeroPredictor(8), ZeroPredictor.LAYOUT, "d", 0
+    input1 = [np.ones(8)]
+else:
+    alg = ProjectionSeparator(8, 6, 5, 8, seed=0)
+    layout, field, start = alg.layout(6, 5, 8), "header", 1
+    input1 = [(np.ones(8), 1.0), (-np.ones(8), -1.0)]
+protocol = one_pass_to_protocol(alg, len(input1))
+state = BitState(layout.nbits, protocol.send(input1, layout.nbits, SharedRandomness(1)).payload)
+layout.write(state, field, [2**32 - 1], start=start)
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+try:
+    protocol.output([], Message(layout.nbits, state.payload), layout.nbits, SharedRandomness(1))
+except Exception as e:
+    print(type(e).__name__)
+"""
+
+
+@pytest.mark.parametrize("name", ["zero", "proj"])
+def test_crafted_header_dimension_is_refused_under_a_memory_cap(name):
+    src = os.path.dirname(os.path.dirname(nullstream.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", CRAFTED_HEADER_RUN, name],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "DimensionMismatch\n", "")
+
+
+def test_scalar_samples_are_refused():
+    # a scalar has no length; 2-D samples keep the layout's own message
+    for alg in (OfflineKernelSolver(), ZeroPredictor(1)):
+        with pytest.raises(ValidationError, match="a sample must be a vector, got the scalar 1.0"):
+            run_one_pass(alg, [1.0], 100000, 0)
+    with pytest.raises(ValidationError, match="lie outside field vectors"):
+        run_one_pass(OfflineKernelSolver(), [np.ones((2, 2))], 100000, 0)
+
+
 def test_lstsq_solver_matches_offline_least_squares():
     inst = gen_lr_from_anv(gen_anv_conditioned(32, CF, seed=4), seed=4)
     samples = list(zip(inst.a, inst.b))
@@ -298,13 +382,13 @@ def test_proj_separator_rejects_labels_other_than_plus_minus_one(label):
     # the label bit stores y > 0, so any other label would be silently recast
     x = np.ones(4)
     budget = proj_state_bits(2, 3, 8)
-    counter = UpdateCounter(ProjectionSeparator(2, 3, 8))
+    counter = UpdateCounter(ProjectionSeparator(4, 2, 3, 8))
     with pytest.raises(ValidationError, match="labels must be"):
         run_one_pass(counter, [(x, 1.0), (-x, label)], budget, seed=1)
     # prepare rejects the label before any update of its block writes
     assert counter.calls == 0
     with pytest.raises(ValidationError, match="labels must be"):
-        ProjectionSeparator(2, 3, 8).prepare(1, [(x, label)], SharedRandomness(0))
+        ProjectionSeparator(4, 2, 3, 8).prepare(1, [(x, label)], SharedRandomness(0))
 
 
 def test_offline_solvers_empty_stream_degenerate():
@@ -477,7 +561,7 @@ def test_finalize_block_read_matches_whole_field_read(quant_bits):
     # kept one below, at and one past a row block of BLOCK_VALUES values
     dprime = 600
     rows = BLOCK_VALUES // dprime
-    alg = ProjectionSeparator(dprime, 2 * rows + 1, quant_bits, seed=0)
+    alg = ProjectionSeparator(1024, dprime, 2 * rows + 1, quant_bits, seed=0)
     layout = alg.layout(dprime, alg.subsample, quant_bits)
     rng = np.random.default_rng(quant_bits)
     payload = bytearray(rng.bytes((layout.nbits + 7) // 8))
@@ -510,7 +594,7 @@ def test_lossless_projection_fixture_separates():
         x += 0.3 * y * w  # give it a real margin
         pts.append((x, y))
     # dprime = d: the projection is a rotation, so nothing is lost
-    alg = ProjectionSeparator(dprime=d, subsample_size=30, quant_bits=0, seed=0)
+    alg = ProjectionSeparator(d, dprime=d, subsample_size=30, quant_bits=0, seed=0)
     out = run_one_pass(alg, pts, proj_state_bits(d, 30, 0), seed=3)
     assert all(y * (out @ x) > 0 for x, y in pts)
 
@@ -518,7 +602,7 @@ def test_lossless_projection_fixture_separates():
 def test_preimage_identity_quantization_off():
     # lifted separator scores equal projected-space scores exactly
     ds = gen_lsp_margin(48, 40, 0.3, seed=2)
-    alg = ProjectionSeparator(dprime=24, subsample_size=40, quant_bits=0, seed=5)
+    alg = ProjectionSeparator(48, dprime=24, subsample_size=40, quant_bits=0, seed=5)
     budget = proj_state_bits(24, 40, 0)
     shared = SharedRandomness(11)
     state = BitState(budget)
@@ -539,7 +623,7 @@ def test_preimage_identity_quantization_off():
 
 def test_projection_separator_full_run_small():
     ds = gen_lsp_margin(64, 120, 0.3, seed=4)
-    alg = ProjectionSeparator(dprime=40, subsample_size=120, quant_bits=16, seed=4)
+    alg = ProjectionSeparator(64, dprime=40, subsample_size=120, quant_bits=16, seed=4)
     out, stats = run_one_pass_stats(alg, ds.points(), proj_state_bits(40, 120, 16), seed=9)
     assert_allclose(np.linalg.norm(out), 1.0, rtol=1e-12)
     assert classification_error(out, ds) <= 0.1
@@ -550,7 +634,7 @@ def test_projection_separator_budget_accounting_configs():
     # declared formula equals measured peak for aligned, unaligned and raw modes
     ds = gen_lsp_margin(32, 25, 0.3, seed=1)
     for dp, sub, qb in [(16, 8, 16), (11, 7, 5), (9, 4, 0)]:
-        alg = ProjectionSeparator(dprime=dp, subsample_size=sub, quant_bits=qb, seed=2)
+        alg = ProjectionSeparator(32, dprime=dp, subsample_size=sub, quant_bits=qb, seed=2)
         declared = proj_state_bits(dp, sub, qb)
         _, stats = run_one_pass_stats(alg, ds.points(), declared, seed=3)
         assert stats.max_used_bits == declared
@@ -559,14 +643,14 @@ def test_projection_separator_budget_accounting_configs():
 
 def test_projection_separator_budget_violation():
     ds = gen_lsp_margin(32, 10, 0.3, seed=1)
-    alg = ProjectionSeparator(dprime=16, subsample_size=10, quant_bits=16, seed=2)
+    alg = ProjectionSeparator(32, dprime=16, subsample_size=10, quant_bits=16, seed=2)
     with pytest.raises(BudgetViolation):
         run_one_pass(alg, ds.points(), proj_state_bits(16, 10, 16) - 1, seed=3)
 
 
 def test_projection_separator_count_overflow_is_budget_violation():
     # a seen-count at the u32 maximum has no room for one more sample
-    alg = ProjectionSeparator(dprime=2, subsample_size=2, quant_bits=8, seed=0)
+    alg = ProjectionSeparator(4, dprime=2, subsample_size=2, quant_bits=8, seed=0)
     budget = proj_state_bits(2, 2, 8)
     payload = bytearray((budget + 7) // 8)
     payload[:8] = (2**32 - 1).to_bytes(4, "big") + (4).to_bytes(4, "big")
@@ -578,13 +662,13 @@ def test_projection_separator_count_overflow_is_budget_violation():
 
 def test_projection_separator_rejects_dprime_above_ambient():
     ds = gen_lsp_margin(8, 5, 0.3, seed=1)
-    alg = ProjectionSeparator(dprime=16, subsample_size=5, quant_bits=16, seed=2)
+    alg = ProjectionSeparator(8, dprime=16, subsample_size=5, quant_bits=16, seed=2)
     with pytest.raises(DimensionMismatch):
         run_one_pass(alg, ds.points(), proj_state_bits(16, 5, 16), seed=3)
 
 
 def test_projection_separator_empty_stream_degenerate():
-    alg = ProjectionSeparator(dprime=4, subsample_size=4, quant_bits=16, seed=2)
+    alg = ProjectionSeparator(4, dprime=4, subsample_size=4, quant_bits=16, seed=2)
     with pytest.raises(DegenerateOutput):
         run_one_pass(alg, [], proj_state_bits(4, 4, 16), seed=3)
 
@@ -594,7 +678,7 @@ def test_projection_separator_protocol_split_matches_one_pass():
     budget = proj_state_bits(20, 40, 16)
 
     def build():
-        return ProjectionSeparator(dprime=20, subsample_size=40, quant_bits=16, seed=6)
+        return ProjectionSeparator(32, dprime=20, subsample_size=40, quant_bits=16, seed=6)
 
     direct = run_one_pass(build(), ds.points(), budget, seed=21)
     proto = one_pass_to_protocol(build(), split_index=17)
@@ -610,7 +694,7 @@ def test_reservoir_subsets_uniform():
     budget = proj_state_bits(1, 3, 0)
     layout = ProjectionSeparator.layout(1, 3, 0)
     for run in range(10_000):
-        alg = ProjectionSeparator(dprime=1, subsample_size=3, quant_bits=0, seed=0)
+        alg = ProjectionSeparator(1, dprime=1, subsample_size=3, quant_bits=0, seed=0)
         shared = SharedRandomness(run)
         state = BitState(budget)
         for i, s in enumerate(alg.prepare(1, stream, shared), start=1):
@@ -633,7 +717,7 @@ def test_projection_separator_error_nonincreasing_in_dprime():
         errs = []
         for seed in range(20):
             ds = gen_lsp_margin(256, 400, 0.2, seed=seed)
-            alg = ProjectionSeparator(dprime=dp, subsample_size=200, quant_bits=16, seed=seed)
+            alg = ProjectionSeparator(256, dprime=dp, subsample_size=200, quant_bits=16, seed=seed)
             try:
                 w = run_one_pass(alg, ds.points(), proj_state_bits(dp, 200, 16), seed=500 + seed)
                 errs.append(classification_error(w, ds))

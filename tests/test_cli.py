@@ -231,6 +231,20 @@ def test_run_budget_past_the_memory_cap_exits_2(tmp_path, capsys):
         "error: a %d-bit state does not fit in this process's memory" % budget]
 
 
+@pytest.mark.parametrize("lemma,size", [("marginal", "--samples"), ("concentration", "--trials")])
+def test_verify_size_past_the_memory_cap_exits_2(lemma, size):
+    # 10^9 values of float64 are 8 GB, past the child's 2 GB cap, so the
+    # draw raises MemoryError; that is a size refused, not a criterion failed
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CAPPED_RUN, "verify", lemma, "--d", "64", size, "1000000000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: %s = 1000000000 does not fit in this process's memory" % size[2:]]
+
+
 # the exit codes the cli module docstring documents
 DOCUMENTED_EXIT = {
     errors.AcceptanceTooRare: 3,

@@ -171,7 +171,7 @@ def test_lr_route_offline_lstsq_is_exact():
 
 def test_lr_route_zero_predictor_degenerate():
     inst = gen_anv_conditioned(16, C.cf, seed=2)
-    alg = anv_via_lr(ZeroPredictor(), CFG, seed=0)
+    alg = anv_via_lr(ZeroPredictor(16), CFG, seed=0)
     with pytest.raises(DegenerateOutput):
         run_one_pass(alg, list(inst.vectors), 64, seed=1)
 

@@ -56,7 +56,7 @@ def _equations(seed, n, d):
 
 
 BASELINE_CASES = {
-    "zero": (ZeroPredictor, lambda: _vectors(1, 5, 8), 40, 32,
+    "zero": (lambda: ZeroPredictor(8), lambda: _vectors(1, 5, 8), 40, 32,
              "6a8814853bd214d9f0faf8d19724d53383fd0084a9471f67b989d47e225aa1a8"),
     "offline-kernel": (OfflineKernelSolver, lambda: _vectors(2, 7, 8), kernel_budget_bits(8), 3648,
                        "622d28cbc764e09f5f049a6dd6fd7872caed8ec79f1be87f871f994f9ad2514c"),
@@ -90,6 +90,6 @@ def test_projection_separator_state_bytes_pinned(config):
     dprime, slots, quant_bits = config
     budget, digest = PROJ_CASES[config]
     assert proj_state_bits(dprime, slots, quant_bits) == budget
-    alg = ProjectionSeparator(dprime=dprime, subsample_size=slots, quant_bits=quant_bits, seed=3)
+    alg = ProjectionSeparator(24, dprime=dprime, subsample_size=slots, quant_bits=quant_bits, seed=3)
     samples = _labeled(100 + dprime + slots + quant_bits, 3 * slots + 5, 24)
     assert _final_state(alg, samples, budget, seed=17) == (digest, budget)

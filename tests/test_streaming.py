@@ -431,7 +431,7 @@ def test_split_equality_catches_a_prepare_that_reads_its_run():
 
 
 def _proj(quant_bits):
-    return lambda: ProjectionSeparator(dprime=8, subsample_size=40, quant_bits=quant_bits, seed=4)
+    return lambda: ProjectionSeparator(16, dprime=8, subsample_size=40, quant_bits=quant_bits, seed=4)
 
 
 @pytest.mark.parametrize("quant_bits", [0, 16])

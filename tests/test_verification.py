@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from nullstream import linalg, verification
 from nullstream.errors import DimensionMismatch, EmptyList, ValidationError
-from nullstream.instances import first_coord_tail
+from nullstream.instances import first_coord_cdf, first_coord_tail
 from nullstream.linalg import haar_frame, orthonormalize, sample_grassmannian
 from nullstream.verification import (
     LemmaReport,
@@ -397,7 +397,7 @@ def test_ks_statistic_matches_scipy_kstest_bit_for_bit():
             z = np.round(z, 1)  # ties
         z.sort()
         expected = scipy.stats.kstest(z, "norm").statistic
-        assert _ks_statistic(z, ndtr(z)) == expected, (case, n)
+        assert _ks_statistic(z, ndtr) == expected, (case, n)
 
 
 def test_normal_cdf_matches_ndtr():
@@ -415,7 +415,7 @@ def test_normal_cdf_screen_is_within_its_stated_error():
 
 
 def _unscreened_ks_normal(z):
-    return _ks_statistic(z, verification._normal_cdf(z))
+    return _ks_statistic(z, verification._normal_cdf)
 
 
 @pytest.mark.parametrize("d", [16, 64, 256])
@@ -457,6 +457,38 @@ def test_screen_without_its_margin_misses_near_ties(monkeypatch):
     for seed in range(5):
         z = _near_tie(1000, seed)
         assert verification._ks_normal(z) != _unscreened_ks_normal(z), seed
+
+
+def _whole_array_marginal(d, samples, c_f, seed):
+    # the marginal's statistics with every step taken over the whole sample
+    # at once: one chi-square draw, one CDF array, one normal reference
+    rng = verification._trial_rng(seed, 0)
+    x = rng.standard_normal(samples)
+    r = rng.chisquare(d - 1, samples)
+    r += x * x
+    np.sqrt(r, out=r)
+    x /= r
+    x.sort()
+    i = np.arange(1, samples + 1)
+
+    def ks(f):
+        return float(np.maximum(np.abs(f - i / samples), np.abs(f - (i - 1) / samples)).max())
+
+    return {
+        "ks_exact": ks(first_coord_cdf(d, x)),
+        "ks_normal": ks(verification._normal_cdf(math.sqrt(d) * x)),
+        "emp_tail": float(np.mean(x >= c_f)),
+    }
+
+
+def test_blocked_marginal_is_the_whole_array_statistic_bit_for_bit():
+    # 100 000 samples span many SAMPLE_BLOCKs, so R's blocked draw and the
+    # blocked CDF and KS terms are checked against one pass over the whole
+    assert 100_000 > 10 * verification.SAMPLE_BLOCK
+    for seed in range(5):
+        stats = sphere_marginal_tests(64, 100_000, 0.2, seed).statistics
+        expected = _whole_array_marginal(64, 100_000, 0.2, seed)
+        assert {k: stats[k].hex() for k in expected} == {k: v.hex() for k, v in expected.items()}
 
 
 def test_exact_tail_decays_exponentially_in_dimension():
