@@ -214,9 +214,13 @@ class OfflineLstsqSolver(OnePassAlgorithm):
         # finite crafted sums can still overflow: pinv(1e-300 I) @ 1e300 is
         # inf, and (1e200, ...) is finite but its norm is not, so the
         # overflow is checked, not printed, and such a w is clipped through
-        # its largest entry; honest sums meet neither
+        # its largest entry; honest sums meet neither.  Sums whose entries
+        # span hundreds of decades can leave pinv's eigensolver unconverged
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.linalg.pinv(gram, hermitian=True) @ moment
+            try:
+                w = np.linalg.pinv(gram, hermitian=True) @ moment
+            except np.linalg.LinAlgError as exc:
+                raise ValidationError("least-squares sums: %s" % exc) from None
             norm = np.linalg.norm(w)
         if not np.isfinite(w).all():
             raise ValidationError("least-squares solution overflows")
@@ -302,6 +306,8 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
     """
 
     max_passes = 10**5
+    # finalize's bound on |w|: its square bounds every score and the norm
+    norm_cap = 1e150
 
     @staticmethod
     def layout(count: int, d: int) -> Layout:
@@ -322,6 +328,13 @@ class OfflineSeparatorSolver(OnePassAlgorithm):
         # return a separator of the other rows
         if not np.isfinite(flat).all():
             raise ValidationError("stored points hold a NaN or an infinity")
+        # update stores only +-1, the labels whose fold below is exact
+        if not (np.abs(flat[:, d]) == 1.0).all():
+            raise ValidationError("stored labels must be +/-1")
+        # w sums at most max_passes * count rows of norm <= sqrt(d) * largest
+        largest = float(np.abs(flat[:, :d]).max(initial=0.0))
+        if largest * math.sqrt(d) * self.max_passes * count > self.norm_cap:
+            raise ValidationError("stored points are too large for the perceptron's sums")
         return perceptron(flat[:, :d] * flat[:, d:], self.max_passes)
 
 

@@ -1,9 +1,11 @@
 """Command-line front end: instance generation, budgeted runs, lemma
 certification, and batch experiment sweeps.
 
-Exit codes: 0 success, 1 verify criterion not met, 2 validation failure,
-3 infeasible generation, 4 budget violation, 5 algorithm failure. CSV and
-JSON output use LF newlines and 17-significant-digit floats throughout.
+Exit codes: 0 success, 1 verify criterion not met, 2 validation failure or
+any failure from outside the lemmas (a file the OS refuses, input that is
+not UTF-8 JSON, an allocation that fails), 3 infeasible generation, 4 budget
+violation, 5 algorithm failure. CSV and JSON output use LF newlines and
+17-significant-digit floats throughout.
 """
 
 import argparse
@@ -52,6 +54,7 @@ from .serialize import (
     instance_to_json,
     json_float,
     json_int,
+    json_object,
     report_to_csv,
     report_to_json,
 )
@@ -131,16 +134,13 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _write_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError("cannot write %s: %s" % (path, exc)) from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _csv_line(cells) -> str:
@@ -164,16 +164,14 @@ def _open_csv(path: str, columns, key_width: int = 0):
             data = fh.read()
     except FileNotFoundError:
         data = b""
-    except OSError as exc:
-        raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
     kept = data[: data.rfind(b"\n") + 1]
     if not (kept.startswith(header) or not kept and header.startswith(data)):
         raise ValidationError("existing %s has different columns" % path)
+    if len(kept) < len(data):
+        os.truncate(path, len(kept))
     try:
-        if len(kept) < len(data):
-            os.truncate(path, len(kept))
         rows = csv.reader(io.StringIO(kept[len(header):].decode("utf-8"), newline=""))
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ValidationError("cannot resume %s: %s" % (path, exc)) from exc
     keys = {tuple(row[:key_width]) for row in rows if row}
     header_due = not kept
@@ -181,11 +179,8 @@ def _open_csv(path: str, columns, key_width: int = 0):
     def append(cells):
         nonlocal header_due
         line = _csv_line(cells).encode("utf-8")
-        try:
-            with open(path, "ab") as fh:
-                fh.write(header + line if header_due else line)
-        except OSError as exc:
-            raise ValidationError("cannot write %s: %s" % (path, exc)) from exc
+        with open(path, "ab") as fh:
+            fh.write(header + line if header_due else line)
         header_due = False
 
     return keys, append
@@ -368,14 +363,7 @@ SPEC_KEYS = {"problem", "params", "grid", "trials", "seed", "order"}
 
 
 def _load_spec(path: str) -> dict:
-    import json
-
-    try:
-        doc = json.loads(_read_text(path))
-    except ValueError as exc:
-        raise ValidationError("malformed experiment spec: %s" % exc) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("experiment spec must be a JSON object")
+    doc = json_object(_read_text(path))
     unknown = set(doc) - SPEC_KEYS
     if unknown:
         raise ValidationError("unknown spec fields: %s" % ", ".join(sorted(unknown)))
@@ -591,6 +579,10 @@ def main(argv=None) -> int:
     except NullstreamError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _failure(exc)[1]
+    except (MemoryError, OSError) as exc:
+        # refused input, not a failed criterion; a bare MemoryError says nothing
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

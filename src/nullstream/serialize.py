@@ -24,6 +24,7 @@ __all__ = [
     "instance_from_json",
     "json_int",
     "json_float",
+    "json_object",
     "report_to_json",
     "report_to_csv",
     "csv_cell",
@@ -154,11 +155,13 @@ def _numbers(doc: dict, key: str, depth: int) -> np.ndarray:
         raise ValueError("%s holds an integer past the float range" % key) from None
 
 
-def _parse(text: str) -> dict:
+def json_object(text: str) -> dict:
+    """The JSON object text holds; every way json.loads fails (a ValueError,
+    the digit limit's too, or a RecursionError) is a ValidationError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError("malformed JSON: %s" % exc) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError("malformed JSON: %s" % exc) from None
     if not isinstance(doc, dict):
         raise ValidationError("expected a JSON object at the top level")
     return doc
@@ -201,7 +204,7 @@ def instance_to_json(inst, seed) -> str:
 
 def instance_from_json(text: str):
     """Parse an instance file; returns (instance, seed)."""
-    doc = _parse(text)
+    doc = json_object(text)
     try:
         kind = doc["type"]
         seed = json_int(doc["seed"])

@@ -76,9 +76,10 @@ class BitState:
         if capacity_bits < 1:
             raise ValidationError("capacity must be at least 1 bit")
         want = (capacity_bits + 7) // 8
+        # a size past the address space is bad input; a failed allocation is not
         try:
             payload = bytearray(want) if payload is None else bytearray(payload)
-        except (OverflowError, MemoryError):
+        except OverflowError:
             raise ValidationError(
                 "a %d-bit state does not fit in this process's memory" % capacity_bits
             ) from None

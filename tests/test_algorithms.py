@@ -213,6 +213,47 @@ def test_offline_separator_refuses_a_crafted_nonfinite_message(bad):
         run_protocol(crafted, points, [], separator_budget_bits(d, n), seed=1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start,bad,match", [
+    (3, 1e300, "labels must be"), (3, 0.0, "labels must be"), (3, 0.5, "labels must be"),
+    (0, 1e308, "too large for the perceptron"),
+])
+def test_offline_separator_refuses_crafted_labels_and_sizes(start, bad, match):
+    # unchecked, a label of 1e300 or coordinates near 1e308 overflow the
+    # perceptron's sums (1e308 returned [0, 0, 0]), and labels 0 and 0.5,
+    # which update refuses, fold inexactly; each label case spent 10^5
+    # passes before NotSeparableInProjection
+    d, n = 3, 2
+    points = [(np.array([1.0, 0.0, 0.0]), 1.0), (np.array([0.0, 1.0, 0.0]), 1.0)]
+    crafted = _crafted(OfflineSeparatorSolver(), n, OfflineSeparatorSolver.layout(n, d),
+                       "rows", bad, start)
+    with pytest.raises(ValidationError, match=match):
+        run_protocol(crafted, points, [], separator_budget_bits(d, n), seed=1)
+
+
+# gram's upper triangle in row order, then moment: finite sums spanning
+# hundreds of decades on which pinv's eigensolver does not converge
+UNCONVERGED_LSTSQ = [
+    2.32e-207, 7.69e-95, -5.27e-257, -4.26e+289, 5.83e+116, 2.88e-237, -8.33e+99, -6.68e+129,
+    6.66e-169, 2.35e-176, -2.63e+35, 7.24e+275, -2.11e-291, 7790.0, 8.68e-206, 5.28e-27,
+    -1.02e+96, -1.4e-149, -1.87e-81, 1.22e+24, -2.1e-191,
+    -5.4e+224, -2.78e+136, -1.34e-257, 3.05e-63, 1.32e+100, 1.14e-250,
+]
+
+
+@pytest.mark.filterwarnings("error")
+def test_lstsq_solver_refuses_sums_pinv_cannot_factor():
+    # unchecked, numpy's bare LinAlgError "Eigenvalues did not converge"
+    d = 6
+    layout = OfflineLstsqSolver.layout(d)
+    state = BitState(layout.nbits)
+    layout.write(state, "header", [1, d])
+    layout.write(state, "gram", UNCONVERGED_LSTSQ[:21])
+    layout.write(state, "moment", UNCONVERGED_LSTSQ[21:])
+    with pytest.raises(ValidationError, match="Eigenvalues did not converge"):
+        OfflineLstsqSolver().finalize(state, SharedRandomness(0))
+
+
 def _refuses_crafted_dimensions(alg, layout, field, start, input1, budget):
     # party 1's honest message at d = 8 with its header's d set to 9, then
     # to 2^32 - 1, where np.zeros(d) would take 32 GiB and the d' x d

@@ -227,8 +227,7 @@ def test_run_budget_past_the_memory_cap_exits_2(tmp_path, capsys):
          "--alg", "random-unit", "--budget", str(budget), "--seed", "0"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: a %d-bit state does not fit in this process's memory" % budget]
+    assert proc.stderr.splitlines() == ["error: out of memory"]
 
 
 @pytest.mark.parametrize("lemma,size", [("marginal", "--samples"), ("concentration", "--trials")])
@@ -242,7 +241,62 @@ def test_verify_size_past_the_memory_cap_exits_2(lemma, size):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "error: %s = 1000000000 does not fit in this process's memory" % size[2:]]
+        "error: Unable to allocate 7.45 GiB for an array with shape (1000000000,) "
+        "and data type float64"]
+
+
+# every failure from outside the lemmas is refused input: exit 2, nothing on
+# stdout and one error: line that starts with what was refused, no traceback.
+# Each memory probe asks for more than the capped child's 2 GB, and each file
+# probe hands a command an input file holding bytes that are not UTF-8, an
+# integer past the interpreter's 4 300-digit limit or 200 000 open brackets
+PAST_THE_CAP = "error: Unable to allocate "
+LSP_PAST_THE_CAP = json.dumps({"problem": "lsp-margin", "trials": 1, "seed": 0, "params": {
+    "d": 100_000, "m": 100_000, "gamma": 0.3, "algorithm": "random-unit", "budget_bits": 64}})
+MEMORY_PROBES = {
+    "no-joint-sol": ["verify", "no-joint-sol", "--d", "100000", "--trials", "1"],
+    "sandwich": ["verify", "sandwich", "--d", "1000000000", "--trials", "1"],
+    "singular": ["verify", "singular", "--d", "1000000000", "--trials", "1"],
+    "marginal": ["verify", "marginal", "--d", "64", "--samples", "1000000000"],
+    "concentration": ["verify", "concentration", "--d", "64", "--trials", "1000000000"],
+    "comorth": ["verify", "comorth", "--d", "100000", "--trials", "1"],
+    "gen": ["gen", "anv-gaussian", "--d", "100000", "--seed", "0", "--out", "{tmp}/anv.json"],
+    "experiment": ["experiment", "--spec", "{file}", "--out", "{tmp}/rows.csv"],
+}
+FILE_PROBES = {
+    "run": ["run", "--instance", "{file}", "--alg", "random-unit", "--budget", "64", "--seed", "0"],
+    "gen": ["gen", "lsp-from-anv", "--instance", "{file}", "--out", "{tmp}/lsp.json"],
+    "experiment": ["experiment", "--spec", "{file}", "--out", "{tmp}/rows.csv"],
+}
+BAD_FILES = {
+    "non-utf8": (b'{"type": "\xff"}', "error: {file} is not UTF-8 text: "),
+    "digits": (b'{"seed": ' + b"9" * 5000 + b"}", "error: malformed JSON: Exceeds the limit"),
+    "nested": (b"[" * 200_000, "error: malformed JSON: maximum recursion depth exceeded"),
+}
+BOUNDARY_PROBES = [
+    pytest.param(argv, LSP_PAST_THE_CAP.encode(), PAST_THE_CAP, True, id="memory-" + name)
+    for name, argv in MEMORY_PROBES.items()
+] + [
+    pytest.param(argv, data, first, False, id="%s-%s" % (command, bad))
+    for command, argv in FILE_PROBES.items() for bad, (data, first) in BAD_FILES.items()
+]
+
+
+@pytest.mark.parametrize("argv,data,first,capped", BOUNDARY_PROBES)
+def test_outside_failure_exits_2_with_one_error_line(argv, data, first, capped, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    argv = [arg.format(file=path, tmp=tmp_path) for arg in argv]
+    if capped:
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", MEMORY_CAPPED_RUN, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith(first.format(file=path))
 
 
 # the exit codes the cli module docstring documents
