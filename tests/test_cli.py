@@ -247,9 +247,10 @@ def test_verify_size_past_the_memory_cap_exits_2(lemma, size):
 
 # every failure from outside the lemmas is refused input: exit 2, nothing on
 # stdout and one error: line that starts with what was refused, no traceback.
-# Each memory probe asks for more than the capped child's 2 GB, and each file
+# Each memory probe asks for more than the capped child's 2 GB; each file
 # probe hands a command an input file holding bytes that are not UTF-8, an
-# integer past the interpreter's 4 300-digit limit or 200 000 open brackets
+# integer past the interpreter's 4 300-digit limit or 200 000 open brackets;
+# each OS probe reads or writes a path under a directory that does not exist
 PAST_THE_CAP = "error: Unable to allocate "
 LSP_PAST_THE_CAP = json.dumps({"problem": "lsp-margin", "trials": 1, "seed": 0, "params": {
     "d": 100_000, "m": 100_000, "gamma": 0.3, "algorithm": "random-unit", "budget_bits": 64}})
@@ -273,12 +274,21 @@ BAD_FILES = {
     "digits": (b'{"seed": ' + b"9" * 5000 + b"}", "error: malformed JSON: Exceeds the limit"),
     "nested": (b"[" * 200_000, "error: malformed JSON: maximum recursion depth exceeded"),
 }
+NO_SUCH_PATH = "error: [Errno 2] No such file or directory: '{tmp}/missing/anv.json'"
+OS_PROBES = {
+    "read": ["run", "--instance", "{tmp}/missing/anv.json", "--alg", "random-unit",
+             "--budget", "64", "--seed", "0"],
+    "write": ["gen", "anv-gaussian", "--d", "4", "--seed", "0", "--out", "{tmp}/missing/anv.json"],
+}
 BOUNDARY_PROBES = [
     pytest.param(argv, LSP_PAST_THE_CAP.encode(), PAST_THE_CAP, True, id="memory-" + name)
     for name, argv in MEMORY_PROBES.items()
 ] + [
     pytest.param(argv, data, first, False, id="%s-%s" % (command, bad))
     for command, argv in FILE_PROBES.items() for bad, (data, first) in BAD_FILES.items()
+] + [
+    pytest.param(argv, b"", NO_SUCH_PATH, False, id="os-" + name)
+    for name, argv in OS_PROBES.items()
 ]
 
 
@@ -296,7 +306,8 @@ def test_outside_failure_exits_2_with_one_error_line(argv, data, first, capped, 
     else:
         code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
-    assert len(stderr.splitlines()) == 1 and stderr.startswith(first.format(file=path))
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(first.format(file=path, tmp=tmp_path))
 
 
 # the exit codes the cli module docstring documents

@@ -29,7 +29,8 @@ from nullstream.algorithms import (
 from nullstream.config import DEFAULTS
 from nullstream.errors import NullstreamError
 from nullstream.reductions import ReductionConfig, anv_via_lr, anv_via_lsp
-from nullstream.streaming import BitState, Layout, Message, SharedRandomness, one_pass_to_protocol, uint
+from nullstream.streaming import (
+    BitState, Layout, Message, SharedRandomness, one_pass_to_protocol, uint)
 
 D, ROWS, FINITE, SEED = 6, 8, int(sys.argv[1]), int(sys.argv[2])
 cfg = ReductionConfig.from_constants(DEFAULTS.constants)
